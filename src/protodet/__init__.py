@@ -35,6 +35,7 @@ from .geometry import (
     box_area,
     box_iou,
     box_to_full_mask,
+    coverage_matrix,
     mask_area,
     mask_coverage,
     mask_downsample,

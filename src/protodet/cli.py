@@ -20,11 +20,13 @@ from .evaluation import evaluate
 from .pipeline import (
     METHODS,
     PipelineConfig,
+    resolve_prototypes,
     run_end_to_end,
     run_query_stage,
     run_refine_stage,
-    run_support_stage,
 )
+# unused here, but benchmark tracing wraps the support stage through this binding
+from .pipeline import run_support_stage  # noqa: F401
 from .synthio import GeneratorConfig, export_run, generate_dataset, load_dataset
 
 ENV_OUTPUT_DIR = "PROTODET_OUTPUT_DIR"
@@ -286,7 +288,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     dataset = load_dataset(args.manifest)
-    prototypes = run_support_stage(dataset)
+    prototypes = resolve_prototypes(dataset, base_cfg)
     props = run_query_stage(dataset, prototypes, jobs=args.jobs)
     rows = ["method\tnAP\tnAP50\tnAP75"]
     for method in METHODS:

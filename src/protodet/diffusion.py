@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BinaryMask, BoundingBox
+from .geometry import BinaryMask, BoundingBox, coverage_matrix
 
 __all__ = [
     "Proposal",
@@ -112,9 +112,6 @@ def build_class_graph(
     classes = {p.pred_class for p in props}
     if len(classes) != 1:
         raise ValueError(f"proposals must share one predicted class, got {sorted(classes)}")
-    dims = {(p.mask.width, p.mask.height) for p in props}
-    if len(dims) != 1:
-        raise ValueError(f"proposal masks must share dimensions, got {sorted(dims)}")
     if node_ids is None:
         node_ids = range(len(props))
     ids = tuple(int(i) for i in node_ids)
@@ -122,11 +119,7 @@ def build_class_graph(
         raise ValueError("node_ids must align with proposals")
 
     n = len(props)
-    # Pixel counts stay far below 2**53, so float64 intersection counts are exact.
-    flat = np.stack([p.mask.to_array().ravel() for p in props]).astype(np.float64)
-    areas = flat.sum(axis=1)
-    inter = flat @ flat.T
-    coverage = inter / areas[:, None]
+    coverage = coverage_matrix([p.mask for p in props])
 
     scores = np.array([p.upn_score for p in props], dtype=np.float64)
     edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
@@ -161,7 +154,9 @@ def diffuse(
     converged = False
     for _ in range(params.max_steps):
         nxt = params.alpha * (g.transition @ pi) + restart
-        assert float(nxt.min()) >= -1e-12 and float(nxt.max()) <= 1.0 + 1e-12
+        lo, hi = float(nxt.min()), float(nxt.max())
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+            raise ValueError(f"diffusion step {steps + 1} left [0, 1]: min {lo!r}, max {hi!r}")
         np.clip(nxt, 0.0, 1.0, out=nxt)  # shave float noise; math keeps pi in [0, 1]
         steps += 1
         delta = float(np.linalg.norm(nxt - pi))
@@ -178,7 +173,8 @@ def refine_scores(
     """Final score per proposal: (1 - pi)^lambda times its matching similarity."""
     if len(props) != len(result.pi):
         raise ValueError(f"got {len(props)} proposals but {len(result.pi)} weights")
-    assert float(result.pi.max(initial=0.0)) <= 1.0 and float(result.pi.min(initial=0.0)) >= 0.0
+    if not (float(result.pi.max(initial=0.0)) <= 1.0 and float(result.pi.min(initial=0.0)) >= 0.0):
+        raise ValueError("diffusion weights must lie in [0, 1]")
     return [
         float((1.0 - float(pi_j)) ** lam * p.similarity)
         for p, pi_j in zip(props, result.pi)

@@ -7,8 +7,10 @@ is legal).  All operations here are pure functions on immutable values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "box_iou",
     "mask_area",
     "mask_coverage",
+    "coverage_matrix",
     "mask_downsample",
     "box_to_full_mask",
 ]
@@ -165,6 +168,74 @@ def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
         raise ValueError("coverage undefined for an empty source mask")
     inter = int(np.logical_and(src.to_array(), dst.to_array()).sum())
     return inter / area
+
+
+_SEGMENT_CHUNK = 4096  # segment columns per product block: O(N**2 + N * chunk) floats
+
+
+def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
+    """All pairwise coverages: ``out[i, j] == mask_coverage(masks[i], masks[j])``.
+
+    Works on the run lengths and never decodes a raster.  Each mask's 1-runs
+    become flat ``[start, end)`` intervals.  The starts and ends of all masks
+    cut the raster into K segments, each lying wholly inside or wholly outside
+    every mask, so a 0/1 (N, K) membership matrix weighted by segment length
+    gives the intersection counts in one matrix product.  Every partial sum is
+    an integer below 2**53, hence exact in float64, and the final division is
+    the same correctly rounded quotient of two integers that ``mask_coverage``
+    computes: the values agree bit for bit.
+
+    Cost: O(runs + N*K + N**2*K) time with K <= min(2*runs, W*H); memory
+    O(N*K + N**2) plus a W*H+1 byte array marking the cuts.
+
+    Raises ValueError when the masks differ in dimensions or one is empty.
+    """
+    dims = {(m.width, m.height) for m in masks}
+    if len(dims) > 1:
+        raise ValueError(f"mask dimension mismatch: {sorted(dims)}")
+    n = len(masks)
+    if n == 0:
+        return np.zeros((0, 0))
+    width, height = dims.pop()
+    total = width * height
+
+    lens = np.array([len(m.runs) for m in masks], dtype=np.int64)
+    runs = np.fromiter(
+        itertools.chain.from_iterable(m.runs for m in masks), dtype=np.int64, count=int(lens.sum())
+    )
+    row = np.repeat(np.arange(n), lens)
+    # every mask's runs sum to W*H, so the running total minus row * W*H is a run's end
+    end = np.cumsum(runs) - row * total
+    local = np.arange(runs.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    ones = (local % 2 == 1) & (runs > 0)
+    areas = np.bincount(row[ones], weights=runs[ones], minlength=n)
+    if not areas.all():
+        empty = int(np.argmin(areas))
+        raise ValueError(f"coverage undefined for an empty source mask (index {empty})")
+    row, end = row[ones], end[ones]
+    start = end - runs[ones]
+    # a zero-length 0-run between two 1-runs joins them into one interval
+    apart = ~((row[1:] == row[:-1]) & (start[1:] == end[:-1]))
+    first = np.concatenate(([True], apart))
+    row, start, end = row[first], start[first], end[np.concatenate((apart, [True]))]
+
+    cut = np.zeros(total + 1, dtype=bool)
+    cut[start] = True
+    cut[end] = True
+    cuts = np.flatnonzero(cut)
+    seg_of = np.cumsum(cut, dtype=np.int64) - 1  # seg_of[cuts[k]] == k
+    k = cuts.size - 1
+    delta = np.zeros((n, k + 1), dtype=np.int8)
+    delta[row, seg_of[start]] = 1  # a row's intervals are disjoint and apart: no index repeats
+    delta[row, seg_of[end]] = -1
+    member = np.cumsum(delta, axis=1, dtype=np.int8)[:, :k]
+    seglen = np.diff(cuts).astype(np.float64)
+
+    inter = np.zeros((n, n))
+    for lo in range(0, k, _SEGMENT_CHUNK):
+        block = member[:, lo:lo + _SEGMENT_CHUNK].astype(np.float64)
+        inter += (block * seglen[lo:lo + _SEGMENT_CHUNK]) @ block.T
+    return inter / areas[:, None]
 
 
 def mask_downsample(m: BinaryMask, target_w: int, target_h: int) -> SoftMask:

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
+from .geometry import BinaryMask, BoundingBox, box_iou, coverage_matrix
+# unused here, but benchmark tracing counts calls through this module's binding
+from .geometry import mask_coverage  # noqa: F401
 
 __all__ = [
     "ScoredDetection",
@@ -129,10 +131,9 @@ def soft_merge(dets: list[ScoredDetection]) -> list[ScoredDetection]:
     new_scores: dict[int, float] = {}
     for idx in _indices_by_class(dets).values():
         order = _score_order(dets, idx)
+        cov = coverage_matrix([dets[i].mask for i in order])
         for rank, i in enumerate(order):
-            penalty = 0.0
-            for j in order[:rank]:
-                penalty = max(penalty, mask_coverage(dets[i].mask, dets[j].mask))
+            penalty = float(cov[rank, :rank].max(initial=0.0))
             new_scores[i] = dets[i].score * (1.0 - penalty)
     out = [
         ScoredDetection(box=d.box, class_id=d.class_id, score=new_scores[i], mask=d.mask)

@@ -699,11 +699,16 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         where = f"{gt_file}:{lineno}"
         try:
             info = image_of(rec, where)
+            class_id = int(_require(rec, "class_id", where))
+            if not 0 <= class_id < num_classes:
+                raise DataFormatError(
+                    f"{where}: class_id {class_id} outside [0, {num_classes})"
+                )
             ground_truth.append(
                 GroundTruthBox(
                     image_id=info.image_id,
                     box=_box_from_json(_require(rec, "box", where)),
-                    class_id=int(_require(rec, "class_id", where)),
+                    class_id=class_id,
                 )
             )
         except DataFormatError as exc:

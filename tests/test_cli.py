@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from protodet.cli import main
+from protodet.features import ClassPrototype
+from protodet.pipeline import run_support_stage
+from protodet.synthio import load_dataset, save_prototypes
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,29 @@ class TestCompare:
         _, rows = _read_tsv(out / "compare.tsv")
         by_method = {r[0]: r for r in rows}
         assert float(by_method["diffusion"][2]) >= float(by_method["none"][2])
+
+    def test_prototype_file_is_honoured(self, cli_corpus, tmp_path):
+        # prototypes with rotated class ids: a file that changes every score
+        built = run_support_stage(load_dataset(cli_corpus))
+        protos = tmp_path / "rotated.protos"
+        save_prototypes(protos, [
+            ClassPrototype(class_id=(p.class_id + 1) % len(built), vector=p.vector,
+                           support_count=p.support_count)
+            for p in built
+        ])
+        run_out, cmp_out, plain_out = tmp_path / "run", tmp_path / "cmp", tmp_path / "plain"
+        assert main(["run", str(cli_corpus), "--prototypes", str(protos),
+                     "--out", str(run_out)]) == 0
+        assert main(["compare", str(cli_corpus), "--prototypes", str(protos),
+                     "--out", str(cmp_out)]) == 0
+        assert main(["compare", str(cli_corpus), "--out", str(plain_out)]) == 0
+        report = json.loads((run_out / "report.json").read_text())
+        diffusion = {r[0]: r for r in _read_tsv(cmp_out / "compare.tsv")[1]}["diffusion"]
+        assert [float(v) for v in diffusion[1:]] == [
+            report["nAP"], report["nAP50"], report["nAP75"]
+        ]
+        plain = {r[0]: r for r in _read_tsv(plain_out / "compare.tsv")[1]}["diffusion"]
+        assert plain != diffusion
 
     def test_compare_idempotent(self, cli_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import protodet
 from conftest import random_class_props
 from protodet.diffusion import (
     DiffusionParams,
@@ -229,6 +234,41 @@ class TestRefineScores:
         res = diffuse(build_class_graph(props), DiffusionParams())
         with pytest.raises(ValueError):
             refine_scores(props + props, res, 0.5)
+
+
+# Out-of-range weights must raise even under ``python -O``, which strips asserts.
+_RANGE_CHECK_SCRIPT = """
+import numpy as np
+from protodet.diffusion import (
+    ClassGraph, DiffusionParams, DiffusionResult, Proposal, diffuse, refine_scores)
+from protodet.geometry import BinaryMask, BoundingBox
+
+raised = []
+g = ClassGraph(node_ids=(0,), edges=np.zeros((1, 1)), prior=np.array([2.0]),
+               transition=np.zeros((1, 1)))
+try:
+    diffuse(g, DiffusionParams())
+except ValueError:
+    raised.append("diffuse")
+prop = Proposal(box=BoundingBox(0, 0, 2, 2), mask=BinaryMask(2, 2, (0, 4)),
+                upn_score=0.5, feature=np.ones(2), pred_class=0, similarity=0.5)
+for pi in (1.5, -0.5):
+    try:
+        refine_scores([prop], DiffusionResult(np.array([pi]), 1, True), 0.5)
+    except ValueError:
+        raised.append(f"refine_scores {pi}")
+print(",".join(raised))
+"""
+
+
+def test_range_checks_survive_optimized_mode():
+    src = str(Path(protodet.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _RANGE_CHECK_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "diffuse,refine_scores 1.5,refine_scores -0.5"
 
 
 def _oracle_reweight(props, alpha, lam, tau, max_steps):

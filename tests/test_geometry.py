@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protodet.errors import DataFormatError
 from protodet.geometry import (
@@ -10,6 +12,7 @@ from protodet.geometry import (
     box_area,
     box_iou,
     box_to_full_mask,
+    coverage_matrix,
     mask_area,
     mask_coverage,
     mask_downsample,
@@ -119,6 +122,51 @@ class TestCoverage:
             cov = mask_coverage(a, b)
             assert cov == inter / mask_area(a)
             assert mask_area(a) == int(a_arr.sum())
+
+
+@st.composite
+def _same_size_masks(draw, max_side=7, max_masks=6):
+    """Non-empty masks of one size, with RLEs drawn directly from sorted cut
+    points: repeated cuts give zero-length runs anywhere, a cut at 0 a leading
+    1-run, and a duplicated prefix repeats masks."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    total = w * h
+    cut_lists = st.lists(st.integers(0, total), max_size=10).map(sorted)
+    one_mask = cut_lists.map(
+        lambda cuts: BinaryMask(w, h, tuple(np.diff([0, *cuts, total]).tolist()))
+    ).filter(lambda m: m.area > 0)
+    masks = draw(st.lists(one_mask, min_size=1, max_size=max_masks))
+    return masks + masks[: draw(st.integers(0, 2))]
+
+
+class TestCoverageMatrix:
+    @settings(deadline=None)  # timing is not under test; a loaded machine must not fail it
+    @given(_same_size_masks())
+    @example([BinaryMask(4, 4, (0, 16))])  # N = 1, full mask
+    @example([  # leading 1-run, zero-length interior runs, run on the last pixel
+        BinaryMask(4, 4, (0, 3, 0, 2, 0, 0, 9, 2)),
+        BinaryMask(4, 4, (2, 3, 0, 0, 11)),
+        BinaryMask(4, 4, (0, 16)),
+        BinaryMask(4, 4, (14, 2)),
+        BinaryMask(4, 4, (2, 3, 0, 0, 11)),
+    ])
+    def test_equals_scalar_oracle_exactly(self, masks):
+        got = coverage_matrix(masks)
+        want = np.array([[mask_coverage(a, b) for b in masks] for a in masks])
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    def test_mismatched_dims_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            coverage_matrix([BinaryMask(4, 4, (0, 16)), BinaryMask(4, 5, (0, 20))])
+
+    @pytest.mark.parametrize("others,position", [(1, 0), (1, 1), (0, 0)])
+    def test_empty_mask_rejected(self, others, position):
+        masks = [BinaryMask(4, 4, (0, 16))] * others
+        masks.insert(position, BinaryMask(4, 4, (16,)))
+        with pytest.raises(ValueError, match="empty"):
+            coverage_matrix(masks)
 
 
 def _bilinear_oracle(src, tw, th):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from protodet.geometry import BinaryMask, BoundingBox, box_iou
+from conftest import random_mask
+from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
 from protodet.postproc import (
     ScoredDetection,
     nms,
@@ -178,6 +179,32 @@ class TestSoftMerge:
             top = max(range(len(dets)), key=lambda i: (dets[i].score, -i))
             out = soft_merge(dets)
             assert out[0].score == dets[top].score
+
+    def test_matches_per_pair_reference(self):
+        def reference(dets):
+            scores = {}
+            for c in {d.class_id for d in dets}:
+                order = sorted((i for i, d in enumerate(dets) if d.class_id == c),
+                               key=lambda i: (-dets[i].score, i))
+                for rank, i in enumerate(order):
+                    penalty = max((mask_coverage(dets[i].mask, dets[j].mask)
+                                   for j in order[:rank]), default=0.0)
+                    scores[i] = dets[i].score * (1.0 - penalty)
+            return sorted(((scores[i], i) for i in range(len(dets))), key=lambda t: (-t[0], t[1]))
+
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            dets = []
+            for _ in range(int(rng.integers(1, 14))):
+                mask, box = random_mask(rng, size=12)
+                score = float(rng.choice([0.25, 0.5, rng.uniform(0.01, 1.0)]))  # ties too
+                dets.append(_det(box, score, class_id=int(rng.integers(0, 3)), mask=mask))
+            want = reference(dets)
+            got = soft_merge(dets)
+            assert [(d.score, d.box, d.class_id) for d in got] == [
+                (s, dets[i].box, dets[i].class_id) for s, i in want
+            ]
+            assert all(type(d.score) is float for d in got)
 
     def test_missing_mask_rejected(self):
         with pytest.raises(ValueError):

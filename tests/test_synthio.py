@@ -260,6 +260,13 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match="score"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("class_id", [1, -1])
+    def test_ground_truth_class_out_of_range_rejected(self, tmp_path, class_id):
+        gt = {"image_id": "q0", "box": [0.0, 0.0, 4.0, 4.0], "class_id": class_id}
+        path = _write_manifest(tmp_path, gts=[gt])
+        with pytest.raises(DataFormatError, match=r"ground_truth\.jsonl:1: class_id"):
+            load_dataset(path)
+
     def test_inconsistent_feature_dims_rejected(self, tmp_path):
         path = _write_manifest(
             tmp_path,
