@@ -9,9 +9,11 @@ supplies the base for default output directories.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .diffusion import DiffusionParams
@@ -21,13 +23,12 @@ from .pipeline import (
     METHODS,
     PipelineConfig,
     resolve_prototypes,
-    run_end_to_end,
     run_query_stage,
     run_refine_stage,
 )
-# unused here, but benchmark tracing wraps the support stage through this binding
-from .pipeline import run_support_stage  # noqa: F401
-from .synthio import GeneratorConfig, export_run, generate_dataset, load_dataset
+# unused here, but benchmark tracing wraps these stages through these bindings
+from .pipeline import run_end_to_end, run_support_stage  # noqa: F401
+from .synthio import Dataset, GeneratorConfig, export_run, generate_dataset, load_dataset
 
 ENV_OUTPUT_DIR = "PROTODET_OUTPUT_DIR"
 
@@ -138,67 +139,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_argv(path: str) -> list[str]:
+    """The key=value config file as flags: ``key=v`` gives ``--key=v``,
+    ``key=v1 v2`` (or ``v1,v2``) gives ``--key v1 v2``; a switch is set by
+    ``key=true`` or ``yes`` and left unset by ``key=false`` or ``no``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
+    argv: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _apply_config_file(args: argparse.Namespace, argv: list[str],
-                       parser: argparse.ArgumentParser) -> None:
-    """Fill namespace values from the config file unless the flag was on argv."""
-    if not getattr(args, "config", None):
-        return
-    sub_actions = {}
-    for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        for opt in action.option_strings:
-            sub_actions[opt.lstrip("-")] = action
-    for key, raw in _read_config_file(args.config).items():
-        action = sub_actions.get(key)
-        if action is None:
-            raise DataFormatError(f"config file: unknown option {key!r}")
-        if f"--{key}" in argv:
-            continue  # explicit flag wins
-        if isinstance(action, (argparse._StoreTrueAction,)):
-            setattr(args, action.dest, raw.lower() in ("1", "true", "yes"))
+        key, _, raw = (part.strip() for part in line.partition("="))
+        values = raw.replace(",", " ").split()
+        if raw.lower() in ("false", "no"):
             continue
-        convert = action.type or str
-        parts = raw.replace(",", " ").split()
-        if action.nargs in (None,):
-            setattr(args, action.dest, convert(parts[0]))
-        else:
-            setattr(args, action.dest, [convert(v) for v in parts])
+        if raw.lower() in ("true", "yes"):
+            values = []
+        argv += [f"--{key}={values[0]}"] if len(values) == 1 else [f"--{key}", *values]
+    return argv
 
 
-def _pipeline_config(args: argparse.Namespace, method: str | None = None,
-                     **overrides) -> PipelineConfig:
-    def pick(name: str, default):
-        return overrides[name] if name in overrides else getattr(args, name, default)
-
-    params = DiffusionParams(
-        alpha=pick("alpha", 0.3),
-        lam=pick("lam", 0.5),
-        tau=pick("tau", 1e-6),
-        max_steps=pick("max_steps", 30),
-    )
+def _base_config(args: argparse.Namespace, method: str = "diffusion") -> PipelineConfig:
+    """The config of the flags every pipeline command has; the diffusion knobs
+    besides tau keep their defaults until ``_with_knobs`` sets them."""
     return PipelineConfig(
-        diffusion=params,
-        method=method if method is not None else getattr(args, "method", "diffusion"),
+        diffusion=DiffusionParams(tau=args.tau),
+        method=method,
         max_output=args.max_output,
         jobs=args.jobs,
-        prototype_path=getattr(args, "prototypes", None),
+        prototype_path=args.prototypes,
     )
+
+
+def _with_knobs(cfg: PipelineConfig, alpha: float, lam: float, max_steps: int) -> PipelineConfig:
+    return replace(cfg, diffusion=replace(cfg.diffusion, alpha=alpha, lam=lam,
+                                          max_steps=max_steps))
+
+
+def _usage_error(exc: ValueError) -> int:
+    print(f"usage error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _query_once(args: argparse.Namespace, base: PipelineConfig) -> tuple[Dataset, dict]:
+    """Load, resolve prototypes and match every proposal: the stages that no
+    refinement config affects, run once per command."""
+    dataset = load_dataset(args.manifest)
+    prototypes = resolve_prototypes(dataset, base)
+    return dataset, run_query_stage(dataset, prototypes, jobs=base.jobs)
+
+
+def _refine_and_evaluate(dataset: Dataset, props: dict, cfg: PipelineConfig):
+    detections = run_refine_stage(props, cfg)
+    return detections, evaluate(detections, dataset.ground_truth, max_dets=cfg.max_output)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -221,8 +219,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             query_feature_maps=args.query_feature_maps,
         )
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     out = args.out or _default_out("dataset")
     manifest = generate_dataset(cfg, out)
     print(manifest)
@@ -231,11 +228,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = _pipeline_config(args)
+        cfg = _with_knobs(_base_config(args, args.method), args.alpha, args.lam, args.max_steps)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    detections, report = run_end_to_end(args.manifest, cfg)
+        return _usage_error(exc)
+    dataset, props = _query_once(args, cfg)
+    detections, report = _refine_and_evaluate(dataset, props, cfg)
     out = args.out or _default_out("run")
     paths = export_run(detections, report, out)
     print(f"nAP={report.nap:.4f} nAP50={report.nap50:.4f} nAP75={report.nap75:.4f}")
@@ -243,71 +240,60 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dedup(values: list) -> list:
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _write_table(args: argparse.Namespace, kind: str, rows: list[str]) -> Path:
+    out = Path(args.out or _default_out(kind))
+    out.mkdir(parents=True, exist_ok=True)
+    table = out / f"{kind}.tsv"
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return table
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
+    try:
+        base = _base_config(args)
+    except ValueError as exc:
+        return _usage_error(exc)
+    dataset, props = _query_once(args, base)
     n_images = max(len(dataset.query_image_ids()), 1)
     rows = ["lambda\talpha\tsteps\tnAP50\tsec_per_image"]
-    for lam in _dedup(args.lambdas):
-        for alpha in _dedup(args.alphas):
-            for steps in _dedup(args.steps_grid):
-                try:
-                    cfg = _pipeline_config(args, method="diffusion",
-                                           lam=lam, alpha=alpha, max_steps=steps)
-                    start = time.perf_counter()
-                    _, report = run_end_to_end(dataset, cfg)
-                    per_image = (time.perf_counter() - start) / n_images
-                    rows.append(
-                        f"{lam!r}\t{alpha!r}\t{steps}\t{report.nap50!r}\t{per_image:.6f}"
-                    )
-                except (ValueError, PipelineError, DataFormatError) as exc:
-                    print(f"sweep cell lambda={lam} alpha={alpha} steps={steps} "
-                          f"failed: {exc}", file=sys.stderr)
-                    rows.append(f"{lam!r}\t{alpha!r}\t{steps}\tfailed\tfailed")
-    out = Path(args.out or _default_out("sweep"))
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "sweep.tsv"
-    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(table)
+    for lam, alpha, steps in itertools.product(
+        dict.fromkeys(args.lambdas), dict.fromkeys(args.alphas), dict.fromkeys(args.steps_grid)
+    ):
+        try:
+            cfg = _with_knobs(base, alpha, lam, steps)
+            start = time.perf_counter()
+            _, report = _refine_and_evaluate(dataset, props, cfg)
+            per_image = (time.perf_counter() - start) / n_images
+            rows.append(f"{lam!r}\t{alpha!r}\t{steps}\t{report.nap50!r}\t{per_image:.6f}")
+        except (ValueError, PipelineError) as exc:
+            print(f"sweep cell lambda={lam} alpha={alpha} steps={steps} "
+                  f"failed: {exc}", file=sys.stderr)
+            rows.append(f"{lam!r}\t{alpha!r}\t{steps}\tfailed\tfailed")
+    print(_write_table(args, "sweep", rows))
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        base_cfg = _pipeline_config(args, method="diffusion")
+        base = _with_knobs(_base_config(args), args.alpha, args.lam, args.max_steps)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    dataset = load_dataset(args.manifest)
-    prototypes = resolve_prototypes(dataset, base_cfg)
-    props = run_query_stage(dataset, prototypes, jobs=args.jobs)
+        return _usage_error(exc)
+    dataset, props = _query_once(args, base)
     rows = ["method\tnAP\tnAP50\tnAP75"]
     for method in METHODS:
-        cfg = PipelineConfig(diffusion=base_cfg.diffusion, method=method,
-                             max_output=args.max_output, jobs=args.jobs)
         try:
-            detections = run_refine_stage(props, cfg)
-            report = evaluate(detections, dataset.ground_truth, max_dets=cfg.max_output)
+            _, report = _refine_and_evaluate(dataset, props, replace(base, method=method))
             rows.append(f"{method}\t{report.nap!r}\t{report.nap50!r}\t{report.nap75!r}")
         except PipelineError as exc:
             print(f"notice: method {method!r} skipped: {exc}", file=sys.stderr)
             rows.append(f"{method}\tskipped\tskipped\tskipped")
-    out = Path(args.out or _default_out("compare"))
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "compare.tsv"
-    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    table = _write_table(args, "compare", rows)
     print("\n".join(rows))
     print(table)
     return EXIT_OK
+
+
+_COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "sweep": _cmd_sweep, "compare": _cmd_compare}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,14 +301,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv, parser)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_compare(args)
+        if args.config:
+            # the file's flags go ahead of argv's, so a flag on argv wins; the
+            # --config after them ends a multi-valued flag before argv's positionals
+            args, unknown = parser.parse_known_args(
+                [argv[0], *_config_argv(args.config), f"--config={args.config}", *argv[1:]]
+            )
+            if unknown:
+                raise DataFormatError(f"config file: unknown option {unknown[0]!r}")
+        return _COMMANDS[args.command](args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

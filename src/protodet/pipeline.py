@@ -40,11 +40,36 @@ __all__ = [
     "run_end_to_end",
 ]
 
-METHODS = ("none", "nms", "softnms", "wbf", "softmerge", "diffusion", "diffusion+nms")
-
 NMS_IOU_THR = 0.5
 SOFT_NMS_SIGMA = 0.5
 WBF_IOU_THR = 0.5
+
+
+def _as_detections(scored) -> list[ScoredDetection]:
+    return [ScoredDetection(box=p.box, class_id=p.pred_class, score=s, mask=p.mask)
+            for p, s in scored]
+
+
+def _raw(props: list[Proposal]) -> list[ScoredDetection]:
+    return _as_detections((p, p.similarity) for p in props)
+
+
+def _diffused(props: list[Proposal], cfg: PipelineConfig) -> list[ScoredDetection]:
+    return _as_detections(diffuse_all_classes(props, cfg.diffusion))
+
+
+# Rescoring methods, name -> fn(props, cfg), in report order.  The entries look
+# up the postproc functions and diffuse_all_classes when called, not at import,
+# so a rebinding of those names (a wrapper, a test double) takes effect.
+METHODS: dict[str, Callable[[list[Proposal], PipelineConfig], list[ScoredDetection]]] = {
+    "none": lambda props, cfg: _raw(props),
+    "nms": lambda props, cfg: postproc.nms(_raw(props), NMS_IOU_THR),
+    "softnms": lambda props, cfg: postproc.soft_nms(_raw(props), SOFT_NMS_SIGMA),
+    "wbf": lambda props, cfg: postproc.wbf(_raw(props), WBF_IOU_THR),
+    "softmerge": lambda props, cfg: postproc.soft_merge(_raw(props)),
+    "diffusion": _diffused,
+    "diffusion+nms": lambda props, cfg: postproc.nms(_diffused(props, cfg), NMS_IOU_THR),
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +82,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.max_output < 1:
             raise ValueError(f"max_output must be >= 1, got {self.max_output}")
         if self.jobs < 1:
@@ -141,33 +166,9 @@ def run_query_stage(
 
 
 def _refine_one_image(props: list[Proposal], cfg: PipelineConfig) -> list[ScoredDetection]:
-    def as_detections(scored: list[tuple[Proposal, float]]) -> list[ScoredDetection]:
-        return [
-            ScoredDetection(box=p.box, class_id=p.pred_class, score=s, mask=p.mask)
-            for p, s in scored
-        ]
-
     if not props:
         return []
-    raw = as_detections([(p, p.similarity) for p in props])
-    method = cfg.method
-    if method == "none":
-        dets = raw
-    elif method == "nms":
-        dets = postproc.nms(raw, NMS_IOU_THR)
-    elif method == "softnms":
-        dets = postproc.soft_nms(raw, SOFT_NMS_SIGMA)
-    elif method == "wbf":
-        dets = postproc.wbf(raw, WBF_IOU_THR)
-    elif method == "softmerge":
-        dets = postproc.soft_merge(raw)
-    elif method == "diffusion":
-        dets = as_detections(diffuse_all_classes(props, cfg.diffusion))
-    elif method == "diffusion+nms":
-        dets = postproc.nms(as_detections(diffuse_all_classes(props, cfg.diffusion)), NMS_IOU_THR)
-    else:  # unreachable: PipelineConfig validates the method
-        raise PipelineError(f"unknown method {method!r}")
-    return topk_by_score(dets, cfg.max_output)
+    return topk_by_score(METHODS[cfg.method](props, cfg), cfg.max_output)
 
 
 def run_refine_stage(

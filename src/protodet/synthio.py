@@ -21,6 +21,7 @@ fixed config: every image draws from its own PCG64 stream seeded with
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import struct
@@ -546,6 +547,20 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+@contextlib.contextmanager
+def _invalid_as_format_error(where: str, what: str):
+    """Turn any error raised while parsing ``what`` into a DataFormatError that
+    starts with ``where``."""
+    try:
+        yield
+    except DataFormatError as exc:
+        if str(exc).startswith(where):
+            raise
+        raise DataFormatError(f"{where}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
+
+
 def load_dataset(manifest_path: Path | str) -> Dataset:
     """Parse and validate a dataset; proposals below the score floor are
     dropped and each image keeps at most the 500 best-scored proposals."""
@@ -557,37 +572,42 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot parse manifest ({exc})") from exc
 
-    version = _require(doc, "format_version", str(path))
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format_version {version}")
-    num_classes = int(_require(doc, "num_classes", str(path)))
-    shots = int(_require(doc, "shots", str(path)))
-    if num_classes < 1 or shots < 1:
-        raise DataFormatError(f"{path}: num_classes and shots must be >= 1")
+    with _invalid_as_format_error(str(path), "manifest"):
+        version = _require(doc, "format_version", str(path))
+        if version != FORMAT_VERSION:
+            raise DataFormatError(f"{path}: unsupported format_version {version}")
+        num_classes = int(_require(doc, "num_classes", str(path)))
+        shots = int(_require(doc, "shots", str(path)))
+        if num_classes < 1 or shots < 1:
+            raise DataFormatError(f"{path}: num_classes and shots must be >= 1")
 
-    base = path.parent
-    images: list[ImageInfo] = []
-    by_id: dict[str, ImageInfo] = {}
-    for entry in _require(doc, "images", str(path)):
-        info = ImageInfo(
-            image_id=str(entry["id"]), width=int(entry["width"]), height=int(entry["height"])
+        base = path.parent
+        images: list[ImageInfo] = []
+        by_id: dict[str, ImageInfo] = {}
+        for entry in _require(doc, "images", str(path)):
+            info = ImageInfo(
+                image_id=str(entry["id"]), width=int(entry["width"]), height=int(entry["height"])
+            )
+            if info.image_id in by_id:
+                raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
+            if info.width < 1 or info.height < 1:
+                raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
+            images.append(info)
+            by_id[info.image_id] = info
+
+        feature_maps: dict[str, FeatureMap] = {}
+        for image_id, rel in doc.get("feature_maps", {}).items():
+            if image_id not in by_id:
+                raise DataFormatError(f"{path}: feature map for unknown image {image_id!r}")
+            blob = base / rel
+            if not blob.is_file():
+                raise DataFormatError(f"{path}: missing feature-map file {blob}")
+            info = by_id[image_id]
+            feature_maps[image_id] = read_feature_map(blob, info.width, info.height)
+        supports_file, proposals_file, gt_file = (
+            base / _require(doc, key, str(path))
+            for key in ("supports", "proposals", "ground_truth")
         )
-        if info.image_id in by_id:
-            raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
-        if info.width < 1 or info.height < 1:
-            raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
-        images.append(info)
-        by_id[info.image_id] = info
-
-    feature_maps: dict[str, FeatureMap] = {}
-    for image_id, rel in doc.get("feature_maps", {}).items():
-        if image_id not in by_id:
-            raise DataFormatError(f"{path}: feature map for unknown image {image_id!r}")
-        blob = base / rel
-        if not blob.is_file():
-            raise DataFormatError(f"{path}: missing feature-map file {blob}")
-        info = by_id[image_id]
-        feature_maps[image_id] = read_feature_map(blob, info.width, info.height)
 
     def image_of(doc_line: dict, where: str) -> ImageInfo:
         image_id = str(_require(doc_line, "image_id", where))
@@ -596,12 +616,11 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         return by_id[image_id]
 
     supports: list[SupportAnnotation] = []
-    supports_file = base / _require(doc, "supports", str(path))
     if not supports_file.is_file():
         raise DataFormatError(f"{path}: missing supports file {supports_file}")
     for lineno, rec in _iter_jsonl(supports_file):
         where = f"{supports_file}:{lineno}"
-        try:
+        with _invalid_as_format_error(where, "support record"):
             info = image_of(rec, where)
             class_id = int(_require(rec, "class_id", where))
             if not 0 <= class_id < num_classes:
@@ -619,23 +638,16 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                     mask=mask,
                 )
             )
-        except DataFormatError as exc:
-            if str(exc).startswith(where):
-                raise
-            raise DataFormatError(f"{where}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{where}: invalid support record ({exc})") from exc
 
     feature_dims: set[int] = {fm.channels for fm in feature_maps.values()}
     proposals: dict[str, list[ProposalRecord]] = {}
     dropped = 0
     substituted = 0
-    proposals_file = base / _require(doc, "proposals", str(path))
     if not proposals_file.is_file():
         raise DataFormatError(f"{path}: missing proposals file {proposals_file}")
     for lineno, rec in _iter_jsonl(proposals_file):
         where = f"{proposals_file}:{lineno}"
-        try:
+        with _invalid_as_format_error(where, "proposal record"):
             info = image_of(rec, where)
             score = float(_require(rec, "score", where))
             if not 0.0 <= score <= 1.0:
@@ -659,6 +671,8 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                 feature = np.asarray([float(v) for v in rec["feature"]], dtype=np.float64)
                 if feature.ndim != 1 or feature.size == 0 or not np.all(np.isfinite(feature)):
                     raise DataFormatError(f"{where}: invalid feature vector")
+                if not np.any(feature):
+                    raise DataFormatError(f"{where}: all-zero feature vector (cosine undefined)")
                 feature_dims.add(feature.size)
             proposals.setdefault(info.image_id, []).append(
                 ProposalRecord(
@@ -669,12 +683,6 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                     feature=feature,
                 )
             )
-        except DataFormatError as exc:
-            if str(exc).startswith(where):
-                raise
-            raise DataFormatError(f"{where}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{where}: invalid proposal record ({exc})") from exc
     if dropped:
         log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
     if substituted:
@@ -692,12 +700,11 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             proposals[image_id] = [recs[i] for i in sorted(order)]
 
     ground_truth: list[GroundTruthBox] = []
-    gt_file = base / _require(doc, "ground_truth", str(path))
     if not gt_file.is_file():
         raise DataFormatError(f"{path}: missing ground-truth file {gt_file}")
     for lineno, rec in _iter_jsonl(gt_file):
         where = f"{gt_file}:{lineno}"
-        try:
+        with _invalid_as_format_error(where, "ground-truth record"):
             info = image_of(rec, where)
             class_id = int(_require(rec, "class_id", where))
             if not 0 <= class_id < num_classes:
@@ -711,12 +718,6 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                     class_id=class_id,
                 )
             )
-        except DataFormatError as exc:
-            if str(exc).startswith(where):
-                raise
-            raise DataFormatError(f"{where}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{where}: invalid ground-truth record ({exc})") from exc
 
     return Dataset(
         num_classes=num_classes,

@@ -240,3 +240,98 @@ class TestHelp:
         for needle in ("--seed", "--images", "--fragments", "--whole-scores",
                        "--image-size", "--grid-size", "--query-feature-maps"):
             assert needle in proc.stdout
+
+
+class TestConfigFileAsFlags:
+    def test_equals_form_flag_beats_config_file(self, cli_corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=0.5\n")
+        outs = {}
+        for name, argv in (("eq", ["--config", str(cfg), "--alpha=0.0"]),
+                           ("plain", ["--alpha", "0.0"]),
+                           ("cfg", ["--config", str(cfg)])):
+            outs[name] = tmp_path / name
+            assert main(["run", str(cli_corpus), *argv, "--out", str(outs[name])]) == 0
+        dets = {k: (v / "detections.tsv").read_bytes() for k, v in outs.items()}
+        assert dets["eq"] == dets["plain"]
+        assert dets["cfg"] != dets["plain"]  # the file's alpha does change the scores
+
+    def test_list_values_from_config_file(self, cli_corpus, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("lambdas=0.5,1.0\nalphas=0.0 0.3\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", str(cli_corpus), "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["sweep", str(cli_corpus), "--lambdas", "0.5", "1.0", "--alphas", "0.0",
+                     "0.3", "--out", str(b)]) == 0
+        assert [r[:4] for r in _read_tsv(a / "sweep.tsv")[1]] == \
+            [r[:4] for r in _read_tsv(b / "sweep.tsv")[1]]
+
+    def test_malformed_config_value_is_usage_error(self, cli_corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cli_corpus), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+class TestSharedQueryPass:
+    GRID = ["--lambdas", "0.5", "1.0", "--alphas", "0.0", "0.3", "--steps-grid", "30"]
+
+    @pytest.mark.parametrize("argv", [["sweep", *GRID], ["compare"]], ids=["sweep", "compare"])
+    def test_query_stage_runs_once(self, cli_corpus, tmp_path, monkeypatch, argv):
+        import protodet.cli
+
+        calls = []
+        original = protodet.cli.run_query_stage
+        monkeypatch.setattr(protodet.cli, "run_query_stage",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        assert main([argv[0], str(cli_corpus), *argv[1:], "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_every_sweep_cell_matches_cmd_run(self, cli_corpus, tmp_path):
+        assert main(["sweep", str(cli_corpus), *self.GRID, "--out", str(tmp_path / "sw")]) == 0
+        _, rows = _read_tsv(tmp_path / "sw" / "sweep.tsv")
+        assert len(rows) == 4
+        for lam, alpha, steps, nap50, _ in rows:
+            out = tmp_path / f"run_{lam}_{alpha}"
+            assert main(["run", str(cli_corpus), "--lambda", lam, "--alpha", alpha,
+                         "--max-steps", steps, "--out", str(out)]) == 0
+            assert float(nap50) == json.loads((out / "report.json").read_text())["nAP50"]
+
+    def test_invalid_cell_fails_alone(self, cli_corpus, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cli_corpus), "--alphas", "1.5", "0.3",
+                     "--out", str(out)]) == 0
+        _, rows = _read_tsv(out / "sweep.tsv")
+        assert [r[1] for r in rows] == ["1.5", "0.3"]
+        assert rows[0][3:] == ["failed", "failed"]
+        assert float(rows[1][3]) >= 0.0
+        assert "alpha must be in [0, 1)" in capsys.readouterr().err
+
+    def test_invalid_shared_flag_is_usage_error(self, cli_corpus, tmp_path):
+        assert main(["sweep", str(cli_corpus), "--tau", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "sweep.tsv").exists()
+
+    def test_shared_stage_error_is_4(self, tmp_path, capsys):
+        # supports for one class, two declared: the support stage fails for every cell
+        ds = tmp_path / "ds"
+        assert main(["gen", "--seed", "1", "--images", "2", "--classes", "1",
+                     "--out", str(ds)]) == 0
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["num_classes"] = 2
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["sweep", str(ds / "manifest.json"), "--out", str(tmp_path / "o")]) == 4
+        assert "pipeline error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sweep.tsv").exists()
+
+    def test_method_table_looks_up_postproc_when_called(self, cli_corpus, tmp_path,
+                                                         monkeypatch):
+        import protodet.postproc
+
+        monkeypatch.setattr(protodet.postproc, "nms", lambda dets, thr: dets[:1])
+        out = tmp_path / "nms"
+        assert main(["run", str(cli_corpus), "--method", "nms", "--out", str(out)]) == 0
+        rows = (out / "detections.tsv").read_text().splitlines()[1:]
+        per_image = [r.split("\t")[0] for r in rows]
+        assert len(per_image) == len(set(per_image))  # one detection per image

@@ -276,6 +276,23 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match="feature dimensions"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("manifest, images", [
+        ({}, [{"width": 8, "height": 8}]),                # image without an id
+        ({"num_classes": "three"}, None),
+        ({}, [{"id": "q0", "width": "wide", "height": 8}]),
+        ({"images": 7}, None),                            # images not a list
+        ({"feature_maps": ["q0.fmap"]}, None),            # feature_maps not a dict
+    ], ids=["missing-id", "num-classes", "width", "images", "feature-maps"])
+    def test_malformed_manifest_table_is_format_error(self, tmp_path, manifest, images):
+        path = _write_manifest(tmp_path, manifest=manifest, images=images)
+        with pytest.raises(DataFormatError, match=r"manifest\.json: invalid manifest"):
+            load_dataset(path)
+
+    def test_all_zero_feature_rejected_at_load(self, tmp_path):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, feature=(0.0, 0.0))])
+        with pytest.raises(DataFormatError, match=r"proposals\.jsonl:1: all-zero feature"):
+            load_dataset(path)
+
 
 class TestExport:
     def _detections(self):
