@@ -57,7 +57,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-output", type=int, default=100,
                    help="detections kept per image, ranked by final score")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads across images")
+                   help="accepted for compatibility and checked to be >= 1; "
+                        "work runs on one thread")
     p.add_argument("--prototypes", default=None,
                    help="load class prototypes from this file instead of "
                         "building them from the support annotations")
@@ -139,15 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(path: str) -> list[str]:
+def _config_argv(path: str) -> tuple[list[str], list[str]]:
     """The key=value config file as flags: ``key=v`` gives ``--key=v``,
     ``key=v1 v2`` (or ``v1,v2``) gives ``--key v1 v2``; a switch is set by
-    ``key=true`` or ``yes`` and left unset by ``key=false`` or ``no``."""
+    ``key=true`` or ``yes``.  A ``key=false`` or ``no`` line leaves its switch
+    unset: it comes back apart, as a bare ``--key``, for ``main`` to check."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     argv: list[str] = []
+    unset: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -157,11 +160,12 @@ def _config_argv(path: str) -> list[str]:
         key, _, raw = (part.strip() for part in line.partition("="))
         values = raw.replace(",", " ").split()
         if raw.lower() in ("false", "no"):
+            unset.append(f"--{key}")
             continue
         if raw.lower() in ("true", "yes"):
             values = []
         argv += [f"--{key}={values[0]}"] if len(values) == 1 else [f"--{key}", *values]
-    return argv
+    return argv, unset
 
 
 def _base_config(args: argparse.Namespace, method: str = "diffusion") -> PipelineConfig:
@@ -191,7 +195,7 @@ def _query_once(args: argparse.Namespace, base: PipelineConfig) -> tuple[Dataset
     refinement config affects, run once per command."""
     dataset = load_dataset(args.manifest)
     prototypes = resolve_prototypes(dataset, base)
-    return dataset, run_query_stage(dataset, prototypes, jobs=base.jobs)
+    return dataset, run_query_stage(dataset, prototypes)
 
 
 def _refine_and_evaluate(dataset: Dataset, props: dict, cfg: PipelineConfig):
@@ -303,12 +307,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             # the file's flags go ahead of argv's, so a flag on argv wins; the
-            # --config after them ends a multi-valued flag before argv's positionals
-            args, unknown = parser.parse_known_args(
-                [argv[0], *_config_argv(args.config), f"--config={args.config}", *argv[1:]]
-            )
-            if unknown:
-                raise DataFormatError(f"config file: unknown option {unknown[0]!r}")
+            # --config after them ends a multi-valued flag before argv's positionals.
+            # The first parse adds the switches the file leaves unset, only to check
+            # each: an unknown key is left over, a flag that takes a value fails
+            flags, unset = _config_argv(args.config)
+            tail = [f"--config={args.config}", *argv[1:]]
+            for probe in ([argv[0], *flags, *unset, *tail], [argv[0], *flags, *tail]):
+                args, unknown = parser.parse_known_args(probe)
+                if unknown:
+                    raise DataFormatError(f"config file: unknown option {unknown[0]!r}")
         return _COMMANDS[args.command](args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

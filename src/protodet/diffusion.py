@@ -187,7 +187,7 @@ def diffuse_all_classes(
     """Partition by predicted class, reweight each class graph, concatenate.
 
     Output order is (class_id ascending, then input order).  Classes are
-    independent, so callers may parallelize across them freely.
+    independent of one another; they are handled one after another.
     """
     if not props:
         raise ValueError("no proposals to reweight")

@@ -4,14 +4,13 @@ Stage 1 pools each support's masked features and averages them into per-class
 prototypes.  Stage 2 classifies every query proposal by cosine against those
 prototypes (using its precomputed vector when present, else pooling it from
 the image feature map).  Stage 3 rescores with the selected method and keeps
-the best ``max_output`` detections per image.  Images are independent after
-stage 1, so stages 2-3 can fan out over a thread pool; results merge by image
-id and are identical for any worker count.
+the best ``max_output`` detections per image.  Stages 2-3 handle one image at a
+time, in image order, on the calling thread; ``PipelineConfig.jobs`` is
+validated but selects no code path, so outputs are identical for any value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -77,7 +76,7 @@ class PipelineConfig:
     diffusion: DiffusionParams = field(default_factory=DiffusionParams)
     method: str = "diffusion"
     max_output: int = 100
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; work runs on one thread
     prototype_path: str | Path | None = None  # None: build prototypes from supports
 
     def __post_init__(self) -> None:
@@ -87,14 +86,6 @@ class PipelineConfig:
             raise ValueError(f"max_output must be >= 1, got {self.max_output}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
-
-def _map_images(fn: Callable, image_ids: Sequence[str], jobs: int) -> dict:
-    if jobs <= 1 or len(image_ids) <= 1:
-        return {image_id: fn(image_id) for image_id in image_ids}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(fn, image_ids))
-    return dict(zip(image_ids, results))
 
 
 def run_support_stage(dataset: Dataset) -> list[ClassPrototype]:
@@ -146,23 +137,20 @@ def _match_one(
 
 
 def run_query_stage(
-    dataset: Dataset, prototypes: Sequence[ClassPrototype], jobs: int = 1
+    dataset: Dataset, prototypes: Sequence[ClassPrototype]
 ) -> dict[str, list[Proposal]]:
     """Classify every proposal of every query image against the prototypes."""
     if not prototypes:
         raise PipelineError("query stage: no prototypes")
-
-    def one_image(image_id: str) -> list[Proposal]:
+    out: dict[str, list[Proposal]] = {}
+    for image_id in dataset.query_image_ids():
         try:
-            return [
+            out[image_id] = [
                 _match_one(rec, dataset, prototypes) for rec in dataset.proposals[image_id]
             ]
-        except PipelineError:
-            raise
         except ValueError as exc:
             raise PipelineError(f"query stage: image {image_id!r}: {exc}") from exc
-
-    return _map_images(one_image, dataset.query_image_ids(), jobs)
+    return out
 
 
 def _refine_one_image(props: list[Proposal], cfg: PipelineConfig) -> list[ScoredDetection]:
@@ -175,14 +163,13 @@ def run_refine_stage(
     props_by_image: Mapping[str, list[Proposal]], cfg: PipelineConfig
 ) -> dict[str, list[ScoredDetection]]:
     """Apply the configured rescoring method and cap detections per image."""
-
-    def one_image(image_id: str) -> list[ScoredDetection]:
+    out: dict[str, list[ScoredDetection]] = {}
+    for image_id, props in props_by_image.items():
         try:
-            return _refine_one_image(props_by_image[image_id], cfg)
+            out[image_id] = _refine_one_image(props, cfg)
         except ValueError as exc:
             raise PipelineError(f"refine stage: image {image_id!r}: {exc}") from exc
-
-    return _map_images(one_image, list(props_by_image), cfg.jobs)
+    return out
 
 
 def resolve_prototypes(dataset: Dataset, cfg: PipelineConfig) -> list[ClassPrototype]:
@@ -202,7 +189,7 @@ def run_end_to_end(
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
     prototypes = resolve_prototypes(dataset, cfg)
-    props = run_query_stage(dataset, prototypes, jobs=cfg.jobs)
+    props = run_query_stage(dataset, prototypes)
     detections = run_refine_stage(props, cfg)
     report = evaluate(detections, dataset.ground_truth, max_dets=cfg.max_output)
     return detections, report

@@ -55,13 +55,11 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     kept: list[int] = []
     for idx in _indices_by_class(dets).values():
+        kept_here: list[int] = []
         for i in _score_order(dets, idx):
-            if all(
-                box_iou(dets[i].box, dets[j].box) <= iou_thr
-                for j in kept
-                if dets[j].class_id == dets[i].class_id
-            ):
-                kept.append(i)
+            if all(box_iou(dets[i].box, dets[j].box) <= iou_thr for j in kept_here):
+                kept_here.append(i)
+        kept += kept_here
     return [dets[i] for i in sorted(kept, key=lambda i: (-dets[i].score, i))]
 
 

@@ -27,7 +27,7 @@ import logging
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -561,6 +561,24 @@ def _invalid_as_format_error(where: str, what: str):
         raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
 
 
+def _load_records(manifest: Path, file: Path, kind: str, parse: Callable) -> list:
+    """Run ``parse(rec, where)`` on every record of the manifest's ``kind`` file
+    ("supports"; one record is a "support record") and keep each non-None result."""
+    if not file.is_file():
+        raise DataFormatError(f"{manifest}: missing {kind} file {file}")
+    out = []
+    # the outer guard reports bytes that are not UTF-8; a record's error passes
+    # it unchanged, since it starts with the file name
+    with _invalid_as_format_error(str(file), f"{kind} file"):
+        for lineno, rec in _iter_jsonl(file):
+            where = f"{file}:{lineno}"
+            with _invalid_as_format_error(where, f"{kind.removesuffix('s')} record"):
+                item = parse(rec, where)
+            if item is not None:
+                out.append(item)
+    return out
+
+
 def load_dataset(manifest_path: Path | str) -> Dataset:
     """Parse and validate a dataset; proposals below the score floor are
     dropped and each image keeps at most the 500 best-scored proposals."""
@@ -569,7 +587,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         raise DataFormatError(f"manifest not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DataFormatError(f"{path}: cannot parse manifest ({exc})") from exc
 
     with _invalid_as_format_error(str(path), "manifest"):
@@ -615,74 +633,79 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             raise DataFormatError(f"{where}: unknown image id {image_id!r}")
         return by_id[image_id]
 
-    supports: list[SupportAnnotation] = []
-    if not supports_file.is_file():
-        raise DataFormatError(f"{path}: missing supports file {supports_file}")
-    for lineno, rec in _iter_jsonl(supports_file):
-        where = f"{supports_file}:{lineno}"
-        with _invalid_as_format_error(where, "support record"):
-            info = image_of(rec, where)
-            class_id = int(_require(rec, "class_id", where))
-            if not 0 <= class_id < num_classes:
-                raise DataFormatError(
-                    f"{where}: class_id {class_id} outside [0, {num_classes})"
-                )
-            mask = _mask_from_json(_require(rec, "mask", where))
-            if (mask.width, mask.height) != (info.width, info.height):
-                raise DataFormatError(f"{where}: mask dims do not match image dims")
-            supports.append(
-                SupportAnnotation(
-                    image_id=info.image_id,
-                    box=_box_from_json(_require(rec, "box", where)),
-                    class_id=class_id,
-                    mask=mask,
-                )
-            )
+    def class_of(doc_line: dict, where: str) -> int:
+        class_id = int(_require(doc_line, "class_id", where))
+        if not 0 <= class_id < num_classes:
+            raise DataFormatError(f"{where}: class_id {class_id} outside [0, {num_classes})")
+        return class_id
+
+    def parse_support(rec: dict, where: str) -> SupportAnnotation:
+        info = image_of(rec, where)
+        class_id = class_of(rec, where)
+        mask = _mask_from_json(_require(rec, "mask", where))
+        if (mask.width, mask.height) != (info.width, info.height):
+            raise DataFormatError(f"{where}: mask dims do not match image dims")
+        return SupportAnnotation(
+            image_id=info.image_id,
+            box=_box_from_json(_require(rec, "box", where)),
+            class_id=class_id,
+            mask=mask,
+        )
 
     feature_dims: set[int] = {fm.channels for fm in feature_maps.values()}
-    proposals: dict[str, list[ProposalRecord]] = {}
     dropped = 0
     substituted = 0
-    if not proposals_file.is_file():
-        raise DataFormatError(f"{path}: missing proposals file {proposals_file}")
-    for lineno, rec in _iter_jsonl(proposals_file):
-        where = f"{proposals_file}:{lineno}"
-        with _invalid_as_format_error(where, "proposal record"):
-            info = image_of(rec, where)
-            score = float(_require(rec, "score", where))
-            if not 0.0 <= score <= 1.0:
-                raise DataFormatError(f"{where}: score {score} outside [0, 1]")
-            if score < SCORE_FLOOR:
-                dropped += 1
-                continue
-            box = _box_from_json(_require(rec, "box", where))
-            mask = _mask_from_json(_require(rec, "mask", where))
-            if (mask.width, mask.height) != (info.width, info.height):
-                raise DataFormatError(f"{where}: mask dims do not match image dims")
-            if mask.area == 0:
-                mask, ok = box_to_full_mask(box, info.width, info.height)
-                if not ok:
-                    raise DataFormatError(
-                        f"{where}: empty mask and box covers no pixel, record unusable"
-                    )
-                substituted += 1
-            feature = None
-            if rec.get("feature") is not None:
-                feature = np.asarray([float(v) for v in rec["feature"]], dtype=np.float64)
-                if feature.ndim != 1 or feature.size == 0 or not np.all(np.isfinite(feature)):
-                    raise DataFormatError(f"{where}: invalid feature vector")
-                if not np.any(feature):
-                    raise DataFormatError(f"{where}: all-zero feature vector (cosine undefined)")
-                feature_dims.add(feature.size)
-            proposals.setdefault(info.image_id, []).append(
-                ProposalRecord(
-                    image_id=info.image_id,
-                    box=box,
-                    mask=mask,
-                    upn_score=score,
-                    feature=feature,
+
+    def parse_proposal(rec: dict, where: str) -> ProposalRecord | None:
+        nonlocal dropped, substituted
+        info = image_of(rec, where)
+        score = float(_require(rec, "score", where))
+        if not 0.0 <= score <= 1.0:
+            raise DataFormatError(f"{where}: score {score} outside [0, 1]")
+        if score < SCORE_FLOOR:
+            dropped += 1
+            return None
+        box = _box_from_json(_require(rec, "box", where))
+        mask = _mask_from_json(_require(rec, "mask", where))
+        if (mask.width, mask.height) != (info.width, info.height):
+            raise DataFormatError(f"{where}: mask dims do not match image dims")
+        if mask.area == 0:
+            mask, ok = box_to_full_mask(box, info.width, info.height)
+            if not ok:
+                raise DataFormatError(
+                    f"{where}: empty mask and box covers no pixel, record unusable"
                 )
-            )
+            substituted += 1
+        feature = None
+        if rec.get("feature") is not None:
+            feature = np.asarray([float(v) for v in rec["feature"]], dtype=np.float64)
+            if feature.ndim != 1 or feature.size == 0 or not np.all(np.isfinite(feature)):
+                raise DataFormatError(f"{where}: invalid feature vector")
+            if not np.any(feature):
+                raise DataFormatError(f"{where}: all-zero feature vector (cosine undefined)")
+            feature_dims.add(feature.size)
+        return ProposalRecord(
+            image_id=info.image_id,
+            box=box,
+            mask=mask,
+            upn_score=score,
+            feature=feature,
+        )
+
+    def parse_ground_truth(rec: dict, where: str) -> GroundTruthBox:
+        info = image_of(rec, where)
+        class_id = class_of(rec, where)
+        return GroundTruthBox(
+            image_id=info.image_id,
+            box=_box_from_json(_require(rec, "box", where)),
+            class_id=class_id,
+        )
+
+    supports = _load_records(path, supports_file, "supports", parse_support)
+
+    proposals: dict[str, list[ProposalRecord]] = {}
+    for prop in _load_records(path, proposals_file, "proposals", parse_proposal):
+        proposals.setdefault(prop.image_id, []).append(prop)
     if dropped:
         log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
     if substituted:
@@ -699,25 +722,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             )[:MAX_PROPOSALS_PER_IMAGE]
             proposals[image_id] = [recs[i] for i in sorted(order)]
 
-    ground_truth: list[GroundTruthBox] = []
-    if not gt_file.is_file():
-        raise DataFormatError(f"{path}: missing ground-truth file {gt_file}")
-    for lineno, rec in _iter_jsonl(gt_file):
-        where = f"{gt_file}:{lineno}"
-        with _invalid_as_format_error(where, "ground-truth record"):
-            info = image_of(rec, where)
-            class_id = int(_require(rec, "class_id", where))
-            if not 0 <= class_id < num_classes:
-                raise DataFormatError(
-                    f"{where}: class_id {class_id} outside [0, {num_classes})"
-                )
-            ground_truth.append(
-                GroundTruthBox(
-                    image_id=info.image_id,
-                    box=_box_from_json(_require(rec, "box", where)),
-                    class_id=class_id,
-                )
-            )
+    ground_truth = _load_records(path, gt_file, "ground-truth", parse_ground_truth)
 
     return Dataset(
         num_classes=num_classes,

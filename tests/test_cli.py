@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ def cli_corpus(tmp_path_factory):
 def _read_tsv(path):
     rows = [line.split("\t") for line in Path(path).read_text().splitlines()]
     return rows[0], rows[1:]
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestExitCodes:
@@ -53,6 +62,20 @@ class TestExitCodes:
         code = main(["run", str(ds / "manifest.json"), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "pipeline error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "proposals.jsonl", "run.cfg"])
+    def test_invalid_utf8_is_data_error(self, cli_corpus, tmp_path, capsys, name):
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_corpus.parent, ds)
+        cfg = ds / "run.cfg"
+        cfg.write_text("alpha=0.3\n")
+        bad = ds / name
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        code = main(["run", str(ds / "manifest.json"), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error" in err and str(bad) in err
 
     def test_success_is_0_via_subprocess(self, cli_corpus, tmp_path):
         proc = subprocess.run(
@@ -273,6 +296,23 @@ class TestConfigFileAsFlags:
             main(["run", str(cli_corpus), "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, expected", [
+        ("run", "warp-speed=false", 3),  # unknown key, as with any value
+        ("run", "alpha=no", 2),  # not a switch: malformed value
+        ("gen", "allow-score-overlap=false", 0),
+        ("gen", "allow-score-overlap=no", 0),
+    ])
+    def test_false_value_must_name_a_switch(self, cli_corpus, tmp_path, command, line,
+                                            expected):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        head = ["run", str(cli_corpus)] if command == "run" else ["gen", "--images", "2"]
+        assert _exit_code([*head, "--config", str(cfg), "--out", str(out)]) == expected
+        if command == "gen":
+            gen_cfg = json.loads((out / "generator_config.json").read_text())
+            assert gen_cfg["allow_score_overlap"] is False
 
 
 class TestSharedQueryPass:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,25 @@ class TestEndToEnd:
             a = [(d.box.as_tuple(), d.class_id, d.score) for d in dets1[image_id]]
             b = [(d.box.as_tuple(), d.class_id, d.score) for d in dets8[image_id]]
             assert a == b
+
+    def test_every_layer_call_runs_on_the_calling_thread(self, acceptance_dataset,
+                                                         monkeypatch):
+        import protodet.pipeline
+        import protodet.postproc
+
+        threads = {"match_proposal": [], "nms": []}
+        for module, name in ((protodet.pipeline, "match_proposal"),
+                             (protodet.postproc, "nms")):
+            original = getattr(module, name)
+
+            def traced(*args, _original=original, _name=name, **kwargs):
+                threads[_name].append(threading.get_ident())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, traced)
+        run_end_to_end(acceptance_dataset, PipelineConfig(method="diffusion+nms", jobs=4))
+        assert all(threads.values())
+        assert {t for calls in threads.values() for t in calls} == {threading.get_ident()}
 
     def test_validates_config(self):
         with pytest.raises(ValueError):
