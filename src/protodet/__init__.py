@@ -28,6 +28,7 @@ from .features import (
     masked_roi_pool,
     match_proposal,
 )
+from .generator import GeneratorConfig, generate_dataset, planted_prototypes
 from .geometry import (
     BinaryMask,
     BoundingBox,
@@ -36,9 +37,16 @@ from .geometry import (
     box_iou,
     box_to_full_mask,
     coverage_matrix,
-    mask_area,
     mask_coverage,
     mask_downsample,
+)
+from .interchange import (
+    Dataset,
+    ProposalRecord,
+    export_run,
+    load_dataset,
+    load_detections,
+    write_dataset,
 )
 from .pipeline import (
     METHODS,
@@ -49,15 +57,5 @@ from .pipeline import (
     run_support_stage,
 )
 from .postproc import ScoredDetection, nms, soft_merge, soft_nms, topk_by_score, wbf
-from .synthio import (
-    Dataset,
-    GeneratorConfig,
-    ProposalRecord,
-    export_run,
-    generate_dataset,
-    load_dataset,
-    load_detections,
-    planted_prototypes,
-)
 
 __version__ = "0.1.0"

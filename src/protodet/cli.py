@@ -19,6 +19,8 @@ from pathlib import Path
 from .diffusion import DiffusionParams
 from .errors import DataFormatError, GenerationError, PipelineError
 from .evaluation import evaluate
+from .generator import GeneratorConfig, generate_dataset
+from .interchange import Dataset, export_run, load_dataset
 from .pipeline import (
     METHODS,
     PipelineConfig,
@@ -28,7 +30,6 @@ from .pipeline import (
 )
 # unused here, but benchmark tracing wraps these stages through these bindings
 from .pipeline import run_end_to_end, run_support_stage  # noqa: F401
-from .synthio import Dataset, GeneratorConfig, export_run, generate_dataset, load_dataset
 
 ENV_OUTPUT_DIR = "PROTODET_OUTPUT_DIR"
 
@@ -158,6 +159,8 @@ def _config_argv(path: str) -> tuple[list[str], list[str]]:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = (part.strip() for part in line.partition("="))
+        if "help".startswith(key):  # "", h, he, ...: argparse would read --help
+            raise DataFormatError(f"{path}:{lineno}: {key!r} is not a config key")
         values = raw.replace(",", " ").split()
         if raw.lower() in ("false", "no"):
             unset.append(f"--{key}")

@@ -22,7 +22,6 @@ __all__ = [
     "SoftMask",
     "box_area",
     "box_iou",
-    "mask_area",
     "mask_coverage",
     "coverage_matrix",
     "mask_downsample",
@@ -150,11 +149,6 @@ class SoftMask:
     @property
     def height(self) -> int:
         return self.weights.shape[0]
-
-
-def mask_area(m: BinaryMask) -> int:
-    """Count of 1-pixels."""
-    return m.area
 
 
 def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:

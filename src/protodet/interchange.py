@@ -1,4 +1,4 @@
-"""Interchange formats for precomputed pipeline inputs, and a seeded generator.
+"""Interchange formats for precomputed pipeline inputs and run outputs.
 
 Files (see docs/FORMATS.md for byte-level examples):
 
@@ -11,12 +11,8 @@ Files (see docs/FORMATS.md for byte-level examples):
                             major, row-major order.
 * ``detections.tsv``     -- exported detections, one row per box.
 
-The generator plants unit class prototypes, places whole objects (one
-clean proposal each) plus deliberately fragmented sub-proposals whose scores
-sit strictly below the whole-object range, and background distractors with
-features orthogonal to every prototype.  Output is byte-deterministic for a
-fixed config: every image draws from its own PCG64 stream seeded with
-``(seed, stream_index)``, so parallel generation cannot reorder draws.
+``write_dataset`` writes a dataset in this format and ``load_dataset`` reads
+it back to equal values.
 """
 
 from __future__ import annotations
@@ -25,16 +21,16 @@ import contextlib
 import json
 import logging
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, GenerationError
+from .errors import DataFormatError
 from .evaluation import EvalReport, GroundTruthBox
-from .features import ClassPrototype, FeatureMap, SupportAnnotation, l2_normalize
-from .geometry import BinaryMask, BoundingBox, box_to_full_mask, mask_downsample
+from .features import ClassPrototype, FeatureMap, SupportAnnotation
+from .geometry import BinaryMask, BoundingBox, box_to_full_mask
 from .postproc import ScoredDetection
 
 __all__ = [
@@ -44,10 +40,8 @@ __all__ = [
     "ImageInfo",
     "ProposalRecord",
     "Dataset",
-    "GeneratorConfig",
-    "planted_prototypes",
-    "generate_dataset",
     "load_dataset",
+    "write_dataset",
     "write_feature_map",
     "read_feature_map",
     "save_prototypes",
@@ -111,15 +105,22 @@ def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
+def _unpack_header(path: Path | str, raw: bytes, header: struct.Struct, magic: bytes,
+                   kind: str) -> tuple:
+    """The blob's header fields after magic and version, checked to be there."""
+    if len(raw) < header.size:
+        raise DataFormatError(f"{path}: truncated {kind} header")
+    found, version, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic {found!r}")
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{path}: unsupported {kind} version {version}")
+    return tuple(fields)
+
+
 def read_feature_map(path: Path | str, image_w: int, image_h: int) -> FeatureMap:
     raw = Path(path).read_bytes()
-    if len(raw) < _FMAP_HEADER.size:
-        raise DataFormatError(f"{path}: truncated feature-map header")
-    magic, version, channels, grid_h, grid_w = _FMAP_HEADER.unpack_from(raw)
-    if magic != FMAP_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported feature-map version {version}")
+    channels, grid_h, grid_w = _unpack_header(path, raw, _FMAP_HEADER, FMAP_MAGIC, "feature-map")
     expected = _FMAP_HEADER.size + 4 * channels * grid_h * grid_w
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
@@ -146,13 +147,7 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
     if not path.is_file():
         raise DataFormatError(f"prototype file not found: {path}")
     raw = path.read_bytes()
-    if len(raw) < _PROTO_HEADER.size:
-        raise DataFormatError(f"{path}: truncated prototype header")
-    magic, version, count, dim, _ = _PROTO_HEADER.unpack_from(raw)
-    if magic != PROTO_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported prototype version {version}")
+    count, dim, _ = _unpack_header(path, raw, _PROTO_HEADER, PROTO_MAGIC, "prototype")
     record = _PROTO_RECORD.size + 4 * dim
     if len(raw) != _PROTO_HEADER.size + count * record:
         raise DataFormatError(f"{path}: expected {count} records of {record} bytes")
@@ -197,7 +192,7 @@ def _box_from_json(vals: Sequence[float]) -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2)
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
@@ -216,329 +211,7 @@ def _iter_jsonl(path: Path):
 
 
 # --------------------------------------------------------------------------
-# generator
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Synthetic corpus knobs.  All count ranges are inclusive."""
-
-    seed: int = 0
-    images: int = 20
-    classes: int = 3
-    shots: int = 1
-    objects_per_image: tuple[int, int] = (2, 4)
-    fragments_per_object: tuple[int, int] = (3, 6)
-    distractors_per_image: tuple[int, int] = (1, 3)
-    feature_dim: int = 64
-    feature_noise: float = 0.15
-    fragment_score_range: tuple[float, float] = (0.05, 0.45)
-    whole_score_range: tuple[float, float] = (0.55, 0.95)
-    image_size: int = 96
-    grid_size: int = 12
-    allow_score_overlap: bool = False
-    query_feature_maps: bool = False
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.images < 0 or self.classes < 1 or self.shots < 1:
-            raise ValueError("images must be >= 0, classes and shots >= 1")
-        for name in ("objects_per_image", "fragments_per_object", "distractors_per_image"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        lo, hi = self.objects_per_image
-        if lo < 1:
-            raise ValueError("objects_per_image must start at >= 1")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2")
-        if not 0.0 <= self.feature_noise < 1.0:
-            raise ValueError("feature_noise must be in [0, 1)")
-        for name in ("fragment_score_range", "whole_score_range"):
-            lo, hi = getattr(self, name)
-            if not (SCORE_FLOOR <= lo <= hi <= 1.0):
-                raise ValueError(f"{name} must be a sub-range of [{SCORE_FLOOR}, 1], got ({lo}, {hi})")
-        if not self.allow_score_overlap and self.whole_score_range[0] <= self.fragment_score_range[1]:
-            raise ValueError(
-                "whole_score_range must sit strictly above fragment_score_range "
-                "(pass allow_score_overlap to stress score ties)"
-            )
-        if self.image_size < 16 or self.grid_size < 2:
-            raise ValueError("image_size must be >= 16 and grid_size >= 2")
-
-
-def _stream(cfg: GeneratorConfig, index: int) -> np.random.Generator:
-    # stream 0: prototypes, 1: supports, 2 + i: query image i
-    return np.random.default_rng([cfg.seed, index])
-
-
-def planted_prototypes(cfg: GeneratorConfig) -> np.ndarray:
-    """The (classes, feature_dim) unit vectors the generator builds features from."""
-    rng = _stream(cfg, 0)
-    protos = rng.standard_normal((cfg.classes, cfg.feature_dim))
-    return protos / np.linalg.norm(protos, axis=1, keepdims=True)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
-
-
-def _mix_feature(rng: np.random.Generator, base: np.ndarray, eps: float) -> np.ndarray:
-    noise = _unit(rng.standard_normal(base.shape[0]))
-    return l2_normalize((1.0 - eps) * base + eps * noise)
-
-
-def _background_direction(rng: np.random.Generator, protos: np.ndarray) -> np.ndarray:
-    # orthogonal to every planted prototype, so matching similarity is ~0
-    for _ in range(16):
-        v = rng.standard_normal(protos.shape[1])
-        v = v - protos.T @ (protos @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            return v / norm
-    raise GenerationError("could not draw a direction orthogonal to the prototypes")
-
-
-def _disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    return a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1]
-
-
-def _place_box(
-    rng: np.random.Generator,
-    image_size: int,
-    w: int,
-    h: int,
-    taken: list[tuple[int, int, int, int]],
-    what: str,
-    retries: int = 100,
-) -> tuple[int, int, int, int]:
-    for _ in range(retries):
-        x1 = int(rng.integers(0, image_size - w + 1))
-        y1 = int(rng.integers(0, image_size - h + 1))
-        box = (x1, y1, x1 + w, y1 + h)
-        if all(_disjoint(box, t) for t in taken):
-            taken.append(box)
-            return box
-    raise GenerationError(f"no room left to place a {w}x{h} {what} after {retries} tries")
-
-
-def _object_array(
-    image_size: int, box: tuple[int, int, int, int], elliptical: bool
-) -> np.ndarray:
-    x1, y1, x2, y2 = box
-    arr = np.zeros((image_size, image_size), dtype=bool)
-    if not elliptical:
-        arr[y1:y2, x1:x2] = True
-        return arr
-    cx = (x1 + x2) / 2.0
-    cy = (y1 + y2) / 2.0
-    rx = (x2 - x1) / 2.0
-    ry = (y2 - y1) / 2.0
-    ys, xs = np.mgrid[0:image_size, 0:image_size]
-    arr[((xs + 0.5 - cx) / rx) ** 2 + ((ys + 0.5 - cy) / ry) ** 2 <= 1.0] = True
-    return arr
-
-
-def _fragment_array(
-    rng: np.random.Generator, obj_arr: np.ndarray, box: tuple[int, int, int, int]
-) -> np.ndarray:
-    """A random sub-rectangle of the object that contains its center pixel."""
-    x1, y1, x2, y2 = box
-    cx = (x1 + x2 - 1) // 2
-    cy = (y1 + y2 - 1) // 2
-    for _ in range(10):
-        xl = int(rng.integers(x1, cx + 1))
-        xr = int(rng.integers(cx, x2))
-        yt = int(rng.integers(y1, cy + 1))
-        yb = int(rng.integers(cy, y2))
-        if not (xl == x1 and yt == y1 and xr == x2 - 1 and yb == y2 - 1):
-            break
-    else:  # degenerate full-box draw ten times in a row: trim one column
-        xl, yt, yb = x1, y1, y2 - 1
-        xr = max(cx, x2 - 2)
-    frag = np.zeros_like(obj_arr)
-    frag[yt : yb + 1, xl : xr + 1] = True
-    return frag & obj_arr
-
-
-def _tight_box(arr: np.ndarray) -> BoundingBox:
-    rows = np.flatnonzero(arr.any(axis=1))
-    cols = np.flatnonzero(arr.any(axis=0))
-    return BoundingBox(float(cols[0]), float(rows[0]), float(cols[-1] + 1), float(rows[-1] + 1))
-
-
-def _support_feature_map(
-    rng: np.random.Generator, cfg: GeneratorConfig, proto: np.ndarray, mask: BinaryMask
-) -> FeatureMap:
-    g = cfg.grid_size
-    soft = mask_downsample(mask, g, g)
-    background = rng.standard_normal((cfg.feature_dim, g, g)) * 0.1
-    cell_noise = rng.standard_normal((g, g, cfg.feature_dim)) * 0.02
-    inside = soft.weights > 0.0
-    data = background.copy()
-    data[:, inside] = (proto[None, :] + cell_noise[inside]).T
-    return FeatureMap(data=data, image_w=cfg.image_size, image_h=cfg.image_size)
-
-
-def generate_dataset(cfg: GeneratorConfig, out_dir: Path | str) -> Path:
-    """Write a complete synthetic corpus; returns the manifest path.
-
-    Identical config (seed included) yields byte-identical files.
-    """
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    protos = planted_prototypes(cfg)
-    size = cfg.image_size
-    fscale = float(size)
-
-    images: list[dict] = []
-    fmap_paths: dict[str, str] = {}
-    support_records: list[dict] = []
-    proposal_records: list[dict] = []
-    gt_records: list[dict] = []
-
-    # supports: one dedicated image per (class, shot) with a dense feature map
-    rng_s = _stream(cfg, 1)
-    for class_id in range(cfg.classes):
-        for shot in range(cfg.shots):
-            image_id = f"support_c{class_id}_s{shot}"
-            w = int(rng_s.integers(size // 4, size // 2 + 1))
-            h = int(rng_s.integers(size // 4, size // 2 + 1))
-            box = _place_box(rng_s, size, w, h, [], "support object")
-            arr = _object_array(size, box, elliptical=bool(rng_s.integers(2)))
-            mask = BinaryMask.from_array(arr)
-            fm = _support_feature_map(rng_s, cfg, protos[class_id], mask)
-            rel = f"features/{image_id}.fmap"
-            write_feature_map(out / rel, fm)
-            images.append({"id": image_id, "width": size, "height": size})
-            fmap_paths[image_id] = rel
-            support_records.append(
-                {
-                    "image_id": image_id,
-                    "class_id": class_id,
-                    "box": _box_to_json(_tight_box(arr)),
-                    "mask": _mask_to_json(mask),
-                }
-            )
-
-    f_lo, f_hi = cfg.fragment_score_range
-    w_lo, w_hi = cfg.whole_score_range
-
-    for i in range(cfg.images):
-        image_id = f"img_{i:04d}"
-        rng = _stream(cfg, 2 + i)
-        images.append({"id": image_id, "width": size, "height": size})
-        taken: list[tuple[int, int, int, int]] = []
-        image_props: list[dict] = []
-        query_cells: list[tuple[np.ndarray, np.ndarray]] = []  # (grid mask, direction)
-
-        n_objects = int(rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1))
-        for _ in range(n_objects):
-            class_id = int(rng.integers(cfg.classes))
-            w = int(rng.integers(size // 6, size // 3 + 1))
-            h = int(rng.integers(size // 6, size // 3 + 1))
-            box = _place_box(rng, size, w, h, taken, "object")
-            arr = _object_array(size, box, elliptical=bool(rng.integers(2)))
-            obj_mask = BinaryMask.from_array(arr)
-            gt_box = BoundingBox(float(box[0]), float(box[1]), float(box[2]), float(box[3]))
-            gt_records.append(
-                {"image_id": image_id, "class_id": class_id, "box": _box_to_json(gt_box)}
-            )
-            whole = {
-                "image_id": image_id,
-                "box": _box_to_json(gt_box),
-                "score": float(rng.uniform(w_lo, w_hi)),
-                "mask": _mask_to_json(obj_mask),
-            }
-            if not cfg.query_feature_maps:
-                whole["feature"] = _mix_feature(rng, protos[class_id], cfg.feature_noise).tolist()
-            image_props.append(whole)
-
-            n_frags = int(
-                rng.integers(cfg.fragments_per_object[0], cfg.fragments_per_object[1] + 1)
-            )
-            for _ in range(n_frags):
-                frag_arr = _fragment_array(rng, arr, box)
-                frag_mask = BinaryMask.from_array(frag_arr)
-                rel_area = frag_mask.area / obj_mask.area
-                score = f_lo + (f_hi - f_lo) * rel_area * float(rng.uniform(0.5, 1.0))
-                frag = {
-                    "image_id": image_id,
-                    "box": _box_to_json(_tight_box(frag_arr)),
-                    "score": float(score),
-                    "mask": _mask_to_json(frag_mask),
-                }
-                if not cfg.query_feature_maps:
-                    frag["feature"] = _mix_feature(
-                        rng, protos[class_id], cfg.feature_noise
-                    ).tolist()
-                image_props.append(frag)
-            if cfg.query_feature_maps:
-                soft = mask_downsample(obj_mask, cfg.grid_size, cfg.grid_size)
-                query_cells.append((soft.weights > 0.0, protos[class_id]))
-
-        n_distract = int(
-            rng.integers(cfg.distractors_per_image[0], cfg.distractors_per_image[1] + 1)
-        )
-        for _ in range(n_distract):
-            w = int(rng.integers(size // 8, size // 5 + 1))
-            h = int(rng.integers(size // 8, size // 5 + 1))
-            box = _place_box(rng, size, w, h, taken, "distractor")
-            arr = _object_array(size, box, elliptical=False)
-            d_mask = BinaryMask.from_array(arr)
-            direction = _background_direction(rng, protos)
-            distractor = {
-                "image_id": image_id,
-                "box": _box_to_json(
-                    BoundingBox(float(box[0]), float(box[1]), float(box[2]), float(box[3]))
-                ),
-                "score": float(rng.uniform(f_lo, f_hi)),
-                "mask": _mask_to_json(d_mask),
-            }
-            if not cfg.query_feature_maps:
-                distractor["feature"] = _mix_feature(rng, direction, cfg.feature_noise).tolist()
-            image_props.append(distractor)
-            if cfg.query_feature_maps:
-                soft = mask_downsample(d_mask, cfg.grid_size, cfg.grid_size)
-                query_cells.append((soft.weights > 0.0, direction))
-
-        if cfg.query_feature_maps:
-            g = cfg.grid_size
-            data = rng.standard_normal((cfg.feature_dim, g, g)) * 0.1
-            for inside, direction in query_cells:
-                noise = rng.standard_normal((g, g, cfg.feature_dim)) * 0.02
-                data[:, inside] = (direction[None, :] + noise[inside]).T
-            rel = f"features/{image_id}.fmap"
-            write_feature_map(out / rel, FeatureMap(data=data, image_w=size, image_h=size))
-            fmap_paths[image_id] = rel
-
-        proposal_records.extend(image_props)
-
-    _write_jsonl(out / "supports.jsonl", support_records)
-    _write_jsonl(out / "proposals.jsonl", proposal_records)
-    _write_jsonl(out / "ground_truth.jsonl", gt_records)
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "num_classes": cfg.classes,
-        "shots": cfg.shots,
-        "images": images,
-        "supports": "supports.jsonl",
-        "proposals": "proposals.jsonl",
-        "ground_truth": "ground_truth.jsonl",
-        "feature_maps": fmap_paths,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    (out / "generator_config.json").write_text(
-        json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest_path
-
-
-# --------------------------------------------------------------------------
-# loading
+# datasets: read and write
 # --------------------------------------------------------------------------
 
 def _require(doc: dict, key: str, where: str):
@@ -600,7 +273,6 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             raise DataFormatError(f"{path}: num_classes and shots must be >= 1")
 
         base = path.parent
-        images: list[ImageInfo] = []
         by_id: dict[str, ImageInfo] = {}
         for entry in _require(doc, "images", str(path)):
             info = ImageInfo(
@@ -610,7 +282,6 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                 raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
             if info.width < 1 or info.height < 1:
                 raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
-            images.append(info)
             by_id[info.image_id] = info
 
         feature_maps: dict[str, FeatureMap] = {}
@@ -639,12 +310,16 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             raise DataFormatError(f"{where}: class_id {class_id} outside [0, {num_classes})")
         return class_id
 
+    def mask_of(doc_line: dict, where: str, info: ImageInfo) -> BinaryMask:
+        mask = _mask_from_json(_require(doc_line, "mask", where))
+        if (mask.width, mask.height) != (info.width, info.height):
+            raise DataFormatError(f"{where}: mask dims do not match image dims")
+        return mask
+
     def parse_support(rec: dict, where: str) -> SupportAnnotation:
         info = image_of(rec, where)
         class_id = class_of(rec, where)
-        mask = _mask_from_json(_require(rec, "mask", where))
-        if (mask.width, mask.height) != (info.width, info.height):
-            raise DataFormatError(f"{where}: mask dims do not match image dims")
+        mask = mask_of(rec, where, info)
         return SupportAnnotation(
             image_id=info.image_id,
             box=_box_from_json(_require(rec, "box", where)),
@@ -666,9 +341,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             dropped += 1
             return None
         box = _box_from_json(_require(rec, "box", where))
-        mask = _mask_from_json(_require(rec, "mask", where))
-        if (mask.width, mask.height) != (info.width, info.height):
-            raise DataFormatError(f"{where}: mask dims do not match image dims")
+        mask = mask_of(rec, where, info)
         if mask.area == 0:
             mask, ok = box_to_full_mask(box, info.width, info.height)
             if not ok:
@@ -727,12 +400,65 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     return Dataset(
         num_classes=num_classes,
         shots=shots,
-        images=images,
+        images=list(by_id.values()),
         supports=supports,
         proposals=proposals,
         ground_truth=ground_truth,
         feature_maps=feature_maps,
     )
+
+
+def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
+    """Write ``dataset`` in the interchange format; returns the manifest path.
+
+    The inverse of ``load_dataset``.  Feature maps go to
+    ``features/<image id>.fmap`` and proposals are written in image order.
+    """
+    for image_id in dataset.feature_maps:
+        name = f"{image_id}.fmap"
+        if Path(name).name != name:
+            raise ValueError(f"feature-map image id {image_id!r} is not a plain file name")
+    out = Path(out_dir)
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    fmap_paths: dict[str, str] = {}
+    for image_id, fm in dataset.feature_maps.items():
+        fmap_paths[image_id] = f"features/{image_id}.fmap"
+        write_feature_map(out / fmap_paths[image_id], fm)
+
+    def proposal_json(p: ProposalRecord) -> dict:
+        rec = {"image_id": p.image_id, "box": _box_to_json(p.box), "score": p.upn_score,
+               "mask": _mask_to_json(p.mask)}
+        if p.feature is not None:
+            rec["feature"] = p.feature.tolist()
+        return rec
+
+    _write_jsonl(out / "supports.jsonl", (
+        {"image_id": s.image_id, "class_id": s.class_id, "box": _box_to_json(s.box),
+         "mask": _mask_to_json(s.mask)}
+        for s in dataset.supports
+    ))
+    _write_jsonl(out / "proposals.jsonl", (
+        proposal_json(p)
+        for im in dataset.images for p in dataset.proposals.get(im.image_id, ())
+    ))
+    _write_jsonl(out / "ground_truth.jsonl", (
+        {"image_id": g.image_id, "class_id": g.class_id, "box": _box_to_json(g.box)}
+        for g in dataset.ground_truth
+    ))
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "num_classes": dataset.num_classes,
+        "shots": dataset.shots,
+        "images": [{"id": im.image_id, "width": im.width, "height": im.height}
+                   for im in dataset.images],
+        "supports": "supports.jsonl",
+        "proposals": "proposals.jsonl",
+        "ground_truth": "ground_truth.jsonl",
+        "feature_maps": fmap_paths,
+    }
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return manifest_path
 
 
 # --------------------------------------------------------------------------

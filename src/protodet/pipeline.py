@@ -27,7 +27,7 @@ from .features import (
 )
 from .geometry import mask_downsample
 from .postproc import ScoredDetection, topk_by_score
-from .synthio import Dataset, ProposalRecord, load_dataset, load_prototypes
+from .interchange import Dataset, ProposalRecord, load_dataset, load_prototypes
 
 __all__ = [
     "METHODS",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from protodet.diffusion import Proposal
+from protodet.generator import GeneratorConfig, generate_dataset
 from protodet.geometry import BinaryMask, BoundingBox
-from protodet.synthio import GeneratorConfig, generate_dataset, load_dataset
+from protodet.interchange import load_dataset
 
 # The fixed-seed corpus the acceptance criteria are calibrated against.
 ACCEPTANCE_CFG = GeneratorConfig(

@@ -8,8 +8,8 @@ import pytest
 
 from protodet.cli import main
 from protodet.features import ClassPrototype
+from protodet.interchange import load_dataset, save_prototypes
 from protodet.pipeline import run_support_stage
-from protodet.synthio import load_dataset, save_prototypes
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,23 @@ class TestConfigFileAsFlags:
         if command == "gen":
             gen_cfg = json.loads((out / "generator_config.json").read_text())
             assert gen_cfg["allow_score_overlap"] is False
+
+    @pytest.mark.parametrize("command, line", [
+        ("run", "help=true"),
+        ("run", "help=false"),
+        ("run", "h=true"),  # --h abbreviates --help
+        ("gen", "help=false"),
+        ("run", "=5"),  # an empty key: "--=5" would be an ambiguous abbreviation
+    ])
+    def test_help_key_is_data_error(self, cli_corpus, tmp_path, capsys, command, line):
+        # argparse would print the usage and exit 0 without running the command
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        head = ["run", str(cli_corpus)] if command == "run" else ["gen", "--images", "2"]
+        assert _exit_code([*head, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "is not a config key" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSharedQueryPass:

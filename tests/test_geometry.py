@@ -13,7 +13,6 @@ from protodet.geometry import (
     box_iou,
     box_to_full_mask,
     coverage_matrix,
-    mask_area,
     mask_coverage,
     mask_downsample,
 )
@@ -61,10 +60,10 @@ def test_box_iou_properties():
 class TestRle:
     def test_mask_area_examples(self):
         zero = BinaryMask(4, 4, (16,))
-        assert mask_area(zero) == 0
+        assert zero.area == 0
         ones = BinaryMask(4, 4, (0, 16))
-        assert mask_area(ones) == 16
-        assert mask_area(BinaryMask(4, 4, (2, 3, 11))) == 3
+        assert ones.area == 16
+        assert BinaryMask(4, 4, (2, 3, 11)).area == 3
 
     def test_malformed_rle_rejected(self):
         with pytest.raises(DataFormatError):
@@ -120,8 +119,8 @@ class TestCoverage:
             b = BinaryMask.from_array(b_arr)
             inter = int(np.logical_and(a_arr, b_arr).sum())
             cov = mask_coverage(a, b)
-            assert cov == inter / mask_area(a)
-            assert mask_area(a) == int(a_arr.sum())
+            assert cov == inter / a.area
+            assert a.area == int(a_arr.sum())
 
 
 @st.composite

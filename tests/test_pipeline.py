@@ -7,7 +7,9 @@ from conftest import ACCEPTANCE_CFG
 from protodet.diffusion import DiffusionParams
 from protodet.errors import PipelineError
 from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, cosine
+from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox
+from protodet.interchange import Dataset, ProposalRecord, load_dataset
 from protodet.pipeline import (
     METHODS,
     PipelineConfig,
@@ -15,14 +17,6 @@ from protodet.pipeline import (
     run_query_stage,
     run_refine_stage,
     run_support_stage,
-)
-from protodet.synthio import (
-    Dataset,
-    GeneratorConfig,
-    ProposalRecord,
-    generate_dataset,
-    load_dataset,
-    planted_prototypes,
 )
 
 
@@ -35,7 +29,7 @@ def _tiny_dataset(support_vec=(1.0, 0.0), feature=(1.0, 0.0), with_query_fmap=Fa
     support = SupportAnnotation(
         image_id="sup0", box=BoundingBox(0, 0, 8, 8), class_id=0, mask=mask
     )
-    from protodet.synthio import ImageInfo
+    from protodet.interchange import ImageInfo
 
     images = [ImageInfo("sup0", 8, 8), ImageInfo("q0", 8, 8)]
     rec = ProposalRecord(

@@ -9,18 +9,19 @@ from conftest import ACCEPTANCE_CFG
 from protodet.errors import DataFormatError
 from protodet.evaluation import GroundTruthBox, evaluate
 from protodet.features import FeatureMap
+from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox, mask_coverage
-from protodet.postproc import ScoredDetection
-from protodet.synthio import (
-    GeneratorConfig,
+from protodet.interchange import (
+    Dataset,
+    ImageInfo,
     export_run,
-    generate_dataset,
     load_dataset,
     load_detections,
-    planted_prototypes,
     read_feature_map,
+    write_dataset,
     write_feature_map,
 )
+from protodet.postproc import ScoredDetection
 
 
 def _dir_digest(root):
@@ -292,6 +293,39 @@ class TestLoadValidation:
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, feature=(0.0, 0.0))])
         with pytest.raises(DataFormatError, match=r"proposals\.jsonl:1: all-zero feature"):
             load_dataset(path)
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize("query_maps", [False, True], ids=["acceptance", "query-maps"])
+    def test_rewrite_of_loaded_corpus_is_byte_identical(self, acceptance_manifest, tmp_path,
+                                                        query_maps):
+        manifest = acceptance_manifest
+        if query_maps:
+            cfg = GeneratorConfig(seed=5, classes=4, shots=2, query_feature_maps=True)
+            manifest = generate_dataset(cfg, tmp_path / "gen")
+        src = manifest.parent
+        out = tmp_path / "out"
+        assert write_dataset(load_dataset(manifest), out) == out / "manifest.json"
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        expected = files(src)
+        del expected["generator_config.json"]
+        assert len(expected) > 4  # blobs as well as the manifest and three record files
+        assert files(out) == expected
+
+    @pytest.mark.parametrize("image_id", ["../x", "a/b"])
+    def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
+        fm = FeatureMap(data=np.ones((2, 2, 2)), image_w=8, image_h=8)
+        ds = Dataset(num_classes=1, shots=1, images=[ImageInfo(image_id, 8, 8)], supports=[],
+                     proposals={}, ground_truth=[], feature_maps={image_id: fm})
+        out = tmp_path / "root" / "out"
+        with pytest.raises(ValueError, match="not a plain file name"):
+            write_dataset(ds, out)
+        outside = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
+        assert outside == []
 
 
 class TestExport:

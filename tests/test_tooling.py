@@ -1,6 +1,8 @@
 """Guards for tooling that reaches into the package from outside it."""
 
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -20,3 +22,17 @@ def test_every_benchmark_hook_binding_resolves(monkeypatch):
     names = {f"{h.module}.{h.attr}" for h in tracing.HOOKS}
     assert {"protodet.cli.run_support_stage", "protodet.cli.run_end_to_end",
             "protodet.postproc.mask_coverage"} <= names
+
+
+def test_every_all_name_resolves():
+    # a stale ``__all__`` entry fails only on ``from module import *``
+    import protodet
+
+    checked = []
+    for info in pkgutil.iter_modules(protodet.__path__, prefix="protodet."):
+        module = importlib.import_module(info.name)
+        if hasattr(module, "__all__"):
+            missing = [n for n in module.__all__ if not hasattr(module, n)]
+            assert missing == [], f"{info.name}.__all__ names missing attributes: {missing}"
+            checked.append(info.name)
+    assert {"protodet.interchange", "protodet.generator"} <= set(checked)
