@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 pipeline or
 generation error.  Flags override values read from an optional key=value
-config file (``--config``); the environment variable PROTODET_OUTPUT_DIR
-supplies the base for default output directories.
+config file (``--config``) whose keys are the command's long option names,
+matched in full; the environment variable PROTODET_OUTPUT_DIR supplies the
+base for default output directories.  Flag defaults are those of
+``GeneratorConfig``, ``DiffusionParams`` and ``PipelineConfig``.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .diffusion import DiffusionParams
@@ -43,28 +46,31 @@ def _default_out(kind: str) -> str:
     return str(Path(os.environ.get(ENV_OUTPUT_DIR, ".")) / f"protodet_{kind}")
 
 
+_CONFIG_HELP = ("key=value file whose keys are this command's option names; "
+                "command-line flags take precedence")
+
+
 def _add_diffusion_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.3,
+    p.add_argument("--alpha", type=float, default=DiffusionParams.alpha,
                    help="restart probability of the score diffusion")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    p.add_argument("--lambda", dest="lam", type=float, default=DiffusionParams.lam,
                    help="decay strength of the (1 - pi)^lambda score transform")
-    p.add_argument("--tau", type=float, default=1e-6,
+    p.add_argument("--tau", type=float, default=DiffusionParams.tau,
                    help="early-stop threshold on the iterate difference norm")
-    p.add_argument("--max-steps", type=int, default=30,
+    p.add_argument("--max-steps", type=int, default=DiffusionParams.max_steps,
                    help="diffusion step budget")
 
 
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-output", type=int, default=100,
+    p.add_argument("--max-output", type=int, default=PipelineConfig.max_output,
                    help="detections kept per image, ranked by final score")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=int, default=PipelineConfig.jobs,
                    help="accepted for compatibility and checked to be >= 1; "
                         "work runs on one thread")
-    p.add_argument("--prototypes", default=None,
+    p.add_argument("--prototypes",
                    help="load class prototypes from this file instead of "
                         "building them from the support annotations")
-    p.add_argument("--config", default=None,
-                   help="key=value file; command-line flags take precedence")
+    p.add_argument("--config", help=_CONFIG_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,80 +84,78 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", formatter_class=fmt,
                          help="generate a seeded synthetic dataset")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    gen.add_argument("--images", type=int, default=20, help="query image count")
-    gen.add_argument("--classes", type=int, default=3, help="object class count")
-    gen.add_argument("--shots", type=int, default=1, help="support annotations per class")
-    gen.add_argument("--objects", nargs=2, type=int, default=[2, 4],
+    gen.add_argument("--seed", type=int, help="generator seed")
+    gen.add_argument("--images", type=int, help="query image count")
+    gen.add_argument("--classes", type=int, help="object class count")
+    gen.add_argument("--shots", type=int, help="support annotations per class")
+    gen.add_argument("--objects", dest="objects_per_image", nargs=2, type=int,
                      metavar=("LO", "HI"), help="objects per image (inclusive range)")
-    gen.add_argument("--fragments", nargs=2, type=int, default=[3, 6],
+    gen.add_argument("--fragments", dest="fragments_per_object", nargs=2, type=int,
                      metavar=("LO", "HI"), help="fragment proposals per object")
-    gen.add_argument("--distractors", nargs=2, type=int, default=[1, 3],
+    gen.add_argument("--distractors", dest="distractors_per_image", nargs=2, type=int,
                      metavar=("LO", "HI"), help="background distractors per image")
-    gen.add_argument("--feature-dim", type=int, default=64, help="feature dimensionality")
-    gen.add_argument("--noise", type=float, default=0.15,
+    gen.add_argument("--feature-dim", type=int, help="feature dimensionality")
+    gen.add_argument("--noise", dest="feature_noise", type=float, metavar="NOISE",
                      help="fraction of isotropic noise mixed into proposal features")
-    gen.add_argument("--fragment-scores", nargs=2, type=float, default=[0.05, 0.45],
+    gen.add_argument("--fragment-scores", dest="fragment_score_range", nargs=2, type=float,
                      metavar=("LO", "HI"), help="objectness range of fragment proposals")
-    gen.add_argument("--whole-scores", nargs=2, type=float, default=[0.55, 0.95],
+    gen.add_argument("--whole-scores", dest="whole_score_range", nargs=2, type=float,
                      metavar=("LO", "HI"), help="objectness range of whole-object proposals")
-    gen.add_argument("--image-size", type=int, default=96, help="square image side, pixels")
-    gen.add_argument("--grid-size", type=int, default=12, help="feature grid side, cells")
+    gen.add_argument("--image-size", type=int, help="square image side, pixels")
+    gen.add_argument("--grid-size", type=int, help="feature grid side, cells")
     gen.add_argument("--allow-score-overlap", action="store_true",
                      help="let fragment and whole score ranges overlap (tie stress)")
     gen.add_argument("--query-feature-maps", action="store_true",
                      help="emit per-image feature maps instead of per-proposal vectors")
-    gen.add_argument("--config", default=None,
-                     help="key=value file; command-line flags take precedence")
-    gen.add_argument("--out", default=None,
-                     help=f"output directory (default {_default_out('dataset')})")
+    # each flag above sets the GeneratorConfig field its dest names, and its default
+    gen.set_defaults(**asdict(GeneratorConfig()))
+    gen.add_argument("--config", help=_CONFIG_HELP)
+    gen.add_argument("--out", help=f"output directory (default {_default_out('dataset')})")
 
     run = sub.add_parser("run", formatter_class=fmt,
                          help="run the detection pipeline on a dataset manifest")
     run.add_argument("manifest", help="path to manifest.json")
     _add_diffusion_flags(run)
-    run.add_argument("--method", choices=METHODS, default="diffusion",
+    run.add_argument("--method", choices=METHODS, default=PipelineConfig.method,
                      help="score refinement method")
     _add_common_run_flags(run)
-    run.add_argument("--out", default=None,
-                     help=f"output directory (default {_default_out('run')})")
+    run.add_argument("--out", help=f"output directory (default {_default_out('run')})")
 
     sweep = sub.add_parser("sweep", formatter_class=fmt,
                            help="grid-sweep diffusion hyperparameters")
     sweep.add_argument("manifest", help="path to manifest.json")
-    sweep.add_argument("--lambdas", nargs="+", type=float, default=[0.5],
+    sweep.add_argument("--lambdas", nargs="+", type=float, default=[DiffusionParams.lam],
                        help="decay strengths to sweep")
-    sweep.add_argument("--alphas", nargs="+", type=float, default=[0.3],
+    sweep.add_argument("--alphas", nargs="+", type=float, default=[DiffusionParams.alpha],
                        help="restart probabilities to sweep")
-    sweep.add_argument("--steps-grid", nargs="+", type=int, default=[30],
-                       help="step budgets to sweep")
-    sweep.add_argument("--tau", type=float, default=1e-6,
+    sweep.add_argument("--steps-grid", nargs="+", type=int,
+                       default=[DiffusionParams.max_steps], help="step budgets to sweep")
+    sweep.add_argument("--tau", type=float, default=DiffusionParams.tau,
                        help="early-stop threshold on the iterate difference norm")
     _add_common_run_flags(sweep)
-    sweep.add_argument("--out", default=None,
-                       help=f"output directory (default {_default_out('sweep')})")
+    sweep.add_argument("--out", help=f"output directory (default {_default_out('sweep')})")
 
     comp = sub.add_parser("compare", formatter_class=fmt,
                           help="run every post-processing method on one dataset")
     comp.add_argument("manifest", help="path to manifest.json")
     _add_diffusion_flags(comp)
     _add_common_run_flags(comp)
-    comp.add_argument("--out", default=None,
-                      help=f"output directory (default {_default_out('compare')})")
+    comp.add_argument("--out", help=f"output directory (default {_default_out('compare')})")
     return parser
 
 
-def _config_argv(path: str) -> tuple[list[str], list[str]]:
-    """The key=value config file as flags: ``key=v`` gives ``--key=v``,
-    ``key=v1 v2`` (or ``v1,v2``) gives ``--key v1 v2``; a switch is set by
-    ``key=true`` or ``yes``.  A ``key=false`` or ``no`` line leaves its switch
-    unset: it comes back apart, as a bare ``--key``, for ``main`` to check."""
+def _config_argv(path: str, command_parser: argparse.ArgumentParser) -> list[str]:
+    """The key=value config file as flags of ``command_parser``: a key is one of
+    its long option names in full, but not ``help`` or ``config``.  ``key=v1 v2``
+    (or ``v1,v2``) gives ``--key v1 v2``; a switch is set by ``true``/``yes`` and
+    left off by ``false``/``no``; these four leave any other flag without a value."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
+    options = {opt[2:]: action for opt, action in command_parser._option_string_actions.items()
+               if opt.startswith("--") and opt not in ("--help", "--config")}
     argv: list[str] = []
-    unset: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -159,33 +163,31 @@ def _config_argv(path: str) -> tuple[list[str], list[str]]:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = (part.strip() for part in line.partition("="))
-        if "help".startswith(key):  # "", h, he, ...: argparse would read --help
+        if key not in options:
             raise DataFormatError(f"{path}:{lineno}: {key!r} is not a config key")
         values = raw.replace(",", " ").split()
-        if raw.lower() in ("false", "no"):
-            unset.append(f"--{key}")
-            continue
-        if raw.lower() in ("true", "yes"):
+        # argparse reads a token that starts with "-" as a flag, unless it is a number
+        if any(v.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", v) for v in values):
+            raise DataFormatError(f"{path}:{lineno}: value {raw!r} of {key!r} reads as a flag")
+        if raw.lower() in ("true", "yes", "false", "no"):
+            if options[key].nargs == 0 and raw.lower() in ("false", "no"):
+                continue
             values = []
         argv += [f"--{key}={values[0]}"] if len(values) == 1 else [f"--{key}", *values]
-    return argv, unset
+    return argv
 
 
-def _base_config(args: argparse.Namespace, method: str = "diffusion") -> PipelineConfig:
+def _config(args: argparse.Namespace, method: str = PipelineConfig.method,
+            **knobs) -> PipelineConfig:
     """The config of the flags every pipeline command has; the diffusion knobs
-    besides tau keep their defaults until ``_with_knobs`` sets them."""
+    besides tau come from ``knobs``, or keep their defaults."""
     return PipelineConfig(
-        diffusion=DiffusionParams(tau=args.tau),
+        diffusion=DiffusionParams(tau=args.tau, **knobs),
         method=method,
         max_output=args.max_output,
         jobs=args.jobs,
         prototype_path=args.prototypes,
     )
-
-
-def _with_knobs(cfg: PipelineConfig, alpha: float, lam: float, max_steps: int) -> PipelineConfig:
-    return replace(cfg, diffusion=replace(cfg.diffusion, alpha=alpha, lam=lam,
-                                          max_steps=max_steps))
 
 
 def _usage_error(exc: ValueError) -> int:
@@ -208,40 +210,24 @@ def _refine_and_evaluate(dataset: Dataset, props: dict, cfg: PipelineConfig):
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        cfg = GeneratorConfig(
-            seed=args.seed,
-            images=args.images,
-            classes=args.classes,
-            shots=args.shots,
-            objects_per_image=tuple(args.objects),
-            fragments_per_object=tuple(args.fragments),
-            distractors_per_image=tuple(args.distractors),
-            feature_dim=args.feature_dim,
-            feature_noise=args.noise,
-            fragment_score_range=tuple(args.fragment_scores),
-            whole_score_range=tuple(args.whole_scores),
-            image_size=args.image_size,
-            grid_size=args.grid_size,
-            allow_score_overlap=args.allow_score_overlap,
-            query_feature_maps=args.query_feature_maps,
-        )
+        values = {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}
+        cfg = GeneratorConfig(**{name: tuple(v) if isinstance(v, list) else v
+                                 for name, v in values.items()})
     except ValueError as exc:
         return _usage_error(exc)
-    out = args.out or _default_out("dataset")
-    manifest = generate_dataset(cfg, out)
-    print(manifest)
+    print(generate_dataset(cfg, args.out or _default_out("dataset")))
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = _with_knobs(_base_config(args, args.method), args.alpha, args.lam, args.max_steps)
+        cfg = _config(args, args.method, alpha=args.alpha, lam=args.lam,
+                      max_steps=args.max_steps)
     except ValueError as exc:
         return _usage_error(exc)
     dataset, props = _query_once(args, cfg)
     detections, report = _refine_and_evaluate(dataset, props, cfg)
-    out = args.out or _default_out("run")
-    paths = export_run(detections, report, out)
+    paths = export_run(detections, report, args.out or _default_out("run"))
     print(f"nAP={report.nap:.4f} nAP50={report.nap50:.4f} nAP75={report.nap75:.4f}")
     print(paths["detections"].parent)
     return EXIT_OK
@@ -257,7 +243,7 @@ def _write_table(args: argparse.Namespace, kind: str, rows: list[str]) -> Path:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        base = _base_config(args)
+        base = _config(args)  # the shared flags, checked before the query pass
     except ValueError as exc:
         return _usage_error(exc)
     dataset, props = _query_once(args, base)
@@ -267,7 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         dict.fromkeys(args.lambdas), dict.fromkeys(args.alphas), dict.fromkeys(args.steps_grid)
     ):
         try:
-            cfg = _with_knobs(base, alpha, lam, steps)
+            cfg = _config(args, alpha=alpha, lam=lam, max_steps=steps)
             start = time.perf_counter()
             _, report = _refine_and_evaluate(dataset, props, cfg)
             per_image = (time.perf_counter() - start) / n_images
@@ -282,7 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        base = _with_knobs(_base_config(args), args.alpha, args.lam, args.max_steps)
+        base = _config(args, alpha=args.alpha, lam=args.lam, max_steps=args.max_steps)
     except ValueError as exc:
         return _usage_error(exc)
     dataset, props = _query_once(args, base)
@@ -310,15 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             # the file's flags go ahead of argv's, so a flag on argv wins; the
-            # --config after them ends a multi-valued flag before argv's positionals.
-            # The first parse adds the switches the file leaves unset, only to check
-            # each: an unknown key is left over, a flag that takes a value fails
-            flags, unset = _config_argv(args.config)
-            tail = [f"--config={args.config}", *argv[1:]]
-            for probe in ([argv[0], *flags, *unset, *tail], [argv[0], *flags, *tail]):
-                args, unknown = parser.parse_known_args(probe)
-                if unknown:
-                    raise DataFormatError(f"config file: unknown option {unknown[0]!r}")
+            # --config after them ends a multi-valued flag before argv's positionals
+            [commands] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            flags = _config_argv(args.config, commands.choices[args.command])
+            args = parser.parse_args([argv[0], *flags, f"--config={args.config}", *argv[1:]])
         return _COMMANDS[args.command](args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

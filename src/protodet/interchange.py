@@ -160,6 +160,8 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
             raise DataFormatError(f"{path}: duplicate prototype for class {class_id}")
         seen.add(class_id)
         vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset + _PROTO_RECORD.size)
+        if not (np.all(np.isfinite(vec)) and np.any(vec)):
+            raise DataFormatError(f"{path}: class {class_id} prototype is not finite and non-zero")
         protos.append(
             ClassPrototype(
                 class_id=class_id,
@@ -357,6 +359,8 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             if not np.any(feature):
                 raise DataFormatError(f"{where}: all-zero feature vector (cosine undefined)")
             feature_dims.add(feature.size)
+        elif info.image_id not in feature_maps:
+            raise DataFormatError(f"{where}: no feature, and its image has no feature map")
         return ProposalRecord(
             image_id=info.image_id,
             box=box,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import postproc
 from .diffusion import DiffusionParams, Proposal, diffuse_all_classes
-from .errors import PipelineError
+from .errors import DataFormatError, PipelineError
 from .evaluation import EvalReport, evaluate
 from .features import (
     ClassPrototype,
@@ -91,7 +91,8 @@ class PipelineConfig:
 def run_support_stage(dataset: Dataset) -> list[ClassPrototype]:
     """Pool every support annotation and build one prototype per class."""
     present = {s.class_id for s in dataset.supports}
-    missing = sorted(set(range(dataset.num_classes)) - present)
+    # ids below len(present) + 10 hold every missing id, or 10, however large num_classes is
+    missing = sorted(set(range(min(dataset.num_classes, len(present) + 10))) - present)
     if missing:
         raise PipelineError(f"support stage: no support annotations for class ids {missing}")
     pairs = []
@@ -173,12 +174,24 @@ def run_refine_stage(
 
 
 def resolve_prototypes(dataset: Dataset, cfg: PipelineConfig) -> list[ClassPrototype]:
-    """Prototypes from the configured file, or freshly built from supports."""
-    if cfg.prototype_path is None:
+    """Prototypes from the configured file, checked to fit the dataset, or built
+    from supports."""
+    path = cfg.prototype_path
+    if path is None:
         return run_support_stage(dataset)
-    prototypes = load_prototypes(cfg.prototype_path)
+    prototypes = load_prototypes(path)
     if not prototypes:
-        raise PipelineError(f"prototype file {cfg.prototype_path} holds no prototypes")
+        raise PipelineError(f"prototype file {path} holds no prototypes")
+    outside = [p.class_id for p in prototypes if p.class_id >= dataset.num_classes]
+    if outside:
+        raise DataFormatError(f"{path}: class ids {outside} outside [0, {dataset.num_classes})")
+    dim = prototypes[0].vector.size
+    dims = {fm.channels for fm in dataset.feature_maps.values()}
+    dims.update(rec.feature.size for recs in dataset.proposals.values() for rec in recs
+                if rec.feature is not None)
+    if dims - {dim}:
+        raise DataFormatError(f"{path}: prototype dimension {dim} differs from the "
+                              f"dataset's feature dimension {sorted(dims)}")
     return prototypes
 
 

@@ -2,14 +2,18 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from protodet.cli import main
+from protodet.cli import build_parser, main
+from protodet.diffusion import DiffusionParams
 from protodet.features import ClassPrototype
+from protodet.generator import GeneratorConfig
 from protodet.interchange import load_dataset, save_prototypes
-from protodet.pipeline import run_support_stage
+from protodet.pipeline import PipelineConfig, run_support_stage
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "data error" in err and str(bad) in err
+
+    def test_proposal_without_feature_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["gen", "--seed", "17", "--images", "4", "--out", str(ds)]) == 0
+        props = ds / "proposals.jsonl"
+        lines = props.read_text().splitlines()
+        last = json.loads(lines[-1])
+        del last["feature"]
+        props.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(ds / "manifest.json"), "--out", str(out)]) == 3
+        assert f"{props}:{len(lines)}: no feature" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each case broke a run that at the parent ended in exit 0 (nAP=0) or exit 4
+    @pytest.mark.parametrize("bad", [
+        lambda p: replace(p, class_id=p.class_id + 100),
+        lambda p: replace(p, vector=p.vector[:-1]),
+        lambda p: replace(p, vector=np.full_like(p.vector, np.nan)),
+        lambda p: replace(p, vector=np.zeros_like(p.vector)),
+    ], ids=["class-id", "dimension", "nan", "zero"])
+    def test_bad_prototype_file_is_data_error(self, cli_corpus, tmp_path, capsys, bad):
+        protos = tmp_path / "bad.protos"
+        save_prototypes(protos, [bad(p) for p in run_support_stage(load_dataset(cli_corpus))])
+        out = tmp_path / "o"
+        assert main(["run", str(cli_corpus), "--prototypes", str(protos),
+                     "--out", str(out)]) == 3
+        assert f"data error: {protos}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_success_is_0_via_subprocess(self, cli_corpus, tmp_path):
         proc = subprocess.run(
@@ -330,6 +363,59 @@ class TestConfigFileAsFlags:
         assert _exit_code([*head, "--config", str(cfg), "--out", str(out)]) == 3
         assert "is not a config key" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("gen", "config=o.cfg", "'config' is not a config key"),
+        ("gen", "c=o.cfg", "'c' is not a config key"),  # --c abbreviates --config
+        ("run", "lam=0.4", "'lam' is not a config key"),  # --lam abbreviates --lambda
+        ("sweep", "lambdas=0.5 --help", "reads as a flag"),
+        ("sweep", "lambdas=0.5 -h", "reads as a flag"),
+    ])
+    def test_key_that_is_no_option_name_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                                      command, line, message):
+        # at the parent a config key was matched as an argparse prefix and each of
+        # these lines was ignored, expanded, or printed the usage and exited 0
+        (tmp_path / "o.cfg").write_text("images=1\n")
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        head = ["gen", "--images", "2"] if command == "gen" else [command, str(cli_corpus)]
+        assert _exit_code([*head, "--config", str(cfg), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_number_in_a_list_is_a_value(self, cli_corpus, tmp_path, capsys):
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("alphas=-0.1 0.3\n")
+        out = tmp_path / "o"
+        assert main(["sweep", str(cli_corpus), "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r[1] for r in _read_tsv(out / "sweep.tsv")[1]] == ["-0.1", "0.3"]
+        assert "alpha must be in [0, 1)" in capsys.readouterr().err
+
+
+class TestSingleSourceOfSettings:
+    def test_gen_flags_are_generator_fields_with_their_defaults(self):
+        args = vars(build_parser().parse_args(["gen"]))
+        for dest in ("command", "config", "out"):
+            del args[dest]
+        assert set(args) == {f.name for f in fields(GeneratorConfig)}
+        assert args == asdict(GeneratorConfig())
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_pipeline_flag_defaults_are_dataclass_defaults(self, command):
+        args = build_parser().parse_args([command, "manifest.json"])
+        knobs, cfg = DiffusionParams(), PipelineConfig()
+        assert (args.tau, args.max_output, args.jobs, args.prototypes) == \
+            (knobs.tau, cfg.max_output, cfg.jobs, cfg.prototype_path)
+        if command == "sweep":
+            assert (args.lambdas, args.alphas, args.steps_grid) == \
+                ([knobs.lam], [knobs.alpha], [knobs.max_steps])
+        else:
+            assert (args.alpha, args.lam, args.max_steps) == \
+                (knobs.alpha, knobs.lam, knobs.max_steps)
+        if command == "run":
+            assert args.method == cfg.method
 
 
 class TestSharedQueryPass:

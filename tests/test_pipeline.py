@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ class TestSupportStage:
         ds.num_classes = 3
         with pytest.raises(PipelineError, match=r"\[1, 2\]"):
             run_support_stage(ds)
+
+    def test_declared_class_count_allocates_nothing(self):
+        # a manifest may declare any num_classes; listing the missing ids must not
+        # build a set of that size (10**12 would exhaust memory)
+        ds = _tiny_dataset()
+        ds.num_classes = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(PipelineError, match=r"class ids \[1, 2, .*, 10\]"):
+                run_support_stage(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_two_shot_planted_prototype_close_to_planted_direction(self, tmp_path):
         cfg = GeneratorConfig(seed=21, images=2, classes=2, shots=2)

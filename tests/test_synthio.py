@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 from conftest import ACCEPTANCE_CFG
 from protodet.errors import DataFormatError
+from protodet.cli import main
 from protodet.evaluation import GroundTruthBox, evaluate
-from protodet.features import FeatureMap
+from protodet.features import ClassPrototype, FeatureMap
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox, mask_coverage
 from protodet.interchange import (
@@ -17,10 +19,13 @@ from protodet.interchange import (
     export_run,
     load_dataset,
     load_detections,
+    load_prototypes,
     read_feature_map,
+    save_prototypes,
     write_dataset,
     write_feature_map,
 )
+from protodet.pipeline import run_support_stage
 from protodet.postproc import ScoredDetection
 
 
@@ -293,6 +298,121 @@ class TestLoadValidation:
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, feature=(0.0, 0.0))])
         with pytest.raises(DataFormatError, match=r"proposals\.jsonl:1: all-zero feature"):
             load_dataset(path)
+
+    def test_proposal_without_feature_or_map_rejected(self, tmp_path):
+        row = _proposal_row(0.5)
+        del row["feature"]
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5), row])
+        with pytest.raises(DataFormatError, match=r"proposals\.jsonl:2: no feature"):
+            load_dataset(path)
+
+    def test_featureless_proposal_below_score_floor_is_dropped(self, tmp_path):
+        row = _proposal_row(0.005)
+        del row["feature"]
+        path = _write_manifest(tmp_path, proposals=[row, _proposal_row(0.5)])
+        assert len(load_dataset(path).proposals["q0"]) == 1
+
+
+class TestPrototypeFile:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_non_finite_or_zero_vector_rejected(self, tmp_path, value):
+        path = tmp_path / "p.protos"
+        save_prototypes(path, [
+            ClassPrototype(class_id=0, vector=np.array([1.0, 0.0]), support_count=1),
+            ClassPrototype(class_id=1, vector=np.array([value, 0.0]), support_count=1),
+        ])
+        with pytest.raises(DataFormatError, match="class 1 prototype is not finite"):
+            load_prototypes(path)
+
+
+def _mutate_json(doc, rng):
+    """``doc`` with one key (or list item) dropped or its value replaced, at a
+    random depth."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, keys[rng.integers(len(keys))]
+        node = node[key]
+        if rng.random() < 0.5:
+            break
+    if parent is None:
+        return _BAD_VALUES[rng.integers(len(_BAD_VALUES))]
+    if rng.random() < 0.5:
+        del parent[key]
+    else:
+        parent[key] = _BAD_VALUES[rng.integers(len(_BAD_VALUES))]
+    return doc
+
+
+_BAD_VALUES = (None, -1, 0, 2**40, 1e300, -0.5, 0.5, "x", "", [], {}, True, [0, 1])
+# little-endian 4-byte words: 0, the largest uint32 (a float32 NaN), float32 inf and NaN, small ints
+_BAD_WORDS = (0, 0xFFFFFFFF, 0x7F800000, 0x7FC00000, 1, 3)
+
+
+def _mutant(raw: bytes, suffix: str, rng) -> bytes:
+    """Truncate, flip one byte, or (JSON: drop a key or replace a value of the
+    document or of one JSONL record; binary: overwrite one aligned 4-byte word)."""
+    op = rng.integers(3)
+    if op == 0:
+        return raw[:rng.integers(len(raw))]
+    if op == 1:
+        i = rng.integers(len(raw))
+        return raw[:i] + bytes([raw[i] ^ int(rng.integers(1, 256))]) + raw[i + 1:]
+    if suffix not in (".json", ".jsonl"):
+        i = 4 * rng.integers(len(raw) // 4)
+        word = _BAD_WORDS[rng.integers(len(_BAD_WORDS))]
+        return raw[:i] + word.to_bytes(4, "little") + raw[i + 4:]
+    if suffix == ".json":
+        return json.dumps(_mutate_json(json.loads(raw), rng)).encode()
+    lines = raw.decode().splitlines()
+    i = rng.integers(len(lines))
+    lines[i] = json.dumps(_mutate_json(json.loads(lines[i]), rng))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestMutationFuzz:
+    """Seeded mutations of every input file of a tiny corpus and of a prototype
+    file: the loaders raise only DataFormatError, and ``run`` exits 0, 3 or 4
+    without a traceback (4 stays reachable, e.g. through ``num_classes``)."""
+
+    MUTANTS = 600
+
+    def test_loaders_and_run_survive_mutations(self, tmp_path):
+        cfg = GeneratorConfig(seed=3, images=2, classes=2, objects_per_image=(1, 2),
+                              fragments_per_object=(1, 2), distractors_per_image=(1, 1),
+                              feature_dim=6, image_size=32, grid_size=4)
+        manifest = generate_dataset(cfg, tmp_path / "ds")
+        protos = tmp_path / "p.protos"
+        save_prototypes(protos, run_support_stage(load_dataset(manifest)))
+        ds = manifest.parent
+        targets = [manifest, ds / "supports.jsonl", ds / "proposals.jsonl",
+                   ds / "ground_truth.jsonl", sorted((ds / "features").iterdir())[0], protos]
+        originals = {path: path.read_bytes() for path in targets}
+        rng = np.random.default_rng(2026)
+        codes = set()
+        for n in range(self.MUTANTS):
+            target = targets[rng.integers(len(targets))]
+            target.write_bytes(_mutant(originals[target], target.suffix, rng))
+            try:
+                argv = ["run", str(manifest), "--out", str(tmp_path / "o")]
+                if target == protos:
+                    with contextlib.suppress(DataFormatError):
+                        load_prototypes(protos)
+                    argv += ["--prototypes", str(protos)]
+                else:
+                    with contextlib.suppress(DataFormatError):
+                        load_dataset(manifest)
+                code = main(argv)
+                # with the corpus intact, only a bad prototype file could fail the run
+                allowed = (0, 3) if target == protos else (0, 3, 4)
+                assert code in allowed, f"mutant {n} of {target.name}: exit {code}"
+                if code == 0:  # nothing predicted outside the corpus's classes
+                    dets = load_detections(tmp_path / "o" / "detections.tsv")
+                    assert {d.class_id for v in dets.values() for d in v} <= set(range(cfg.classes))
+                codes.add(code)
+            finally:
+                target.write_bytes(originals[target])
+        assert {0, 3} <= codes  # mutants that still run, and mutants rejected
 
 
 class TestWriteDataset:
