@@ -300,7 +300,12 @@ def main(argv: list[str] | None = None) -> int:
             [commands] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
             flags = _config_argv(args.config, commands.choices[args.command])
             args = parser.parse_args([argv[0], *flags, f"--config={args.config}", *argv[1:]])
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: every command writes its files before it prints
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return EXIT_OK
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

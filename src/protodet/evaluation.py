@@ -1,7 +1,8 @@
 """COCO-convention average precision over novel classes.
 
 AP per (class, IoU threshold) uses greedy highest-IoU matching and 101-point
-interpolated precision/recall; the headline number averages the thresholds
+interpolated precision/recall.  Each (detection, ground truth) IoU is computed
+once and read at every threshold; the headline number averages the thresholds
 0.50:0.05:0.95 over every class that has at least one ground-truth box.
 All tie-breaks are by input position, so reports are bit-identical across
 runs for fixed inputs.
@@ -9,8 +10,11 @@ runs for fixed inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .geometry import BoundingBox, box_iou
 from .postproc import ScoredDetection, topk_by_score
@@ -72,6 +76,33 @@ class EvalReport:
         }
 
 
+def _match(dets: Sequence[tuple[str, ScoredDetection]], gts: Sequence[GroundTruthBox],
+           thresholds: Sequence[float]) -> np.ndarray:
+    """``match_detections`` flags at each threshold, shape (thresholds, dets).
+    Each detection's IoU with every ground truth of its image and class is
+    computed once, as one row in ground-truth index order, and every
+    threshold's greedy match reads the rows."""
+    gt_index: dict[tuple[str, int], list[int]] = {}
+    for g_idx, g in enumerate(gts):
+        gt_index.setdefault((g.image_id, g.class_id), []).append(g_idx)
+    rows = [[(g_idx, box_iou(det.box, gts[g_idx].box))
+             for g_idx in gt_index.get((image_id, det.class_id), ())]
+            for image_id, det in dets]
+    flags = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    for t, thr in enumerate(thresholds):
+        matched: set[int] = set()
+        for d, row in enumerate(rows):
+            best_idx, best_iou = -1, 0.0
+            for g_idx, iou in row:
+                # strict ">" keeps the lowest gt index on ties, and IoU 0 never matches
+                if iou > best_iou and g_idx not in matched:
+                    best_idx, best_iou = g_idx, iou
+            if best_idx >= 0 and best_iou >= thr:
+                matched.add(best_idx)
+                flags[t, d] = True
+    return flags
+
+
 def match_detections(
     dets: Sequence[tuple[str, ScoredDetection]],
     gts: Sequence[GroundTruthBox],
@@ -84,28 +115,7 @@ def match_detections(
     claims the still-unmatched ground truth of highest IoU when that IoU
     reaches the threshold; every ground truth matches at most once.
     """
-    gt_by_key: dict[tuple[str, int], list[int]] = {}
-    for g_idx, g in enumerate(gts):
-        gt_by_key.setdefault((g.image_id, g.class_id), []).append(g_idx)
-    matched: set[int] = set()
-    flags = []
-    for image_id, det in dets:
-        candidates = gt_by_key.get((image_id, det.class_id), ())
-        best_idx = -1
-        best_iou = 0.0
-        for g_idx in candidates:
-            if g_idx in matched:
-                continue
-            iou = box_iou(det.box, gts[g_idx].box)
-            if iou > best_iou:  # strict ">" keeps the lowest gt index on ties
-                best_iou = iou
-                best_idx = g_idx
-        if best_idx >= 0 and best_iou >= iou_thr:
-            matched.add(best_idx)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    return _match(dets, gts, (iou_thr,))[0].tolist()
 
 
 def ap_101(tp_flags: Sequence[bool], total_gt: int) -> float:
@@ -114,24 +124,15 @@ def ap_101(tp_flags: Sequence[bool], total_gt: int) -> float:
         raise ValueError(f"total_gt must be >= 0, got {total_gt}")
     if total_gt == 0:
         return 0.0
-    recalls = []
-    precisions = []
-    tp = 0
-    for rank, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp += 1
-        recalls.append(tp / total_gt)
-        precisions.append(tp / rank)
+    tp = np.cumsum(np.asarray(tp_flags, dtype=bool), dtype=np.int64)
+    recalls = tp / total_gt
     # precision envelope: running max from the right
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    interpolated = []
-    j = 0
-    for r in RECALL_GRID:
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        interpolated.append(precisions[j] if j < len(recalls) else 0.0)
-    return sum(interpolated) / len(RECALL_GRID)
+    precisions = np.maximum.accumulate((tp / np.arange(1, tp.size + 1))[::-1])[::-1]
+    # each grid recall reads the first rank that reaches it, 0.0 past the last
+    first = np.searchsorted(recalls, RECALL_GRID, side="left")
+    interpolated = np.append(precisions, 0.0)[first]
+    # Python's sequential sum: np.sum's pairwise order can move the last bit
+    return sum(interpolated.tolist()) / len(RECALL_GRID)
 
 
 def evaluate(
@@ -152,21 +153,16 @@ def evaluate(
         for det in topk_by_score(list(detections[image_id]), max_dets):
             flat.append((image_id, det))
 
-    gt_counts: dict[int, int] = {}
-    for g in gts:
-        gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
-
-    per_class_ap: dict[int, tuple[float, ...]] = {}
-    for class_id in sorted(gt_counts):
-        class_dets = [
-            (image_id, det) for image_id, det in flat if det.class_id == class_id
-        ]
-        class_dets.sort(key=lambda pair: -pair[1].score)  # stable: ties keep position
-        aps = []
-        for thr in IOU_THRESHOLDS:
-            flags = match_detections(class_dets, gts, thr)
-            aps.append(ap_101(flags, gt_counts[class_id]))
-        per_class_ap[class_id] = tuple(aps)
+    # one match over every class: classes share no ground truth, and filtering
+    # a stable sort keeps each class's own (score, position) order
+    ranked = sorted(flat, key=lambda pair: -pair[1].score)
+    flags = _match(ranked, gts, IOU_THRESHOLDS)
+    det_classes = np.array([det.class_id for _, det in ranked])
+    gt_counts = Counter(g.class_id for g in gts)
+    per_class_ap = {
+        class_id: tuple(ap_101(f, gt_counts[class_id]) for f in flags[:, det_classes == class_id])
+        for class_id in sorted(gt_counts)
+    }
 
     all_aps = [ap for aps in per_class_ap.values() for ap in aps]
     nap = sum(all_aps) / len(all_aps) if all_aps else 0.0

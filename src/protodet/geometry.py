@@ -179,8 +179,8 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     the same correctly rounded quotient of two integers that ``mask_coverage``
     computes: the values agree bit for bit.
 
-    Cost: O(runs + N*K + N**2*K) time with K <= min(2*runs, W*H); memory
-    O(N*K + N**2) plus a W*H+1 byte array marking the cuts.
+    Cost: O(runs*log(runs) + N*K + N**2*K) time with K <= min(2*runs, W*H);
+    memory O(runs + N*K + N**2), whatever the declared W*H.
 
     Raises ValueError when the masks differ in dimensions or one is empty.
     """
@@ -213,15 +213,13 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     first = np.concatenate(([True], apart))
     row, start, end = row[first], start[first], end[np.concatenate((apart, [True]))]
 
-    cut = np.zeros(total + 1, dtype=bool)
-    cut[start] = True
-    cut[end] = True
-    cuts = np.flatnonzero(cut)
-    seg_of = np.cumsum(cut, dtype=np.int64) - 1  # seg_of[cuts[k]] == k
+    cuts = np.sort(np.concatenate((start, end)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     k = cuts.size - 1
     delta = np.zeros((n, k + 1), dtype=np.int8)
-    delta[row, seg_of[start]] = 1  # a row's intervals are disjoint and apart: no index repeats
-    delta[row, seg_of[end]] = -1
+    # a row's intervals are disjoint and apart: no index repeats
+    delta[row, np.searchsorted(cuts, start)] = 1
+    delta[row, np.searchsorted(cuts, end)] = -1
     member = np.cumsum(delta, axis=1, dtype=np.int8)[:, :k]
     seglen = np.diff(cuts).astype(np.float64)
 

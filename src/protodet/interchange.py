@@ -148,6 +148,8 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
         raise DataFormatError(f"prototype file not found: {path}")
     raw = path.read_bytes()
     count, dim, _ = _unpack_header(path, raw, _PROTO_HEADER, PROTO_MAGIC, "prototype")
+    if count == 0:
+        raise DataFormatError(f"{path}: holds no prototypes")
     record = _PROTO_RECORD.size + 4 * dim
     if len(raw) != _PROTO_HEADER.size + count * record:
         raise DataFormatError(f"{path}: expected {count} records of {record} bytes")

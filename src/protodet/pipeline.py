@@ -180,8 +180,6 @@ def resolve_prototypes(dataset: Dataset, cfg: PipelineConfig) -> list[ClassProto
     if path is None:
         return run_support_stage(dataset)
     prototypes = load_prototypes(path)
-    if not prototypes:
-        raise PipelineError(f"prototype file {path} holds no prototypes")
     outside = [p.class_id for p in prototypes if p.class_id >= dataset.num_classes]
     if outside:
         raise DataFormatError(f"{path}: class ids {outside} outside [0, {dataset.num_classes})")

@@ -7,7 +7,7 @@ score with ties broken by input position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,15 +37,17 @@ class ScoredDetection:
             raise ValueError(f"detection score must be finite, got {self.score}")
 
 
-def _indices_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
+def _by_score(dets: list[ScoredDetection]) -> list[ScoredDetection]:
+    """Descending score; the sort is stable, so ties keep list position."""
+    return sorted(dets, key=lambda d: -d.score)
+
+
+def _ranked_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
+    """Each class's indices into ``dets``, in ``_by_score`` order."""
     by_class: dict[int, list[int]] = {}
-    for i, d in enumerate(dets):
-        by_class.setdefault(d.class_id, []).append(i)
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        by_class.setdefault(dets[i].class_id, []).append(i)
     return by_class
-
-
-def _score_order(dets: list[ScoredDetection], idx: list[int]) -> list[int]:
-    return sorted(idx, key=lambda i: (-dets[i].score, i))
 
 
 def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
@@ -54,13 +56,13 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
     if not 0.0 < iou_thr < 1.0:
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     kept: list[int] = []
-    for idx in _indices_by_class(dets).values():
+    for idx in _ranked_by_class(dets).values():
         kept_here: list[int] = []
-        for i in _score_order(dets, idx):
+        for i in idx:
             if all(box_iou(dets[i].box, dets[j].box) <= iou_thr for j in kept_here):
                 kept_here.append(i)
         kept += kept_here
-    return [dets[i] for i in sorted(kept, key=lambda i: (-dets[i].score, i))]
+    return _by_score([dets[i] for i in sorted(kept)])
 
 
 def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDetection]:
@@ -69,7 +71,7 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
-    for idx in _indices_by_class(dets).values():
+    for idx in _ranked_by_class(dets).values():
         current = {i: dets[i].score for i in idx}
         while current:
             top = min(current, key=lambda i: (-current[i], i))
@@ -77,12 +79,7 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
             for i in current:
                 iou = box_iou(dets[top].box, dets[i].box)
                 current[i] *= math.exp(-(iou * iou) / sigma)
-    out = [
-        ScoredDetection(box=dets[i].box, class_id=dets[i].class_id,
-                        score=final[i], mask=dets[i].mask)
-        for i in range(len(dets))
-    ]
-    return [out[i] for i in sorted(range(len(out)), key=lambda i: (-out[i].score, i))]
+    return _by_score([replace(d, score=final[i]) for i, d in enumerate(dets)])
 
 
 def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
@@ -92,11 +89,10 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
     if not 0.0 < iou_thr < 1.0:
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     fused_out: list[ScoredDetection] = []
-    by_class = _indices_by_class(dets)
+    by_class = _ranked_by_class(dets)
     for class_id in sorted(by_class):
-        idx = by_class[class_id]
         clusters: list[dict] = []
-        for i in _score_order(dets, idx):
+        for i in by_class[class_id]:
             d = dets[i]
             home = None
             for c in clusters:
@@ -116,8 +112,8 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
             fused_out.append(
                 ScoredDetection(box=c["fused"], class_id=class_id, score=score, mask=None)
             )
-    # stable sort keeps (class, cluster-creation) order among equal scores
-    return sorted(fused_out, key=lambda d: -d.score)
+    # ties keep (class, cluster-creation) order
+    return _by_score(fused_out)
 
 
 def soft_merge(dets: list[ScoredDetection]) -> list[ScoredDetection]:
@@ -127,22 +123,16 @@ def soft_merge(dets: list[ScoredDetection]) -> list[ScoredDetection]:
     if any(d.mask is None for d in dets):
         raise ValueError("soft merging requires a mask on every detection")
     new_scores: dict[int, float] = {}
-    for idx in _indices_by_class(dets).values():
-        order = _score_order(dets, idx)
+    for order in _ranked_by_class(dets).values():
         cov = coverage_matrix([dets[i].mask for i in order])
         for rank, i in enumerate(order):
             penalty = float(cov[rank, :rank].max(initial=0.0))
             new_scores[i] = dets[i].score * (1.0 - penalty)
-    out = [
-        ScoredDetection(box=d.box, class_id=d.class_id, score=new_scores[i], mask=d.mask)
-        for i, d in enumerate(dets)
-    ]
-    return [out[i] for i in sorted(range(len(out)), key=lambda i: (-out[i].score, i))]
+    return _by_score([replace(d, score=new_scores[i]) for i, d in enumerate(dets)])
 
 
 def topk_by_score(dets: list[ScoredDetection], k: int) -> list[ScoredDetection]:
     """The k highest-scored detections across classes; ties keep input order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in order[:k]]
+    return _by_score(dets)[:k]

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -100,10 +101,12 @@ class TestExitCodes:
         lambda p: replace(p, vector=p.vector[:-1]),
         lambda p: replace(p, vector=np.full_like(p.vector, np.nan)),
         lambda p: replace(p, vector=np.zeros_like(p.vector)),
-    ], ids=["class-id", "dimension", "nan", "zero"])
+        lambda p: None,
+    ], ids=["class-id", "dimension", "nan", "zero", "empty"])
     def test_bad_prototype_file_is_data_error(self, cli_corpus, tmp_path, capsys, bad):
         protos = tmp_path / "bad.protos"
-        save_prototypes(protos, [bad(p) for p in run_support_stage(load_dataset(cli_corpus))])
+        save_prototypes(protos, [q for p in run_support_stage(load_dataset(cli_corpus))
+                                 if (q := bad(p)) is not None])
         out = tmp_path / "o"
         assert main(["run", str(cli_corpus), "--prototypes", str(protos),
                      "--out", str(out)]) == 3
@@ -117,6 +120,22 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 0
+
+    def test_closed_stdout_exits_quietly(self, cli_corpus, tmp_path):
+        # `protodet compare ... | head`: the reader is gone before the table prints
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "protodet.cli", "compare", str(cli_corpus),
+                 "--out", str(tmp_path / "o")],
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        assert (tmp_path / "o" / "compare.tsv").is_file()
 
 
 class TestGen:

@@ -2,9 +2,14 @@
 independently of the library: plain tuples, per-grid-point max loops, and its
 own IoU/matching code.  The library must agree with it exactly."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from protodet import evaluation
 from protodet.evaluation import (
     IOU_THRESHOLDS,
     EvalReport,
@@ -301,3 +306,69 @@ def test_report_text_roundtrip_format():
     doc = report.to_json_dict()
     assert doc["nAP"] == report.nap
     assert set(doc["per_class_ap"]) == {"0", "1"}
+
+
+# ---------------------------------------------------------------------------
+# one IoU per (detection, ground truth); the array ap_101 keeps the loop's bits
+# ---------------------------------------------------------------------------
+
+def _loop_ap_101(tp_flags, total_gt):
+    """The scalar-loop ``ap_101`` that the array version replaced, as its oracle."""
+    if total_gt == 0:
+        return 0.0
+    recalls = []
+    precisions = []
+    tp = 0
+    for rank, flag in enumerate(tp_flags, start=1):
+        if flag:
+            tp += 1
+        recalls.append(tp / total_gt)
+        precisions.append(tp / rank)
+    for i in range(len(precisions) - 2, -1, -1):
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    interpolated = []
+    j = 0
+    for r in (i / 100 for i in range(101)):
+        while j < len(recalls) and recalls[j] < r:
+            j += 1
+        interpolated.append(precisions[j] if j < len(recalls) else 0.0)
+    return sum(interpolated) / 101
+
+
+@settings(deadline=None)  # timing is not under test; a loaded machine must not fail it
+@given(st.lists(st.booleans(), max_size=60), st.integers(0, 70))
+@example([], 0)
+@example([], 4)
+@example([True, False, True], 0)
+def test_ap_101_is_bit_identical_to_the_loop_version(flags, total_gt):
+    assert ap_101(flags, total_gt) == _loop_ap_101(flags, total_gt)
+
+
+def test_evaluate_computes_each_same_class_pair_at_most_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    gts, dets = [], []
+    for img in ("a", "b", "c"):
+        for class_id in (0, 1):
+            for _ in range(3):
+                x, y = rng.uniform(0, 30, 2)
+                gts.append((img, class_id, (x, y, x + 8, y + 8)))
+                for _ in range(2):  # near copies: IoUs spread across the thresholds
+                    dx, dy = rng.uniform(0, 3, 2)
+                    dets.append((img, class_id, float(rng.uniform(0.1, 1.0)),
+                                 (x + dx, y + dy, x + 8 + dx, y + 8 + dy)))
+    by_image, gt_list = _to_library_inputs(dets, gts)
+    expected = evaluate(by_image, gt_list)
+
+    key_of = {id(g.box): (g.image_id, g.class_id) for g in gt_list}
+    key_of.update({id(d.box): (img, d.class_id) for img, ds in by_image.items() for d in ds})
+    calls = Counter()
+    real = evaluation.box_iou
+
+    def counting(a, b):
+        calls[id(a), id(b)] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "box_iou", counting)
+    assert evaluate(by_image, gt_list) == expected
+    assert calls and max(calls.values()) == 1
+    assert all(key_of[a] == key_of[b] for a, b in calls)

@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from protodet.errors import PipelineError
 from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, cosine
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox
-from protodet.interchange import Dataset, ProposalRecord, load_dataset
+from protodet.interchange import Dataset, ImageInfo, ProposalRecord, load_dataset, write_dataset
 from protodet.pipeline import (
     METHODS,
     PipelineConfig,
@@ -266,3 +267,52 @@ class TestEndToEnd:
             PipelineConfig(max_output=0)
         with pytest.raises(ValueError):
             PipelineConfig(jobs=0)
+
+
+def _embed(mask, width, height):
+    """The same pixels in the top-left corner of a width x height raster, built
+    from the pixel indices without a width x height array."""
+    ys, xs = np.nonzero(mask.to_array())
+    flat = ys.astype(np.int64) * width + xs
+    gaps = np.flatnonzero(np.diff(flat) != 1) + 1
+    starts = flat[np.concatenate(([0], gaps))]
+    ends = flat[np.concatenate((gaps - 1, [flat.size - 1]))] + 1
+    bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [width * height]))
+    return BinaryMask(width, height, tuple(np.diff(bounds).tolist()))
+
+
+class TestDeclaredDimensions:
+    SIDE = 100_000  # a W*H byte array would be 9.3 GiB
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """A small corpus with precomputed query features, and the same corpus
+        with every query image declared SIDE x SIDE and its masks embedded."""
+        tmp = tmp_path_factory.mktemp("declared_dims")
+        small = load_dataset(generate_dataset(GeneratorConfig(seed=17, images=3), tmp / "small"))
+        queries = set(small.query_image_ids())
+        huge = replace(
+            small,
+            images=[ImageInfo(i.image_id, self.SIDE, self.SIDE) if i.image_id in queries else i
+                    for i in small.images],
+            proposals={image_id: [replace(r, mask=_embed(r.mask, self.SIDE, self.SIDE))
+                                  for r in recs]
+                       for image_id, recs in small.proposals.items()},
+        )
+        return small, load_dataset(write_dataset(huge, tmp / "huge"))
+
+    @pytest.mark.parametrize("method", ["diffusion", "softmerge"])
+    def test_run_memory_is_bounded_by_the_runs(self, corpora, method):
+        small, huge = corpora
+        cfg = PipelineConfig(method=method)
+        tracemalloc.start()
+        try:
+            dets, report = run_end_to_end(huge, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        small_dets, small_report = run_end_to_end(small, cfg)
+        assert report == small_report
+        assert {k: [(d.box, d.score) for d in v] for k, v in dets.items()} == {
+            k: [(d.box, d.score) for d in v] for k, v in small_dets.items()}
