@@ -87,12 +87,17 @@ class BinaryMask:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
+        runs = tuple(self.runs)
+        if not {int}.issuperset(map(type, runs)):  # a bool is no int here
+            if not all(isinstance(r, (int, np.integer)) and type(r) is not bool for r in runs):
+                raise DataFormatError("RLE run lengths must be integers")
+            runs = tuple(map(int, runs))
+        object.__setattr__(self, "runs", runs)
         if self.width < 1 or self.height < 1:
             raise DataFormatError(f"mask dims must be >= 1, got {self.width}x{self.height}")
-        if any(r < 0 for r in self.runs):
+        if min(runs, default=0) < 0:
             raise DataFormatError("negative run length in RLE")
-        total = sum(self.runs)
+        total = sum(runs)
         if total != self.width * self.height:
             raise DataFormatError(
                 f"RLE runs sum to {total}, expected {self.width * self.height} "
@@ -123,7 +128,7 @@ class BinaryMask:
 
     @property
     def area(self) -> int:
-        return int(sum(self.runs[1::2]))
+        return sum(self.runs[1::2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,11 +241,11 @@ def mask_downsample(m: BinaryMask, target_w: int, target_h: int) -> SoftMask:
     Pixel centers align (source coordinate of target cell i is
     (i + 0.5) * scale - 0.5), samples beyond the border clamp to the edge
     pixel, and fractional values are kept.  A constant mask stays constant.
+    The 2*target_h x 2*target_w corner pixels are read from the runs: pixel p
+    lies in run number #(run ends <= p), and odd runs hold the 1s.
     """
     if target_w < 1 or target_h < 1:
         raise ValueError(f"target dims must be >= 1, got {target_w}x{target_h}")
-    src = m.to_array().astype(np.float64)
-
     sx = (np.arange(target_w) + 0.5) * (m.width / target_w) - 0.5
     sy = (np.arange(target_h) + 0.5) * (m.height / target_h) - 0.5
     sx = np.clip(sx, 0.0, m.width - 1.0)
@@ -253,29 +258,29 @@ def mask_downsample(m: BinaryMask, target_w: int, target_h: int) -> SoftMask:
     fx = sx - x0
     fy = sy - y0
 
-    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
-    out = top * (1.0 - fy[:, None]) + bot * fy[:, None]
+    flat = np.concatenate((y0, y1))[:, None] * m.width + np.concatenate((x0, x1))
+    ends = np.cumsum(np.asarray(m.runs, dtype=np.int64))
+    src = (np.searchsorted(ends, flat, side="right") % 2).reshape(2 * target_h, 2, target_w)
+    rows = src[:, 0] * (1.0 - fx) + src[:, 1] * fx
+    out = rows[:target_h] * (1.0 - fy[:, None]) + rows[target_h:] * fy[:, None]
     return SoftMask(weights=np.clip(out, 0.0, 1.0))
 
 
 def box_to_full_mask(box: BoundingBox, width: int, height: int) -> tuple[BinaryMask, bool]:
-    """Rasterize a box: 1s exactly on pixels whose centers fall inside it.
+    """The mask whose 1s are exactly the pixels with centers inside the box.
 
-    The box is clamped to the image first.  Returns (mask, ok); ok is False
-    when the clamped box covers no pixel center and the mask is empty.
+    Pixel i (center i + 0.5) is inside iff x1 <= i + 0.5 < x2, with the box
+    clamped to the image; the runs are one 1-run per row, or one in all for
+    whole rows, with no raster.  Returns (mask, ok); ok is False when it is empty.
     """
-    x1 = max(box.x1, 0.0)
-    y1 = max(box.y1, 0.0)
-    x2 = min(box.x2, float(width))
-    y2 = min(box.y2, float(height))
-    arr = np.zeros((height, width), dtype=bool)
-    if x2 > x1 and y2 > y1:
-        # pixel i has center i + 0.5; included iff x1 <= i + 0.5 < x2
-        cx1 = max(math.ceil(x1 - 0.5), 0)
-        cx2 = min(math.ceil(x2 - 0.5), width)
-        cy1 = max(math.ceil(y1 - 0.5), 0)
-        cy2 = min(math.ceil(y2 - 0.5), height)
-        arr[cy1:cy2, cx1:cx2] = True
-    mask = BinaryMask.from_array(arr)
-    return mask, mask.area > 0
+    cx1, cx2 = max(math.ceil(box.x1 - 0.5), 0), min(math.ceil(box.x2 - 0.5), width)
+    cy1, cy2 = max(math.ceil(box.y1 - 0.5), 0), min(math.ceil(box.y2 - 0.5), height)
+    w, rows, total = cx2 - cx1, cy2 - cy1, width * height
+    if w <= 0 or rows <= 0:
+        return BinaryMask(width, height, (total,)), False
+    if w == width:
+        w, rows = w * rows, 1
+    start = cy1 * width + cx1
+    end = start + (rows - 1) * width + w
+    runs = (start, w) + (width - w, w) * (rows - 1) + ((total - end,) if end < total else ())
+    return BinaryMask(width, height, runs), True

@@ -184,16 +184,30 @@ def _mask_to_json(mask: BinaryMask) -> dict:
 
 
 def _mask_from_json(doc: dict) -> BinaryMask:
-    return BinaryMask(width=int(doc["w"]), height=int(doc["h"]), runs=tuple(doc["counts"]))
+    return BinaryMask(width=_json_int(doc["w"], "mask w"), height=_json_int(doc["h"], "mask h"),
+                      runs=tuple(doc["counts"]))
 
 
 def _box_to_json(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _box_from_json(vals: Sequence[float]) -> BoundingBox:
-    x1, y1, x2, y2 = (float(v) for v in vals)
+def _box_from_json(vals: list) -> BoundingBox:
+    x1, y1, x2, y2 = _json_numbers(vals, "box coordinate")
     return BoundingBox(x1, y1, x2, y2)
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # JSON true and false parse to bool, which is no number here
+        raise TypeError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_numbers(values: list, what: str) -> list[float]:
+    if not {int, float}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise TypeError(f"{what} must be a JSON number, got {json.dumps(bad)}")
+    return [float(v) for v in values]
 
 
 def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
@@ -234,7 +248,7 @@ def _invalid_as_format_error(where: str, what: str):
         if str(exc).startswith(where):
             raise
         raise DataFormatError(f"{where}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
 
 
@@ -268,20 +282,20 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         raise DataFormatError(f"{path}: cannot parse manifest ({exc})") from exc
 
     with _invalid_as_format_error(str(path), "manifest"):
-        version = _require(doc, "format_version", str(path))
+        version = _json_int(_require(doc, "format_version", str(path)), "format_version")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format_version {version}")
-        num_classes = int(_require(doc, "num_classes", str(path)))
-        shots = int(_require(doc, "shots", str(path)))
+        num_classes = _json_int(_require(doc, "num_classes", str(path)), "num_classes")
+        shots = _json_int(_require(doc, "shots", str(path)), "shots")
         if num_classes < 1 or shots < 1:
             raise DataFormatError(f"{path}: num_classes and shots must be >= 1")
 
         base = path.parent
         by_id: dict[str, ImageInfo] = {}
         for entry in _require(doc, "images", str(path)):
-            info = ImageInfo(
-                image_id=str(entry["id"]), width=int(entry["width"]), height=int(entry["height"])
-            )
+            info = ImageInfo(image_id=str(entry["id"]),
+                             width=_json_int(entry["width"], "image width"),
+                             height=_json_int(entry["height"], "image height"))
             if info.image_id in by_id:
                 raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
             if info.width < 1 or info.height < 1:
@@ -309,7 +323,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         return by_id[image_id]
 
     def class_of(doc_line: dict, where: str) -> int:
-        class_id = int(_require(doc_line, "class_id", where))
+        class_id = _json_int(_require(doc_line, "class_id", where), "class_id")
         if not 0 <= class_id < num_classes:
             raise DataFormatError(f"{where}: class_id {class_id} outside [0, {num_classes})")
         return class_id
@@ -338,7 +352,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     def parse_proposal(rec: dict, where: str) -> ProposalRecord | None:
         nonlocal dropped, substituted
         info = image_of(rec, where)
-        score = float(_require(rec, "score", where))
+        (score,) = _json_numbers([_require(rec, "score", where)], "score")
         if not 0.0 <= score <= 1.0:
             raise DataFormatError(f"{where}: score {score} outside [0, 1]")
         if score < SCORE_FLOOR:
@@ -355,7 +369,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             substituted += 1
         feature = None
         if rec.get("feature") is not None:
-            feature = np.asarray([float(v) for v in rec["feature"]], dtype=np.float64)
+            feature = np.asarray(_json_numbers(rec["feature"], "feature value"), dtype=np.float64)
             if feature.ndim != 1 or feature.size == 0 or not np.all(np.isfinite(feature)):
                 raise DataFormatError(f"{where}: invalid feature vector")
             if not np.any(feature):
@@ -388,7 +402,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     if dropped:
         log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
     if substituted:
-        log.warning("substituted %d empty proposal masks with box rasters", substituted)
+        log.warning("substituted %d empty proposal masks with their box masks", substituted)
     if len(feature_dims) > 1:
         raise DataFormatError(
             f"inconsistent feature dimensions across inputs: {sorted(feature_dims)}"

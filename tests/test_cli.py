@@ -113,6 +113,49 @@ class TestExitCodes:
         assert f"data error: {protos}: " in capsys.readouterr().err
         assert not out.exists()
 
+    # int() and float() used to coerce each of these values and load the record
+    # (an integer too large for a float ended in an OverflowError traceback)
+    @pytest.mark.parametrize("name, keys, value, message", [
+        ("manifest.json", ("format_version",), True, "format_version must be a JSON integer"),
+        ("manifest.json", ("num_classes",), 3.0, "num_classes must be a JSON integer, got 3.0"),
+        ("manifest.json", ("shots",), True, "shots must be a JSON integer, got true"),
+        ("manifest.json", ("images", 0, "width"), 96.0, "image width must be a JSON integer"),
+        ("manifest.json", ("images", 4, "height"), "96", "image height must be a JSON integer"),
+        ("proposals.jsonl", ("mask", "w"), 96.0, "mask w must be a JSON integer, got 96.0"),
+        ("supports.jsonl", ("mask", "h"), "96", 'mask h must be a JSON integer, got "96"'),
+        ("supports.jsonl", ("class_id",), 1.7, "class_id must be a JSON integer, got 1.7"),
+        ("ground_truth.jsonl", ("class_id",), 0.7, "class_id must be a JSON integer, got 0.7"),
+        ("proposals.jsonl", ("score",), True, "score must be a JSON number, got true"),
+        ("proposals.jsonl", ("score",), "0.5", 'score must be a JSON number, got "0.5"'),
+        ("proposals.jsonl", ("score",), 10**400, "int too large to convert to float"),
+        ("proposals.jsonl", ("box", 2), "40.0", 'box coordinate must be a JSON number'),
+        ("ground_truth.jsonl", ("box", 0), False, "box coordinate must be a JSON number, got false"),
+        ("proposals.jsonl", ("feature", 3), True, "feature value must be a JSON number, got true"),
+        ("proposals.jsonl", ("mask", "counts", 0), float, "RLE run lengths must be integers"),
+        ("supports.jsonl", ("mask", "counts"), lambda c: [*c[:-1], c[-1] - 1, 0, True],
+         "RLE run lengths must be integers"),
+    ], ids=["format-version", "num-classes", "shots", "width", "height", "mask-w", "mask-h", "support-class",
+            "gt-class", "score-bool", "score-str", "score-overflow", "box-str", "box-bool",
+            "feature-bool", "counts-float", "counts-bool"])
+    def test_mistyped_json_value_is_data_error(self, cli_corpus, tmp_path, capsys, name, keys,
+                                               value, message):
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_corpus.parent, ds)
+        path = ds / name
+        docs = ([json.loads(path.read_text())] if name == "manifest.json"
+                else [json.loads(line) for line in path.read_text().splitlines()])
+        doc = docs[0 if name == "manifest.json" else 1]  # a record's is the file's line 2
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]]) if callable(value) else value
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        out = tmp_path / "o"
+        assert main(["run", str(ds / "manifest.json"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        where = str(path) if name == "manifest.json" else f"{path}:2"
+        assert f"data error: {where}: " in err and message in err
+        assert not out.exists()
+
     def test_success_is_0_via_subprocess(self, cli_corpus, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "protodet.cli", "run", str(cli_corpus),

@@ -71,6 +71,27 @@ class TestRle:
         with pytest.raises(DataFormatError):
             BinaryMask(4, 4, (20, -4))
 
+    @pytest.mark.parametrize("runs, message", [
+        ((2, 3), "RLE runs sum to 5, expected 16 for a 4x4 mask"),
+        ((20, -4), "negative run length in RLE"),
+        ((), "RLE runs sum to 0, expected 16"),
+        ((2.9, 13.1), "RLE run lengths must be integers"),
+        ((6.0, 10), "RLE run lengths must be integers"),
+        ((15, True), "RLE run lengths must be integers"),
+        ((15, np.True_), "RLE run lengths must be integers"),
+        (("6", 10), "RLE run lengths must be integers"),
+        ((np.float64(6), 10), "RLE run lengths must be integers"),
+    ])
+    def test_malformed_rle_message(self, runs, message):
+        with pytest.raises(DataFormatError, match=message):
+            BinaryMask(4, 4, runs)
+
+    def test_numpy_integer_runs_stored_as_python_ints(self):
+        mask = BinaryMask(4, 4, (np.int64(6), np.int32(4), np.uint8(6)))
+        assert mask.runs == (6, 4, 6)
+        assert all(type(r) is int for r in mask.runs)
+        assert type(mask.area) is int and mask.area == 4
+
     def test_roundtrip_identity_on_random_rasters(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
@@ -185,7 +206,53 @@ def _bilinear_oracle(src, tw, th):
     return out
 
 
+def _downsample_by_decoding(m, target_w, target_h):
+    """The decode-based resampler that ``mask_downsample`` replaced: it reads
+    the same corner pixels from the full ``H x W`` raster."""
+    src = m.to_array().astype(np.float64)
+    sx = np.clip((np.arange(target_w) + 0.5) * (m.width / target_w) - 0.5, 0.0, m.width - 1.0)
+    sy = np.clip((np.arange(target_h) + 0.5) * (m.height / target_h) - 0.5, 0.0, m.height - 1.0)
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    x1 = np.minimum(x0 + 1, m.width - 1)
+    y1 = np.minimum(y0 + 1, m.height - 1)
+    fx = sx - x0
+    fy = sy - y0
+    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
+    out = top * (1.0 - fy[:, None]) + bot * fy[:, None]
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def _mask_and_target(draw, max_side=12, max_target=16):
+    """Any mask, empty and full included, and any target size, larger than the
+    mask included; runs come from sorted cut points as in ``_same_size_masks``."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    cuts = sorted(draw(st.lists(st.integers(0, w * h), max_size=12)))
+    mask = BinaryMask(w, h, tuple(np.diff([0, *cuts, w * h]).tolist()))
+    return mask, draw(st.integers(1, max_target)), draw(st.integers(1, max_target))
+
+
 class TestDownsample:
+    @settings(deadline=None)
+    @given(_mask_and_target())
+    @example((BinaryMask(4, 4, (2, 3, 0, 0, 0, 2, 9)), 3, 3))  # zero-length interior runs
+    @example((BinaryMask(4, 4, (0, 3, 13)), 2, 2))  # leading 1-run
+    @example((BinaryMask(4, 4, (15, 1)), 4, 4))  # a run ending on the last pixel
+    @example((BinaryMask(5, 3, (0, 15)), 2, 3))  # full mask
+    @example((BinaryMask(1, 1, (0, 1)), 1, 1))  # one-pixel mask
+    @example((BinaryMask(1, 1, (1,)), 3, 2))
+    @example((BinaryMask(7, 5, (8, 4, 3, 4, 16)), 1, 1))  # 1x1 target
+    @example((BinaryMask(3, 2, (1, 2, 1, 2)), 11, 7))  # target larger than the mask
+    def test_equals_decode_based_version_exactly(self, case):
+        mask, tw, th = case
+        got = mask_downsample(mask, tw, th).weights
+        want = _downsample_by_decoding(mask, tw, th)
+        assert got.dtype == want.dtype and got.shape == want.shape == (th, tw)
+        assert got.tobytes() == want.tobytes()
+
     def test_constant_masks_stay_constant(self):
         ones = BinaryMask(6, 5, (0, 30))
         for tw, th in ((2, 2), (3, 7), (11, 1)):
@@ -217,6 +284,21 @@ class TestDownsample:
             assert sm.weights.min() >= 0.0 and sm.weights.max() <= 1.0
 
 
+def _box_mask_by_raster(box, width, height):
+    """The raster-plus-``from_array`` version that ``box_to_full_mask`` replaced."""
+    x1, y1 = max(box.x1, 0.0), max(box.y1, 0.0)
+    x2, y2 = min(box.x2, float(width)), min(box.y2, float(height))
+    arr = np.zeros((height, width), dtype=bool)
+    if x2 > x1 and y2 > y1:
+        cx1 = max(math.ceil(x1 - 0.5), 0)
+        cx2 = min(math.ceil(x2 - 0.5), width)
+        cy1 = max(math.ceil(y1 - 0.5), 0)
+        cy2 = min(math.ceil(y2 - 0.5), height)
+        arr[cy1:cy2, cx1:cx2] = True
+    mask = BinaryMask.from_array(arr)
+    return mask, mask.area > 0
+
+
 class TestBoxToFullMask:
     def test_full_image_box(self):
         mask, ok = box_to_full_mask(BoundingBox(0, 0, 5, 3), 5, 3)
@@ -232,3 +314,40 @@ class TestBoxToFullMask:
         expected = np.zeros((4, 4), dtype=bool)
         expected[1:3, 1:3] = True
         np.testing.assert_array_equal(mask.to_array(), expected)
+
+    @pytest.mark.parametrize("box, width, height", [
+        ((0.0, 0.0, 2.0, 2.0), 6, 5),   # starts on the first pixel: a leading 1-run
+        ((0.0, 1.0, 3.0, 3.0), 6, 5),   # on the left edge
+        ((2.0, 0.0, 9.0, 3.0), 6, 5),   # on the top edge, clamped at the right edge
+        ((1.0, 2.0, 3.0, 7.5), 6, 5),   # clamped at the bottom edge
+        ((4.5, 3.5, 6.0, 5.0), 6, 5),   # ends on the last pixel
+        ((0.0, 0.0, 6.0, 5.0), 6, 5),   # the whole image
+        ((0.0, 1.0, 6.0, 3.0), 6, 5),   # whole rows: one 1-run
+        ((0.2, 3.4, 9.0, 9.0), 6, 5),   # whole rows to the end
+        ((0.0, 0.0, 0.5, 0.5), 6, 5),   # a pixel center on the box's edge is outside
+        ((1.6, 1.0, 2.4, 4.0), 6, 5),   # between two pixel centers
+        ((7.0, 1.0, 9.0, 3.0), 6, 5),   # outside the image
+        ((0.0, 0.0, 1.0, 1.0), 1, 1),
+        ((0.0, 0.5, 1.0, 1.0), 1, 1),
+    ])
+    def test_runs_equal_raster_version(self, box, width, height):
+        box = BoundingBox(*box)
+        got, ok = box_to_full_mask(box, width, height)
+        want, want_ok = _box_mask_by_raster(box, width, height)
+        assert (got.runs, ok) == (want.runs, want_ok)
+
+    def test_runs_equal_raster_version_on_random_boxes(self):
+        rng = np.random.default_rng(11)
+        for k in range(3000):
+            width, height = (int(v) for v in rng.integers(1, 14, size=2))
+            coords = rng.uniform(0.0, max(width, height) + 3.0, size=4)
+            if k % 2:
+                coords = np.round(coords * 2) / 2
+            x1, x2 = sorted(coords[:2])
+            y1, y2 = sorted(coords[2:])
+            if not (x1 < x2 and y1 < y2):
+                continue
+            box = BoundingBox(float(x1), float(y1), float(x2), float(y2))
+            got, ok = box_to_full_mask(box, width, height)
+            want, want_ok = _box_mask_by_raster(box, width, height)
+            assert (got.runs, ok) == (want.runs, want_ok), (box, width, height)

@@ -284,22 +284,36 @@ def _embed(mask, width, height):
 class TestDeclaredDimensions:
     SIDE = 100_000  # a W*H byte array would be 9.3 GiB
 
-    @pytest.fixture(scope="class")
-    def corpora(self, tmp_path_factory):
-        """A small corpus with precomputed query features, and the same corpus
-        with every query image declared SIDE x SIDE and its masks embedded."""
-        tmp = tmp_path_factory.mktemp("declared_dims")
-        small = load_dataset(generate_dataset(GeneratorConfig(seed=17, images=3), tmp / "small"))
+    @classmethod
+    def _declared_huge(cls, small, out):
+        """``small`` with every query image declared SIDE x SIDE and its masks
+        embedded, written to ``out`` and loaded; a query image's feature map
+        takes its image dimensions from the manifest."""
         queries = set(small.query_image_ids())
         huge = replace(
             small,
-            images=[ImageInfo(i.image_id, self.SIDE, self.SIDE) if i.image_id in queries else i
+            images=[ImageInfo(i.image_id, cls.SIDE, cls.SIDE) if i.image_id in queries else i
                     for i in small.images],
-            proposals={image_id: [replace(r, mask=_embed(r.mask, self.SIDE, self.SIDE))
+            proposals={image_id: [replace(r, mask=_embed(r.mask, cls.SIDE, cls.SIDE))
                                   for r in recs]
                        for image_id, recs in small.proposals.items()},
         )
-        return small, load_dataset(write_dataset(huge, tmp / "huge"))
+        return load_dataset(write_dataset(huge, out))
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """A small corpus with precomputed query features, and the same corpus
+        declared huge."""
+        tmp = tmp_path_factory.mktemp("declared_dims")
+        small = load_dataset(generate_dataset(GeneratorConfig(seed=17, images=3), tmp / "small"))
+        return small, self._declared_huge(small, tmp / "huge")
+
+    @pytest.fixture(scope="class")
+    def fmap_corpus(self, tmp_path_factory):
+        """A corpus whose query features are pooled from feature maps, declared huge."""
+        tmp = tmp_path_factory.mktemp("declared_dims_fmap")
+        cfg = GeneratorConfig(seed=17, images=3, query_feature_maps=True)
+        return self._declared_huge(load_dataset(generate_dataset(cfg, tmp / "small")), tmp / "huge")
 
     @pytest.mark.parametrize("method", ["diffusion", "softmerge"])
     def test_run_memory_is_bounded_by_the_runs(self, corpora, method):
@@ -316,3 +330,15 @@ class TestDeclaredDimensions:
         assert report == small_report
         assert {k: [(d.box, d.score) for d in v] for k, v in dets.items()} == {
             k: [(d.box, d.score) for d in v] for k, v in small_dets.items()}
+
+    def test_feature_map_run_memory_is_bounded_by_the_runs(self, fmap_corpus):
+        queries = fmap_corpus.query_image_ids()
+        assert queries and all(fmap_corpus.feature_maps[i].image_w == self.SIDE for i in queries)
+        tracemalloc.start()
+        try:
+            dets, report = run_end_to_end(fmap_corpus, PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        assert sorted(dets) == sorted(queries) and report.det_count > 0

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,21 @@ class TestLoadValidation:
         assert "substituted" in caplog.text
         rec = ds.proposals["q0"][0]
         assert rec.mask.area == 16  # 4x4 box rasterized
+
+    def test_huge_empty_mask_substituted_without_a_raster(self, tmp_path):
+        side = 100_000  # an H x W bool raster would be 9.3 GiB
+        path = _write_manifest(
+            tmp_path, images=[{"id": "q0", "width": side, "height": side}],
+            proposals=[_proposal_row(0.5, w=side, h=side, runs=[side * side])])
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        mask = ds.proposals["q0"][0].mask
+        assert mask.runs == (0, 4, side - 4, 4, side - 4, 4, side - 4, 4, side * side - 3 * side - 4)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, manifest={"format_version": 2})

@@ -1,12 +1,15 @@
-"""Guards for tooling that reaches into the package from outside it."""
+"""Guards for tooling that reaches into the package from outside it, and for
+the package's own layering."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_every_benchmark_hook_binding_resolves(monkeypatch):
@@ -36,3 +39,34 @@ def test_every_all_name_resolves():
             assert missing == [], f"{info.name}.__all__ names missing attributes: {missing}"
             checked.append(info.name)
     assert {"protodet.interchange", "protodet.generator"} <= set(checked)
+
+
+def _raster_calls():
+    """(module, enclosing function) for each call of ``to_array`` and of
+    ``from_array`` in the package's source."""
+    calls = {"to_array": set(), "from_array": set()}
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in calls:
+                calls[name].add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((ROOT / "src" / "protodet").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return calls
+
+
+def test_no_stage_decodes_or_encodes_a_raster():
+    # Masks stay run-length from load to report.  Only the scalar coverage
+    # oracle decodes a mask, and only the generator, which draws its shapes as
+    # rasters, encodes one; a decode anywhere else would allocate W*H, however
+    # large the manifest declares an image.
+    calls = _raster_calls()
+    assert calls["to_array"] == {("geometry", "mask_coverage")}
+    assert {module for module, _ in calls["from_array"]} == {"generator"}
