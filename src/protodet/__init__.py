@@ -11,6 +11,7 @@ from .diffusion import (
     DiffusionResult,
     Proposal,
     build_class_graph,
+    build_class_graphs,
     diffuse,
     diffuse_all_classes,
     refine_scores,
@@ -35,6 +36,7 @@ from .geometry import (
     SoftMask,
     box_area,
     box_iou,
+    box_iou_matrix,
     box_to_full_mask,
     coverage_matrix,
     mask_coverage,
@@ -51,6 +53,7 @@ from .interchange import (
 from .pipeline import (
     METHODS,
     PipelineConfig,
+    QueryImage,
     run_end_to_end,
     run_query_stage,
     run_refine_stage,

@@ -197,14 +197,16 @@ def _usage_error(exc: ValueError) -> int:
 
 def _query_once(args: argparse.Namespace, base: PipelineConfig) -> tuple[Dataset, dict]:
     """Load, resolve prototypes and match every proposal: the stages that no
-    refinement config affects, run once per command."""
+    refinement config affects, run once per command.  The class graphs each
+    image builds on first use are kept, so every config refines from the same
+    ones."""
     dataset = load_dataset(args.manifest)
     prototypes = resolve_prototypes(dataset, base)
     return dataset, run_query_stage(dataset, prototypes)
 
 
-def _refine_and_evaluate(dataset: Dataset, props: dict, cfg: PipelineConfig):
-    detections = run_refine_stage(props, cfg)
+def _refine_and_evaluate(dataset: Dataset, images: dict, cfg: PipelineConfig):
+    detections = run_refine_stage(images, cfg)
     return detections, evaluate(detections, dataset.ground_truth, max_dets=cfg.max_output)
 
 
@@ -225,8 +227,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       max_steps=args.max_steps)
     except ValueError as exc:
         return _usage_error(exc)
-    dataset, props = _query_once(args, cfg)
-    detections, report = _refine_and_evaluate(dataset, props, cfg)
+    dataset, images = _query_once(args, cfg)
+    detections, report = _refine_and_evaluate(dataset, images, cfg)
     paths = export_run(detections, report, args.out or _default_out("run"))
     print(f"nAP={report.nap:.4f} nAP50={report.nap50:.4f} nAP75={report.nap75:.4f}")
     print(paths["detections"].parent)
@@ -246,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = _config(args)  # the shared flags, checked before the query pass
     except ValueError as exc:
         return _usage_error(exc)
-    dataset, props = _query_once(args, base)
+    dataset, images = _query_once(args, base)
     n_images = max(len(dataset.query_image_ids()), 1)
     rows = ["lambda\talpha\tsteps\tnAP50\tsec_per_image"]
     for lam, alpha, steps in itertools.product(
@@ -255,7 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             cfg = _config(args, alpha=alpha, lam=lam, max_steps=steps)
             start = time.perf_counter()
-            _, report = _refine_and_evaluate(dataset, props, cfg)
+            _, report = _refine_and_evaluate(dataset, images, cfg)
             per_image = (time.perf_counter() - start) / n_images
             rows.append(f"{lam!r}\t{alpha!r}\t{steps}\t{report.nap50!r}\t{per_image:.6f}")
         except (ValueError, PipelineError) as exc:
@@ -271,11 +273,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         base = _config(args, alpha=args.alpha, lam=args.lam, max_steps=args.max_steps)
     except ValueError as exc:
         return _usage_error(exc)
-    dataset, props = _query_once(args, base)
+    dataset, images = _query_once(args, base)
     rows = ["method\tnAP\tnAP50\tnAP75"]
     for method in METHODS:
         try:
-            _, report = _refine_and_evaluate(dataset, props, replace(base, method=method))
+            _, report = _refine_and_evaluate(dataset, images, replace(base, method=method))
             rows.append(f"{method}\t{report.nap!r}\t{report.nap50!r}\t{report.nap75!r}")
         except PipelineError as exc:
             print(f"notice: method {method!r} skipped: {exc}", file=sys.stderr)

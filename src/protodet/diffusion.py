@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "ClassGraph",
     "DiffusionResult",
     "build_class_graph",
+    "build_class_graphs",
     "diffuse",
     "refine_scores",
     "diffuse_all_classes",
@@ -83,10 +84,13 @@ class DiffusionParams:
 
 @dataclass(frozen=True, eq=False)
 class ClassGraph:
-    """Dense per-class graph state: edges, priors, and row-normalized transitions."""
+    """Dense per-class graph state: coverage, edges, priors, and row-normalized
+    transitions.  It depends only on the proposals' masks and objectness, so
+    one graph serves every method and every diffusion setting."""
 
     node_ids: tuple[int, ...]
-    edges: np.ndarray       # (N, N), edges[i, j] in [0, 1], zero diagonal
+    coverage: np.ndarray    # (N, N), coverage[i, j] = fraction of i's mask that j covers
+    edges: np.ndarray       # (N, N), coverage masked to j >= i in objectness, zero diagonal
     prior: np.ndarray       # (N,), prior[i] == max_j edges[i, j]
     transition: np.ndarray  # (N, N), rows sum to 1 or are entirely 0
 
@@ -130,7 +134,18 @@ def build_class_graph(
     transition = np.zeros_like(edges)
     nonzero = row_sums > 0.0
     transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    return ClassGraph(node_ids=ids, edges=edges, prior=prior, transition=transition)
+    return ClassGraph(node_ids=ids, coverage=coverage, edges=edges, prior=prior,
+                      transition=transition)
+
+
+def build_class_graphs(props: Sequence[Proposal]) -> dict[int, ClassGraph]:
+    """One graph per predicted class, keyed by class id; node ids are indices
+    into ``props``, in input order."""
+    by_class: dict[int, list[int]] = {}
+    for i, p in enumerate(props):
+        by_class.setdefault(p.pred_class, []).append(i)
+    return {class_id: build_class_graph([props[i] for i in idx], node_ids=idx)
+            for class_id, idx in sorted(by_class.items())}
 
 
 def diffuse(
@@ -182,28 +197,28 @@ def refine_scores(
 
 
 def diffuse_all_classes(
-    props: Sequence[Proposal], params: DiffusionParams
+    props: Sequence[Proposal], graphs: Mapping[int, ClassGraph], params: DiffusionParams
 ) -> list[tuple[Proposal, float]]:
-    """Partition by predicted class, reweight each class graph, concatenate.
+    """Reweight each class graph of ``props`` and concatenate.
 
-    Output order is (class_id ascending, then input order).  Classes are
-    independent of one another; they are handled one after another.
+    ``graphs`` is ``build_class_graphs(props)``; it does not depend on
+    ``params``, so one build serves every setting.  Output order is (class_id
+    ascending, then input order).  Classes are handled one after another.
     """
     if not props:
         raise ValueError("no proposals to reweight")
-    by_class: dict[int, list[int]] = {}
-    for i, p in enumerate(props):
-        by_class.setdefault(p.pred_class, []).append(i)
+    nodes = sum(len(g.node_ids) for g in graphs.values())
+    if nodes != len(props):
+        raise ValueError(f"class graphs hold {nodes} nodes for {len(props)} proposals")
     out: list[tuple[Proposal, float]] = []
-    for class_id in sorted(by_class):
-        idx = by_class[class_id]
-        members = [props[i] for i in idx]
-        graph = build_class_graph(members, node_ids=idx)
+    for class_id in sorted(graphs):
+        graph = graphs[class_id]
+        members = [props[i] for i in graph.node_ids]
         result = diffuse(graph, params)
         if not result.converged:
             log.debug(
                 "class %d graph (%d nodes) hit max_steps=%d without converging",
-                class_id, len(idx), params.max_steps,
+                class_id, len(members), params.max_steps,
             )
         scores = refine_scores(members, result, params.lam)
         out.extend(zip(members, scores))

@@ -22,6 +22,7 @@ __all__ = [
     "SoftMask",
     "box_area",
     "box_iou",
+    "box_iou_matrix",
     "mask_coverage",
     "coverage_matrix",
     "mask_downsample",
@@ -72,6 +73,21 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = iw * ih
     union = box_area(a) + box_area(b) - inter
     return inter / union
+
+
+def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All pairwise IoUs of (n, 4) and (m, 4) ``x1, y1, x2, y2`` rows:
+    ``out[i, j] == box_iou(a[i], b[j])`` bit for bit, by the same operations in
+    the same order, with 0.0 where the intersection is empty."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)[:, None, :]
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    overlap = (iw > 0) & (ih > 0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,9 @@ _PROTO_RECORD = struct.Struct("<II")  # class_id, support_count
 
 SCORE_FLOOR = 0.01
 MAX_PROPOSALS_PER_IMAGE = 500
+# coverage_matrix and mask_downsample count pixels in int64 and float64; every
+# count up to 2**53 is exact in both
+MAX_IMAGE_PIXELS = 2**53
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                 raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
             if info.width < 1 or info.height < 1:
                 raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
+            if info.width * info.height > MAX_IMAGE_PIXELS:
+                raise DataFormatError(f"{path}: image {info.image_id!r} declares "
+                                      f"{info.width}x{info.height} pixels, more than 2**53")
             by_id[info.image_id] = info
 
         feature_maps: dict[str, FeatureMap] = {}

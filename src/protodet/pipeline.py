@@ -3,20 +3,24 @@
 Stage 1 pools each support's masked features and averages them into per-class
 prototypes.  Stage 2 classifies every query proposal by cosine against those
 prototypes (using its precomputed vector when present, else pooling it from
-the image feature map).  Stage 3 rescores with the selected method and keeps
-the best ``max_output`` detections per image.  Stages 2-3 handle one image at a
-time, in image order, on the calling thread; ``PipelineConfig.jobs`` is
-validated but selects no code path, so outputs are identical for any value.
+the image feature map) into one ``QueryImage`` per image, whose class graphs
+are built on first use and then shared by every method and sweep cell that
+reads them.  Stage 3 rescores with the selected method and keeps the best
+``max_output`` detections per image.  Stages 2-3 handle one image at a time,
+in image order, on the calling thread; ``PipelineConfig.jobs`` is validated
+but selects no code path, so outputs are identical for any value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import postproc
-from .diffusion import DiffusionParams, Proposal, diffuse_all_classes
+from .diffusion import (ClassGraph, DiffusionParams, Proposal, build_class_graphs,
+                        diffuse_all_classes)
 from .errors import DataFormatError, PipelineError
 from .evaluation import EvalReport, evaluate
 from .features import (
@@ -32,6 +36,7 @@ from .interchange import Dataset, ProposalRecord, load_dataset, load_prototypes
 __all__ = [
     "METHODS",
     "PipelineConfig",
+    "QueryImage",
     "resolve_prototypes",
     "run_support_stage",
     "run_query_stage",
@@ -44,30 +49,42 @@ SOFT_NMS_SIGMA = 0.5
 WBF_IOU_THR = 0.5
 
 
+@dataclass(frozen=True, eq=False)
+class QueryImage:
+    """One query image's matched proposals and its class graphs, built on first
+    use (``softmerge`` and the diffusion methods read them) and then kept."""
+
+    proposals: tuple[Proposal, ...]
+
+    @cached_property
+    def graphs(self) -> dict[int, ClassGraph]:
+        return build_class_graphs(self.proposals)
+
+
 def _as_detections(scored) -> list[ScoredDetection]:
     return [ScoredDetection(box=p.box, class_id=p.pred_class, score=s, mask=p.mask)
             for p, s in scored]
 
 
-def _raw(props: list[Proposal]) -> list[ScoredDetection]:
-    return _as_detections((p, p.similarity) for p in props)
+def _raw(image: QueryImage) -> list[ScoredDetection]:
+    return _as_detections((p, p.similarity) for p in image.proposals)
 
 
-def _diffused(props: list[Proposal], cfg: PipelineConfig) -> list[ScoredDetection]:
-    return _as_detections(diffuse_all_classes(props, cfg.diffusion))
+def _diffused(image: QueryImage, cfg: PipelineConfig) -> list[ScoredDetection]:
+    return _as_detections(diffuse_all_classes(image.proposals, image.graphs, cfg.diffusion))
 
 
-# Rescoring methods, name -> fn(props, cfg), in report order.  The entries look
+# Rescoring methods, name -> fn(image, cfg), in report order.  The entries look
 # up the postproc functions and diffuse_all_classes when called, not at import,
 # so a rebinding of those names (a wrapper, a test double) takes effect.
-METHODS: dict[str, Callable[[list[Proposal], PipelineConfig], list[ScoredDetection]]] = {
-    "none": lambda props, cfg: _raw(props),
-    "nms": lambda props, cfg: postproc.nms(_raw(props), NMS_IOU_THR),
-    "softnms": lambda props, cfg: postproc.soft_nms(_raw(props), SOFT_NMS_SIGMA),
-    "wbf": lambda props, cfg: postproc.wbf(_raw(props), WBF_IOU_THR),
-    "softmerge": lambda props, cfg: postproc.soft_merge(_raw(props)),
+METHODS: dict[str, Callable[[QueryImage, PipelineConfig], list[ScoredDetection]]] = {
+    "none": lambda image, cfg: _raw(image),
+    "nms": lambda image, cfg: postproc.nms(_raw(image), NMS_IOU_THR),
+    "softnms": lambda image, cfg: postproc.soft_nms(_raw(image), SOFT_NMS_SIGMA),
+    "wbf": lambda image, cfg: postproc.wbf(_raw(image), WBF_IOU_THR),
+    "softmerge": lambda image, cfg: postproc.soft_merge(_raw(image), image.graphs),
     "diffusion": _diffused,
-    "diffusion+nms": lambda props, cfg: postproc.nms(_diffused(props, cfg), NMS_IOU_THR),
+    "diffusion+nms": lambda image, cfg: postproc.nms(_diffused(image, cfg), NMS_IOU_THR),
 }
 
 
@@ -139,35 +156,35 @@ def _match_one(
 
 def run_query_stage(
     dataset: Dataset, prototypes: Sequence[ClassPrototype]
-) -> dict[str, list[Proposal]]:
+) -> dict[str, QueryImage]:
     """Classify every proposal of every query image against the prototypes."""
     if not prototypes:
         raise PipelineError("query stage: no prototypes")
-    out: dict[str, list[Proposal]] = {}
+    out: dict[str, QueryImage] = {}
     for image_id in dataset.query_image_ids():
         try:
-            out[image_id] = [
+            out[image_id] = QueryImage(tuple(
                 _match_one(rec, dataset, prototypes) for rec in dataset.proposals[image_id]
-            ]
+            ))
         except ValueError as exc:
             raise PipelineError(f"query stage: image {image_id!r}: {exc}") from exc
     return out
 
 
-def _refine_one_image(props: list[Proposal], cfg: PipelineConfig) -> list[ScoredDetection]:
-    if not props:
+def _refine_one_image(image: QueryImage, cfg: PipelineConfig) -> list[ScoredDetection]:
+    if not image.proposals:
         return []
-    return topk_by_score(METHODS[cfg.method](props, cfg), cfg.max_output)
+    return topk_by_score(METHODS[cfg.method](image, cfg), cfg.max_output)
 
 
 def run_refine_stage(
-    props_by_image: Mapping[str, list[Proposal]], cfg: PipelineConfig
+    images: Mapping[str, QueryImage], cfg: PipelineConfig
 ) -> dict[str, list[ScoredDetection]]:
     """Apply the configured rescoring method and cap detections per image."""
     out: dict[str, list[ScoredDetection]] = {}
-    for image_id, props in props_by_image.items():
+    for image_id, image in images.items():
         try:
-            out[image_id] = _refine_one_image(props, cfg)
+            out[image_id] = _refine_one_image(image, cfg)
         except ValueError as exc:
             raise PipelineError(f"refine stage: image {image_id!r}: {exc}") from exc
     return out
@@ -200,7 +217,7 @@ def run_end_to_end(
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
     prototypes = resolve_prototypes(dataset, cfg)
-    props = run_query_stage(dataset, prototypes)
-    detections = run_refine_stage(props, cfg)
+    images = run_query_stage(dataset, prototypes)
+    detections = run_refine_stage(images, cfg)
     report = evaluate(detections, dataset.ground_truth, max_dets=cfg.max_output)
     return detections, report

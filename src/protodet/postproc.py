@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from .geometry import BinaryMask, BoundingBox, box_iou, coverage_matrix
+from .diffusion import ClassGraph
+from .geometry import BinaryMask, BoundingBox, box_iou, box_iou_matrix
 # unused here, but benchmark tracing counts calls through this module's binding
 from .geometry import mask_coverage  # noqa: F401
 
@@ -50,6 +52,12 @@ def _ranked_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
     return by_class
 
 
+def _iou_matrix(dets: list[ScoredDetection], idx: list[int]) -> list[list[float]]:
+    """IoU of every pair of ``dets[idx]``, rows and columns in ``idx`` order."""
+    boxes = np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
+    return box_iou_matrix(boxes, boxes).tolist()
+
+
 def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
     """Greedy hard suppression: drop any box whose IoU with a kept, higher-scored
     box of the same class exceeds the threshold."""
@@ -57,28 +65,31 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     kept: list[int] = []
     for idx in _ranked_by_class(dets).values():
+        iou = _iou_matrix(dets, idx)
         kept_here: list[int] = []
-        for i in idx:
-            if all(box_iou(dets[i].box, dets[j].box) <= iou_thr for j in kept_here):
-                kept_here.append(i)
-        kept += kept_here
+        for r in range(len(idx)):
+            if all(iou[r][k] <= iou_thr for k in kept_here):
+                kept_here.append(r)
+        kept += [idx[r] for r in kept_here]
     return _by_score([dets[i] for i in sorted(kept)])
 
 
 def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDetection]:
     """Gaussian score decay: instead of removal, every not-yet-selected box's
-    score is multiplied by exp(-iou^2 / sigma) against each selected box."""
+    score is multiplied by exp(-iou^2 / sigma) against each selected box.  Of
+    equal decayed scores, the lowest input position is selected first."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
     for idx in _ranked_by_class(dets).values():
-        current = {i: dets[i].score for i in idx}
+        iou = _iou_matrix(dets, idx)
+        current = {r: dets[i].score for r, i in enumerate(idx)}  # keyed by position in idx
         while current:
-            top = min(current, key=lambda i: (-current[i], i))
-            final[top] = current.pop(top)
-            for i in current:
-                iou = box_iou(dets[top].box, dets[i].box)
-                current[i] *= math.exp(-(iou * iou) / sigma)
+            top = min(current, key=lambda r: (-current[r], idx[r]))
+            final[idx[top]] = current.pop(top)
+            row = iou[top]
+            for r in current:
+                current[r] *= math.exp(-(row[r] * row[r]) / sigma)
     return _by_score([replace(d, score=final[i]) for i, d in enumerate(dets)])
 
 
@@ -116,17 +127,24 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
     return _by_score(fused_out)
 
 
-def soft_merge(dets: list[ScoredDetection]) -> list[ScoredDetection]:
+def soft_merge(
+    dets: list[ScoredDetection], graphs: Mapping[int, ClassGraph]
+) -> list[ScoredDetection]:
     """Single-pass mask-coverage decay: walking each class by descending score,
     a detection keeps score * (1 - max coverage of its mask by any
-    higher-ranked mask).  A fully swallowed fragment drops to zero."""
-    if any(d.mask is None for d in dets):
-        raise ValueError("soft merging requires a mask on every detection")
+    higher-ranked mask).  A fully swallowed fragment drops to zero.  The
+    coverage is read from ``graphs``, the ``build_class_graphs`` of the
+    proposals ``dets`` were made from, permuted into rank order."""
     new_scores: dict[int, float] = {}
-    for order in _ranked_by_class(dets).values():
-        cov = coverage_matrix([dets[i].mask for i in order])
-        for rank, i in enumerate(order):
-            penalty = float(cov[rank, :rank].max(initial=0.0))
+    for class_id, order in _ranked_by_class(dets).items():
+        graph = graphs.get(class_id)
+        if graph is None or sorted(graph.node_ids) != sorted(order):
+            raise ValueError(f"no class graph over the class {class_id} detections")
+        pos = {node: k for k, node in enumerate(graph.node_ids)}
+        perm = [pos[i] for i in order]
+        cov = graph.coverage[np.ix_(perm, perm)]
+        penalties = np.tril(cov, -1).max(axis=1, initial=0.0).tolist()
+        for i, penalty in zip(order, penalties):
             new_scores[i] = dets[i].score * (1.0 - penalty)
     return _by_score([replace(d, score=new_scores[i]) for i, d in enumerate(dets)])
 

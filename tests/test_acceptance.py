@@ -183,9 +183,9 @@ def test_criterion_5_fragmentation_suppression(acceptance_dataset):
 
     params = DiffusionParams()
     frag_base, frag_final, good_base, good_final = [], [], [], []
-    for image_id, image_props in props.items():
+    for image_id, image in props.items():
         gts = gt_by_image.get(image_id, [])
-        for p, final in diffuse_all_classes(image_props, params):
+        for p, final in diffuse_all_classes(image.proposals, image.graphs, params):
             best_iou = max((box_iou(p.box, g) for g in gts), default=0.0)
             if best_iou > 0.75:
                 good_base.append(p.similarity)

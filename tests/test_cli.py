@@ -14,7 +14,7 @@ from protodet.diffusion import DiffusionParams
 from protodet.features import ClassPrototype
 from protodet.generator import GeneratorConfig
 from protodet.interchange import load_dataset, save_prototypes
-from protodet.pipeline import PipelineConfig, run_support_stage
+from protodet.pipeline import PipelineConfig, run_query_stage, run_support_stage
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +493,37 @@ class TestSharedQueryPass:
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         assert main([argv[0], str(cli_corpus), *argv[1:], "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+
+    @pytest.fixture(scope="class")
+    def image_class_pairs(self, cli_corpus):
+        ds = load_dataset(cli_corpus)
+        images = run_query_stage(ds, run_support_stage(ds))
+        return sum(len({p.pred_class for p in im.proposals}) for im in images.values())
+
+    @staticmethod
+    def _graph_builds(monkeypatch, argv):
+        import protodet.diffusion
+
+        calls = []
+        original = protodet.diffusion.build_class_graph
+        monkeypatch.setattr(protodet.diffusion, "build_class_graph",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        assert main(argv) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("argv", [["sweep", *GRID], ["compare"],
+                                      ["run", "--method", "diffusion"],
+                                      ["run", "--method", "softmerge"]],
+                             ids=["sweep", "compare", "run-diffusion", "run-softmerge"])
+    def test_each_class_graph_is_built_once(self, cli_corpus, tmp_path, monkeypatch,
+                                            image_class_pairs, argv):
+        argv = [argv[0], str(cli_corpus), *argv[1:], "--out", str(tmp_path / "o")]
+        assert self._graph_builds(monkeypatch, argv) == image_class_pairs > 0
+
+    @pytest.mark.parametrize("method", ["none", "nms", "softnms", "wbf"])
+    def test_graphless_methods_build_no_graph(self, cli_corpus, tmp_path, monkeypatch, method):
+        argv = ["run", str(cli_corpus), "--method", method, "--out", str(tmp_path / "o")]
+        assert self._graph_builds(monkeypatch, argv) == 0
 
     def test_every_sweep_cell_matches_cmd_run(self, cli_corpus, tmp_path):
         assert main(["sweep", str(cli_corpus), *self.GRID, "--out", str(tmp_path / "sw")]) == 0

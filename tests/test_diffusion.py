@@ -13,6 +13,7 @@ from protodet.diffusion import (
     DiffusionParams,
     Proposal,
     build_class_graph,
+    build_class_graphs,
     diffuse,
     diffuse_all_classes,
     refine_scores,
@@ -244,8 +245,8 @@ from protodet.diffusion import (
 from protodet.geometry import BinaryMask, BoundingBox
 
 raised = []
-g = ClassGraph(node_ids=(0,), edges=np.zeros((1, 1)), prior=np.array([2.0]),
-               transition=np.zeros((1, 1)))
+g = ClassGraph(node_ids=(0,), coverage=np.ones((1, 1)), edges=np.zeros((1, 1)),
+               prior=np.array([2.0]), transition=np.zeros((1, 1)))
 try:
     diffuse(g, DiffusionParams())
 except ValueError:
@@ -297,12 +298,16 @@ def _oracle_reweight(props, alpha, lam, tau, max_steps):
     return final
 
 
+def _diffuse_all(props, params):
+    return diffuse_all_classes(props, build_class_graphs(props), params)
+
+
 class TestDiffuseAllClasses:
     def test_single_class_equals_direct_path(self):
         rng = np.random.default_rng(9)
         props = random_class_props(rng, 8, class_id=2)
         params = DiffusionParams()
-        combined = diffuse_all_classes(props, params)
+        combined = diffuse_all_classes(props, build_class_graphs(props), params)
         g = build_class_graph(props)
         direct = refine_scores(props, diffuse(g, params), params.lam)
         assert [s for _, s in combined] == direct
@@ -312,8 +317,8 @@ class TestDiffuseAllClasses:
         props_a = random_class_props(rng, 5, class_id=0)
         props_b = random_class_props(rng, 6, class_id=1)
         params = DiffusionParams()
-        combined = diffuse_all_classes(props_a + props_b, params)
-        alone = diffuse_all_classes(props_a, params) + diffuse_all_classes(props_b, params)
+        combined = _diffuse_all(props_a + props_b, params)
+        alone = _diffuse_all(props_a, params) + _diffuse_all(props_b, params)
         assert [s for _, s in combined] == [s for _, s in alone]
         assert [id(p) for p, _ in combined] == [id(p) for p, _ in alone]
 
@@ -329,7 +334,7 @@ class TestDiffuseAllClasses:
             expected = _oracle_reweight(
                 props, params.alpha, params.lam, params.tau, params.max_steps
             )
-            got = diffuse_all_classes(props, params)
+            got = _diffuse_all(props, params)
             by_identity = {id(props[i]): expected[i] for i in range(len(props))}
             assert len(got) == len(props)
             for p, score in got:
@@ -337,4 +342,4 @@ class TestDiffuseAllClasses:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            diffuse_all_classes([], DiffusionParams())
+            diffuse_all_classes([], {}, DiffusionParams())

@@ -11,6 +11,7 @@ from protodet.geometry import (
     BoundingBox,
     box_area,
     box_iou,
+    box_iou_matrix,
     box_to_full_mask,
     coverage_matrix,
     mask_coverage,
@@ -55,6 +56,36 @@ def test_box_iou_properties():
         assert iou == box_iou(b, a)
         assert 0.0 <= iou <= 1.0
         assert box_iou(a, a) == 1.0
+
+
+_coord = st.one_of(st.integers(0, 40).map(lambda k: k / 2),  # half-integers: touching, nested
+                   st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _box(draw):
+    x1, x2 = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def _rows(boxes):
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+class TestBoxIouMatrix:
+    @settings(deadline=None)
+    @given(st.lists(_box(), max_size=6), st.lists(_box(), min_size=1, max_size=6))
+    @example([BoundingBox(0, 0, 2, 2)], [BoundingBox(2, 0, 4, 2), BoundingBox(0, 2, 2, 4)])  # touching
+    @example([BoundingBox(0, 0, 1, 1)], [BoundingBox(5, 5, 7, 7)])  # disjoint
+    @example([BoundingBox(0, 0, 10, 10)], [BoundingBox(2.5, 2, 3, 3.5)])  # nested
+    @example([BoundingBox(1.5, 2.5, 3.5, 4.5)], [BoundingBox(1.5, 2.5, 3.5, 4.5)])  # identical
+    @example([BoundingBox(0.5, 0.5, 2.5, 1.5)], [BoundingBox(1.5, 0.0, 3.5, 2.5)])  # half-integers
+    @example([BoundingBox(0.1, 0.2, 0.7, 0.3)], [BoundingBox(0.3, 0.1, 0.9, 0.25)])  # inexact floats
+    def test_equals_box_iou_exactly(self, a, b):
+        got = box_iou_matrix(_rows(a), _rows(b))
+        assert got.dtype == np.float64 and got.shape == (len(a), len(b))
+        assert got.tolist() == [[box_iou(x, y) for y in b] for x in a]
 
 
 class TestRle:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_CFG
+from protodet.cli import main
 from protodet.diffusion import DiffusionParams
 from protodet.errors import PipelineError
 from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, cosine
@@ -108,7 +109,7 @@ class TestQueryStage:
             ClassPrototype(class_id=1, vector=np.array([0.0, 1.0]), support_count=1),
         ]
         props = run_query_stage(ds, protos)
-        (p,) = props["q0"]
+        (p,) = props["q0"].proposals
         assert p.pred_class == 0
         assert p.similarity == pytest.approx(1.0, abs=1e-12)
 
@@ -118,13 +119,13 @@ class TestQueryStage:
             ClassPrototype(class_id=0, vector=np.array([1.0, 0.0]), support_count=1),
             ClassPrototype(class_id=2, vector=np.array([1.0, 0.0]), support_count=1),
         ]
-        (p,) = run_query_stage(ds, protos)["q0"]
+        (p,) = run_query_stage(ds, protos)["q0"].proposals
         assert p.pred_class == 0 and p.similarity == 0.0
 
     def test_pooled_path_used_when_no_precomputed_feature(self):
         ds = _tiny_dataset(support_vec=(1.0, 0.0), with_query_fmap=True)
         protos = run_support_stage(ds)
-        (p,) = run_query_stage(ds, protos)["q0"]
+        (p,) = run_query_stage(ds, protos)["q0"].proposals
         assert p.similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_feature_and_map_is_pipeline_error(self):
@@ -138,7 +139,7 @@ class TestQueryStage:
         protos = run_support_stage(acceptance_dataset)
         props = run_query_stage(acceptance_dataset, protos)
         image_id = acceptance_dataset.query_image_ids()[0]
-        for rec, p in zip(acceptance_dataset.proposals[image_id], props[image_id]):
+        for rec, p in zip(acceptance_dataset.proposals[image_id], props[image_id].proposals):
             sims = [cosine(rec.feature, q.vector) for q in protos]
             best = max(range(len(sims)), key=lambda i: (sims[i], -protos[i].class_id))
             assert p.pred_class == protos[best].class_id
@@ -176,8 +177,8 @@ class TestRefineStage:
         cfg = PipelineConfig(method="diffusion", diffusion=DiffusionParams(alpha=alpha, lam=lam))
         dets = run_refine_stage(props, cfg)["q0"]
         by_box = {d.box.as_tuple(): d.score for d in dets}
-        whole_sim = props["q0"][0].similarity
-        frag_sim = props["q0"][1].similarity
+        whole_sim = props["q0"].proposals[0].similarity
+        frag_sim = props["q0"].proposals[1].similarity
         assert by_box[(0, 0, 8, 8)] == whole_sim
         assert by_box[(0, 0, 4, 8)] == (1.0 - (1.0 - alpha)) ** lam * frag_sim
 
@@ -285,20 +286,19 @@ class TestDeclaredDimensions:
     SIDE = 100_000  # a W*H byte array would be 9.3 GiB
 
     @classmethod
-    def _declared_huge(cls, small, out):
-        """``small`` with every query image declared SIDE x SIDE and its masks
-        embedded, written to ``out`` and loaded; a query image's feature map
-        takes its image dimensions from the manifest."""
+    def _declared_huge(cls, small, out, side=SIDE):
+        """``small`` with every query image declared side x side and its masks
+        embedded, written to ``out``; returns the manifest path.  A query
+        image's feature map takes its image dimensions from the manifest."""
         queries = set(small.query_image_ids())
         huge = replace(
             small,
-            images=[ImageInfo(i.image_id, cls.SIDE, cls.SIDE) if i.image_id in queries else i
+            images=[ImageInfo(i.image_id, side, side) if i.image_id in queries else i
                     for i in small.images],
-            proposals={image_id: [replace(r, mask=_embed(r.mask, cls.SIDE, cls.SIDE))
-                                  for r in recs]
+            proposals={image_id: [replace(r, mask=_embed(r.mask, side, side)) for r in recs]
                        for image_id, recs in small.proposals.items()},
         )
-        return load_dataset(write_dataset(huge, out))
+        return write_dataset(huge, out)
 
     @pytest.fixture(scope="class")
     def corpora(self, tmp_path_factory):
@@ -306,14 +306,15 @@ class TestDeclaredDimensions:
         declared huge."""
         tmp = tmp_path_factory.mktemp("declared_dims")
         small = load_dataset(generate_dataset(GeneratorConfig(seed=17, images=3), tmp / "small"))
-        return small, self._declared_huge(small, tmp / "huge")
+        return small, load_dataset(self._declared_huge(small, tmp / "huge"))
 
     @pytest.fixture(scope="class")
     def fmap_corpus(self, tmp_path_factory):
         """A corpus whose query features are pooled from feature maps, declared huge."""
         tmp = tmp_path_factory.mktemp("declared_dims_fmap")
         cfg = GeneratorConfig(seed=17, images=3, query_feature_maps=True)
-        return self._declared_huge(load_dataset(generate_dataset(cfg, tmp / "small")), tmp / "huge")
+        small = load_dataset(generate_dataset(cfg, tmp / "small"))
+        return load_dataset(self._declared_huge(small, tmp / "huge"))
 
     @pytest.mark.parametrize("method", ["diffusion", "softmerge"])
     def test_run_memory_is_bounded_by_the_runs(self, corpora, method):
@@ -330,6 +331,14 @@ class TestDeclaredDimensions:
         assert report == small_report
         assert {k: [(d.box, d.score) for d in v] for k, v in dets.items()} == {
             k: [(d.box, d.score) for d in v] for k, v in small_dets.items()}
+
+    def test_image_over_2_53_pixels_is_data_error(self, corpora, tmp_path, capsys):
+        # pixel counts of 10**20 would overflow the kernels' int64 arithmetic
+        small, _ = corpora
+        manifest = self._declared_huge(small, tmp_path / "ds", side=10**10)
+        assert main(["run", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(small.query_image_ids()[0]) in err
 
     def test_feature_map_run_memory_is_bounded_by_the_runs(self, fmap_corpus):
         queries = fmap_corpus.query_image_ids()

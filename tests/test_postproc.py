@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_mask
+from protodet.diffusion import Proposal, build_class_graphs
 from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
 from protodet.postproc import (
     ScoredDetection,
@@ -21,6 +25,95 @@ def _det(box, score, class_id=0, mask=None):
 
 def _mask(arr):
     return BinaryMask.from_array(np.asarray(arr, dtype=bool))
+
+
+def _graphs(dets):
+    """The class graphs over ``dets``' masks, as the pipeline builds them from
+    the proposals the detections come from."""
+    return build_class_graphs([
+        Proposal(box=d.box, mask=d.mask, upn_score=0.5, feature=np.ones(1),
+                 pred_class=d.class_id, similarity=d.score)
+        for d in dets
+    ])
+
+
+def _soft_merge(dets):
+    return soft_merge(dets, _graphs(dets))
+
+
+def _ranked_by_class_reference(dets):
+    by_class = {}
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        by_class.setdefault(dets[i].class_id, []).append(i)
+    return by_class
+
+
+def _nms_reference(dets, iou_thr):
+    """Greedy NMS with one box_iou call per pair: the loop nms replaced."""
+    kept = []
+    for idx in _ranked_by_class_reference(dets).values():
+        kept_here = []
+        for i in idx:
+            if all(box_iou(dets[i].box, dets[j].box) <= iou_thr for j in kept_here):
+                kept_here.append(i)
+        kept += kept_here
+    return sorted((dets[i] for i in sorted(kept)), key=lambda d: -d.score)
+
+
+def _soft_nms_reference(dets, sigma):
+    """Gaussian Soft-NMS with one box_iou call per pair: the loop soft_nms replaced."""
+    final = {}
+    for idx in _ranked_by_class_reference(dets).values():
+        current = {i: dets[i].score for i in idx}
+        while current:
+            top = min(current, key=lambda i: (-current[i], i))
+            final[top] = current.pop(top)
+            for i in current:
+                iou = box_iou(dets[top].box, dets[i].box)
+                current[i] *= math.exp(-(iou * iou) / sigma)
+    return sorted((replace(d, score=final[i]) for i, d in enumerate(dets)),
+                  key=lambda d: -d.score)
+
+
+@st.composite
+def _detections(draw):
+    """Multi-class detections on a half-pixel grid, so boxes touch, nest and
+    repeat, with scores from a short list, so input scores tie."""
+    dets = []
+    for _ in range(draw(st.integers(0, 14))):
+        x1, x2 = sorted(draw(st.lists(st.integers(0, 24), min_size=2, max_size=2, unique=True)))
+        y1, y2 = sorted(draw(st.lists(st.integers(0, 24), min_size=2, max_size=2, unique=True)))
+        score = draw(st.sampled_from([0.25, 0.5, 0.5, 0.75, 0.9]))
+        dets.append(_det((x1 / 2, y1 / 2, x2 / 2, y2 / 2), score, class_id=draw(st.integers(0, 2))))
+    return dets
+
+
+class TestNmsFamilyAgainstPerPairLoops:
+    @settings(deadline=None)
+    @given(_detections(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    def test_nms_equals_reference(self, dets, iou_thr):
+        assert nms(dets, iou_thr) == _nms_reference(dets, iou_thr)
+
+    @settings(deadline=None)
+    @given(_detections(), st.sampled_from([0.1, 0.5, 2.0]))
+    def test_soft_nms_equals_reference(self, dets, sigma):
+        got = soft_nms(dets, sigma)
+        assert got == _soft_nms_reference(dets, sigma)
+        assert all(type(d.score) is float for d in got)
+
+    def test_equal_decayed_scores_select_the_lowest_input_position(self):
+        # after a is selected, b decays to exactly c's score; c comes first in the
+        # input but after b in the input-score ranking, and must be selected first
+        a = _det((0, 0, 10, 10), 0.9)
+        b = _det((5, 0, 15, 10), 0.8)  # iou(a, b) = 1/3
+        decay = math.exp(-(box_iou(a.box, b.box) ** 2) / 0.5)
+        c = _det((12, 0, 22, 10), 0.8 * decay)  # disjoint from a, overlaps b
+        dets = [a, c, b]
+        got = soft_nms(dets, 0.5)
+        assert got == _soft_nms_reference(dets, 0.5)
+        later = 0.8 * decay * math.exp(-(box_iou(c.box, b.box) ** 2) / 0.5)
+        assert [(d.box, d.score) for d in got] == [
+            (a.box, 0.9), (c.box, 0.8 * decay), (b.box, later)]
 
 
 class TestNms:
@@ -146,7 +239,7 @@ class TestSoftMerge:
         whole = _det((0, 0, 4, 4), 0.9, mask=_mask(np.ones((4, 4))))
         frag_arr = np.zeros((4, 4)); frag_arr[1:3, 1:3] = 1
         frag = _det((1, 1, 3, 3), 0.6, mask=_mask(frag_arr))
-        out = soft_merge([whole, frag])
+        out = _soft_merge([whole, frag])
         scores = {d.box.as_tuple(): d.score for d in out}
         assert scores[(0, 0, 4, 4)] == 0.9
         assert scores[(1, 1, 3, 3)] == 0.0
@@ -156,14 +249,14 @@ class TestSoftMerge:
         right = np.zeros((4, 4)); right[:, 2:] = 1
         a = _det((0, 0, 2, 4), 0.9, mask=_mask(left))
         b = _det((2, 0, 4, 4), 0.7, mask=_mask(right))
-        assert [d.score for d in soft_merge([a, b])] == [0.9, 0.7]
+        assert [d.score for d in _soft_merge([a, b])] == [0.9, 0.7]
 
     def test_half_coverage_by_hand(self):
         whole = np.zeros((4, 4)); whole[:, :2] = 1
         half = np.zeros((4, 4)); half[:, 1:3] = 1  # half of it under the whole
         a = _det((0, 0, 2, 4), 0.9, mask=_mask(whole))
         b = _det((1, 0, 3, 4), 0.6, mask=_mask(half))
-        out = soft_merge([a, b])
+        out = _soft_merge([a, b])
         scores = {d.box.as_tuple(): d.score for d in out}
         assert scores[(1, 0, 3, 4)] == pytest.approx(0.3)
 
@@ -177,7 +270,7 @@ class TestSoftMerge:
                     arr[0, 0] = True
                 dets.append(_det((0, 0, 6, 6), float(rng.uniform(0, 1)), mask=_mask(arr)))
             top = max(range(len(dets)), key=lambda i: (dets[i].score, -i))
-            out = soft_merge(dets)
+            out = _soft_merge(dets)
             assert out[0].score == dets[top].score
 
     def test_matches_per_pair_reference(self):
@@ -200,15 +293,19 @@ class TestSoftMerge:
                 score = float(rng.choice([0.25, 0.5, rng.uniform(0.01, 1.0)]))  # ties too
                 dets.append(_det(box, score, class_id=int(rng.integers(0, 3)), mask=mask))
             want = reference(dets)
-            got = soft_merge(dets)
+            got = _soft_merge(dets)
             assert [(d.score, d.box, d.class_id) for d in got] == [
                 (s, dets[i].box, dets[i].class_id) for s, i in want
             ]
             assert all(type(d.score) is float for d in got)
 
-    def test_missing_mask_rejected(self):
-        with pytest.raises(ValueError):
-            soft_merge([_det((0, 0, 2, 2), 0.5)])
+    def test_detections_without_their_class_graph_rejected(self):
+        a = _det((0, 0, 2, 2), 0.9, mask=_mask(np.ones((2, 2))))
+        b = _det((0, 0, 1, 2), 0.5, mask=_mask([[1, 0], [1, 0]]))
+        with pytest.raises(ValueError, match="class 0"):
+            soft_merge([a, b], {})
+        with pytest.raises(ValueError, match="class 0"):
+            soft_merge([a, b], _graphs([a]))
 
 
 class TestTopK:

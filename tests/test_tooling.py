@@ -41,10 +41,10 @@ def test_every_all_name_resolves():
     assert {"protodet.interchange", "protodet.generator"} <= set(checked)
 
 
-def _raster_calls():
-    """(module, enclosing function) for each call of ``to_array`` and of
-    ``from_array`` in the package's source."""
-    calls = {"to_array": set(), "from_array": set()}
+def _calls(*names):
+    """(module, enclosing function) for each call of each of ``names`` in the
+    package's source."""
+    calls = {name: set() for name in names}
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -67,6 +67,15 @@ def test_no_stage_decodes_or_encodes_a_raster():
     # oracle decodes a mask, and only the generator, which draws its shapes as
     # rasters, encodes one; a decode anywhere else would allocate W*H, however
     # large the manifest declares an image.
-    calls = _raster_calls()
+    calls = _calls("to_array", "from_array")
     assert calls["to_array"] == {("geometry", "mask_coverage")}
     assert {module for module, _ in calls["from_array"]} == {"generator"}
+
+
+def test_overlap_is_computed_once_per_image_class():
+    # Mask coverage comes only from the class graph, which every method that
+    # needs it shares; box IoU pair by pair only where no matrix fits: wbf's
+    # fused box moves as it grows, and the evaluator reads each IoU once.
+    calls = _calls("coverage_matrix", "box_iou")
+    assert calls["coverage_matrix"] == {("diffusion", "build_class_graph")}
+    assert {call for call in calls["box_iou"] if call[0] != "evaluation"} == {("postproc", "wbf")}
