@@ -28,11 +28,12 @@ from .pipeline import (
     METHODS,
     PipelineConfig,
     resolve_prototypes,
+    run_end_to_end,
     run_query_stage,
     run_refine_stage,
 )
-# unused here, but benchmark tracing wraps these stages through these bindings
-from .pipeline import run_end_to_end, run_support_stage  # noqa: F401
+# unused here, but benchmark tracing wraps this stage through this binding
+from .pipeline import run_support_stage  # noqa: F401
 
 ENV_OUTPUT_DIR = "PROTODET_OUTPUT_DIR"
 
@@ -227,8 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       max_steps=args.max_steps)
     except ValueError as exc:
         return _usage_error(exc)
-    dataset, images = _query_once(args, cfg)
-    detections, report = _refine_and_evaluate(dataset, images, cfg)
+    detections, report = run_end_to_end(args.manifest, cfg)
     paths = export_run(detections, report, args.out or _default_out("run"))
     print(f"nAP={report.nap:.4f} nAP50={report.nap50:.4f} nAP75={report.nap75:.4f}")
     print(paths["detections"].parent)

@@ -84,15 +84,36 @@ class DiffusionParams:
 
 @dataclass(frozen=True, eq=False)
 class ClassGraph:
-    """Dense per-class graph state: coverage, edges, priors, and row-normalized
-    transitions.  It depends only on the proposals' masks and objectness, so
-    one graph serves every method and every diffusion setting."""
+    """A class's proposals and their pairwise mask coverage; ``edges``, ``prior``
+    and ``transition`` are derived from these on each read.  One graph serves
+    every method and every diffusion setting."""
 
     node_ids: tuple[int, ...]
-    coverage: np.ndarray    # (N, N), coverage[i, j] = fraction of i's mask that j covers
-    edges: np.ndarray       # (N, N), coverage masked to j >= i in objectness, zero diagonal
-    prior: np.ndarray       # (N,), prior[i] == max_j edges[i, j]
-    transition: np.ndarray  # (N, N), rows sum to 1 or are entirely 0
+    members: tuple[Proposal, ...]  # in node order
+    coverage: np.ndarray  # (N, N), coverage[i, j] = fraction of i's mask that j covers
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(N, N): coverage where j's objectness is at least i's, zero diagonal."""
+        scores = np.array([p.upn_score for p in self.members], dtype=np.float64)
+        edges = np.where(scores[:, None] > scores[None, :], 0.0, self.coverage)
+        np.fill_diagonal(edges, 0.0)
+        return edges
+
+    @property
+    def prior(self) -> np.ndarray:
+        """(N,): each node's strongest outgoing edge."""
+        return self.edges.max(axis=1)
+
+    @property
+    def transition(self) -> np.ndarray:
+        """(N, N): edges with each row scaled to sum 1; all-zero rows stay zero."""
+        edges = self.edges
+        row_sums = edges.sum(axis=1)
+        transition = np.zeros_like(edges)
+        nonzero = row_sums > 0.0
+        transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
+        return transition
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,21 +142,7 @@ def build_class_graph(
     ids = tuple(int(i) for i in node_ids)
     if len(ids) != len(props):
         raise ValueError("node_ids must align with proposals")
-
-    n = len(props)
-    coverage = coverage_matrix([p.mask for p in props])
-
-    scores = np.array([p.upn_score for p in props], dtype=np.float64)
-    edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
-    np.fill_diagonal(edges, 0.0)
-
-    prior = edges.max(axis=1) if n > 1 else np.zeros(1)
-    row_sums = edges.sum(axis=1)
-    transition = np.zeros_like(edges)
-    nonzero = row_sums > 0.0
-    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    return ClassGraph(node_ids=ids, coverage=coverage, edges=edges, prior=prior,
-                      transition=transition)
+    return ClassGraph(ids, tuple(props), coverage_matrix([p.mask for p in props]))
 
 
 def build_class_graphs(props: Sequence[Proposal]) -> dict[int, ClassGraph]:
@@ -157,18 +164,19 @@ def diffuse(
     max_steps updates.  ``init`` overrides the uniform start (the fixed point
     is unique, so this only matters for verification).
     """
-    n = len(g.prior)
+    transition, prior = g.transition, g.prior
+    n = len(prior)
     if init is None:
         pi = np.full(n, 1.0 / n)
     else:
         pi = np.asarray(init, dtype=np.float64).copy()
         if pi.shape != (n,):
             raise ValueError(f"init must have shape ({n},), got {pi.shape}")
-    restart = (1.0 - params.alpha) * g.prior
+    restart = (1.0 - params.alpha) * prior
     steps = 0
     converged = False
     for _ in range(params.max_steps):
-        nxt = params.alpha * (g.transition @ pi) + restart
+        nxt = params.alpha * (transition @ pi) + restart
         lo, hi = float(nxt.min()), float(nxt.max())
         if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
             raise ValueError(f"diffusion step {steps + 1} left [0, 1]: min {lo!r}, max {hi!r}")
@@ -197,29 +205,23 @@ def refine_scores(
 
 
 def diffuse_all_classes(
-    props: Sequence[Proposal], graphs: Mapping[int, ClassGraph], params: DiffusionParams
+    graphs: Mapping[int, ClassGraph], params: DiffusionParams
 ) -> list[tuple[Proposal, float]]:
-    """Reweight each class graph of ``props`` and concatenate.
+    """Reweight each class graph and concatenate.
 
     ``graphs`` is ``build_class_graphs(props)``; it does not depend on
     ``params``, so one build serves every setting.  Output order is (class_id
-    ascending, then input order).  Classes are handled one after another.
+    ascending, then node order).  Classes are handled one after another.
     """
-    if not props:
+    if not graphs:
         raise ValueError("no proposals to reweight")
-    nodes = sum(len(g.node_ids) for g in graphs.values())
-    if nodes != len(props):
-        raise ValueError(f"class graphs hold {nodes} nodes for {len(props)} proposals")
     out: list[tuple[Proposal, float]] = []
-    for class_id in sorted(graphs):
-        graph = graphs[class_id]
-        members = [props[i] for i in graph.node_ids]
+    for class_id, graph in sorted(graphs.items()):
         result = diffuse(graph, params)
         if not result.converged:
             log.debug(
                 "class %d graph (%d nodes) hit max_steps=%d without converging",
-                class_id, len(members), params.max_steps,
+                class_id, len(graph.members), params.max_steps,
             )
-        scores = refine_scores(members, result, params.lam)
-        out.extend(zip(members, scores))
+        out.extend(zip(graph.members, refine_scores(graph.members, result, params.lam)))
     return out

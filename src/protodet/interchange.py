@@ -342,6 +342,8 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
 
     def parse_support(rec: dict, where: str) -> SupportAnnotation:
         info = image_of(rec, where)
+        if info.image_id not in feature_maps:
+            raise DataFormatError(f"{where}: support image {info.image_id!r} has no feature map")
         class_id = class_of(rec, where)
         mask = mask_of(rec, where, info)
         return SupportAnnotation(
@@ -546,7 +548,6 @@ def load_detections(path: Path | str) -> dict[str, list[ScoredDetection]]:
                 box=BoundingBox(*(float(v) for v in parts[3:7])),
                 class_id=int(parts[1]),
                 score=float(parts[2]),
-                mask=None,
             )
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: invalid detection row ({exc})") from exc

@@ -62,8 +62,7 @@ class QueryImage:
 
 
 def _as_detections(scored) -> list[ScoredDetection]:
-    return [ScoredDetection(box=p.box, class_id=p.pred_class, score=s, mask=p.mask)
-            for p, s in scored]
+    return [ScoredDetection(box=p.box, class_id=p.pred_class, score=s) for p, s in scored]
 
 
 def _raw(image: QueryImage) -> list[ScoredDetection]:
@@ -71,7 +70,7 @@ def _raw(image: QueryImage) -> list[ScoredDetection]:
 
 
 def _diffused(image: QueryImage, cfg: PipelineConfig) -> list[ScoredDetection]:
-    return _as_detections(diffuse_all_classes(image.proposals, image.graphs, cfg.diffusion))
+    return _as_detections(diffuse_all_classes(image.graphs, cfg.diffusion))
 
 
 # Rescoring methods, name -> fn(image, cfg), in report order.  The entries look

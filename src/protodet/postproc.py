@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .diffusion import ClassGraph
-from .geometry import BinaryMask, BoundingBox, box_iou, box_iou_matrix
+from .geometry import BoundingBox, box_iou, box_iou_matrix
 # unused here, but benchmark tracing counts calls through this module's binding
 from .geometry import mask_coverage  # noqa: F401
 
@@ -32,7 +32,6 @@ class ScoredDetection:
     box: BoundingBox
     class_id: int
     score: float
-    mask: BinaryMask | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.score):
@@ -120,9 +119,7 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
                 home["fused"] = BoundingBox(x1, y1, x2, y2)
         for c in clusters:
             score = float(np.mean([m.score for m in c["members"]]))
-            fused_out.append(
-                ScoredDetection(box=c["fused"], class_id=class_id, score=score, mask=None)
-            )
+            fused_out.append(ScoredDetection(box=c["fused"], class_id=class_id, score=score))
     # ties keep (class, cluster-creation) order
     return _by_score(fused_out)
 

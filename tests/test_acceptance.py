@@ -185,7 +185,7 @@ def test_criterion_5_fragmentation_suppression(acceptance_dataset):
     frag_base, frag_final, good_base, good_final = [], [], [], []
     for image_id, image in props.items():
         gts = gt_by_image.get(image_id, [])
-        for p, final in diffuse_all_classes(image.proposals, image.graphs, params):
+        for p, final in diffuse_all_classes(image.graphs, params):
             best_iou = max((box_iou(p.box, g) for g in gts), default=0.0)
             if best_iou > 0.75:
                 good_base.append(p.similarity)

@@ -95,6 +95,21 @@ class TestExitCodes:
         assert f"{props}:{len(lines)}: no feature" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_support_without_feature_map_is_data_error(self, cli_corpus, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_corpus.parent, ds)
+        supports = ds / "supports.jsonl"
+        lines = supports.read_text().splitlines()
+        image_id = json.loads(lines[1])["image_id"]
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["feature_maps"][image_id]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert main(["run", str(ds / "manifest.json"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {supports}:2: support image {image_id!r} has no feature map" in err
+        assert not out.exists()
+
     # each case broke a run that at the parent ended in exit 0 (nAP=0) or exit 4
     @pytest.mark.parametrize("bad", [
         lambda p: replace(p, class_id=p.class_id + 100),

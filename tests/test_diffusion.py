@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import protodet
 from conftest import random_class_props
@@ -18,7 +20,7 @@ from protodet.diffusion import (
     diffuse_all_classes,
     refine_scores,
 )
-from protodet.geometry import BinaryMask, BoundingBox, mask_coverage
+from protodet.geometry import BinaryMask, BoundingBox, coverage_matrix, mask_coverage
 
 
 def _prop(score, arr, class_id=0, similarity=0.9):
@@ -103,7 +105,7 @@ class TestBuildClassGraph:
             scores = np.array([p.upn_score for p in props])
             higher = scores[:, None] > scores[None, :]
             assert np.all(g.edges[higher] == 0.0)
-            np.testing.assert_allclose(g.prior, g.edges.max(axis=1) if n > 1 else [0.0])
+            assert np.array_equal(g.prior, g.edges.max(axis=1) if n > 1 else [0.0])
             row_sums = g.transition.sum(axis=1)
             for i in range(n):
                 if g.edges[i].sum() == 0.0:
@@ -117,6 +119,56 @@ class TestBuildClassGraph:
                         assert g.edges[i, j] == 0.0
                     else:
                         assert g.edges[i, j] == mask_coverage(props[i].mask, props[j].mask)
+
+
+def _build_time_graph(props):
+    """edges, prior and transition as the graph build once computed and stored
+    them: the formulas the derived properties must reproduce bit for bit."""
+    n = len(props)
+    coverage = coverage_matrix([p.mask for p in props])
+    scores = np.array([p.upn_score for p in props], dtype=np.float64)
+    edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
+    np.fill_diagonal(edges, 0.0)
+    prior = edges.max(axis=1) if n > 1 else np.zeros(1)
+    row_sums = edges.sum(axis=1)
+    transition = np.zeros_like(edges)
+    nonzero = row_sums > 0.0
+    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
+    return coverage, edges, prior, transition
+
+
+@st.composite
+def _rect_props(draw, side=8):
+    """1-8 same-class proposals with rectangle masks, often disjoint, and
+    scores drawn from a small set so that ties are common."""
+    props = []
+    for _ in range(draw(st.integers(1, 8))):
+        x1, y1 = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+        x2, y2 = draw(st.integers(x1 + 1, side)), draw(st.integers(y1 + 1, side))
+        arr = np.zeros((side, side), dtype=bool)
+        arr[y1:y2, x1:x2] = True
+        score = draw(st.sampled_from([0.25, 0.5]) | st.floats(0.01, 1.0))
+        props.append(_prop(score, arr))
+    return props
+
+
+_LEFT, _RIGHT = _half(), ~_half()
+
+
+class TestDerivedGraph:
+    @settings(max_examples=200, deadline=None)
+    @given(_rect_props())
+    @example([_prop(0.8, _full())])  # single node
+    @example([_prop(0.5, _LEFT), _prop(0.5, _RIGHT)])  # tied, disjoint: all-zero rows
+    @example([_prop(0.5, _full()), _prop(0.5, _half()), _prop(0.5, _inner())])  # all tied
+    def test_derived_arrays_equal_the_build_time_formulas(self, props):
+        g = build_class_graph(props)
+        coverage, edges, prior, transition = _build_time_graph(props)
+        assert np.array_equal(g.coverage, coverage)
+        assert np.array_equal(g.edges, edges)
+        assert np.array_equal(g.prior, prior)
+        assert np.array_equal(g.transition, transition)
+        assert g.members == tuple(props)
 
 
 class TestDiffuse:
@@ -245,14 +297,14 @@ from protodet.diffusion import (
 from protodet.geometry import BinaryMask, BoundingBox
 
 raised = []
-g = ClassGraph(node_ids=(0,), coverage=np.ones((1, 1)), edges=np.zeros((1, 1)),
-               prior=np.array([2.0]), transition=np.zeros((1, 1)))
+prop = Proposal(box=BoundingBox(0, 0, 2, 2), mask=BinaryMask(2, 2, (0, 4)),
+                upn_score=0.5, feature=np.ones(2), pred_class=0, similarity=0.5)
+# tied nodes that each cover the other twice over: the derived prior is 2.0
+g = ClassGraph((0, 1), (prop, prop), np.full((2, 2), 2.0))
 try:
     diffuse(g, DiffusionParams())
 except ValueError:
     raised.append("diffuse")
-prop = Proposal(box=BoundingBox(0, 0, 2, 2), mask=BinaryMask(2, 2, (0, 4)),
-                upn_score=0.5, feature=np.ones(2), pred_class=0, similarity=0.5)
 for pi in (1.5, -0.5):
     try:
         refine_scores([prop], DiffusionResult(np.array([pi]), 1, True), 0.5)
@@ -299,7 +351,7 @@ def _oracle_reweight(props, alpha, lam, tau, max_steps):
 
 
 def _diffuse_all(props, params):
-    return diffuse_all_classes(props, build_class_graphs(props), params)
+    return diffuse_all_classes(build_class_graphs(props), params)
 
 
 class TestDiffuseAllClasses:
@@ -307,7 +359,7 @@ class TestDiffuseAllClasses:
         rng = np.random.default_rng(9)
         props = random_class_props(rng, 8, class_id=2)
         params = DiffusionParams()
-        combined = diffuse_all_classes(props, build_class_graphs(props), params)
+        combined = _diffuse_all(props, params)
         g = build_class_graph(props)
         direct = refine_scores(props, diffuse(g, params), params.lam)
         assert [s for _, s in combined] == direct
@@ -342,4 +394,4 @@ class TestDiffuseAllClasses:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            diffuse_all_classes([], {}, DiffusionParams())
+            diffuse_all_classes({}, DiffusionParams())

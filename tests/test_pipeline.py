@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CFG
 from protodet.cli import main
-from protodet.diffusion import DiffusionParams
+from protodet.diffusion import DiffusionParams, Proposal
 from protodet.errors import PipelineError
 from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, cosine
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
@@ -16,6 +16,7 @@ from protodet.interchange import Dataset, ImageInfo, ProposalRecord, load_datase
 from protodet.pipeline import (
     METHODS,
     PipelineConfig,
+    QueryImage,
     run_end_to_end,
     run_query_stage,
     run_refine_stage,
@@ -208,6 +209,29 @@ class TestRefineStage:
         for method in METHODS:
             dets = run_refine_stage(props, PipelineConfig(method=method))
             assert set(dets) == set(props)
+
+
+    def test_class_graphs_retain_one_n_by_n_array(self):
+        # A QueryImage keeps its class graphs for every method and sweep cell
+        # it serves, so a graph should hold its coverage matrix and nothing of
+        # the same size that can be derived from it.
+        n, side = 160, 16
+        image = QueryImage(tuple(  # nested: each mask is a prefix of the next one
+            Proposal(box=BoundingBox(0, 0, side, side),
+                     mask=BinaryMask(side, side, (0, k + 1, side * side - k - 1)),
+                     upn_score=0.1 + 0.005 * k, feature=np.ones(2), pred_class=0,
+                     similarity=0.5)
+            for k in range(n)
+        ))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = image.graphs
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(g.node_ids) for g in graphs.values()] == [n]
+        assert retained < 2 * n * n * 8
 
 
 class TestEndToEnd:

@@ -19,26 +19,26 @@ from protodet.postproc import (
 )
 
 
-def _det(box, score, class_id=0, mask=None):
-    return ScoredDetection(box=BoundingBox(*box), class_id=class_id, score=score, mask=mask)
+def _det(box, score, class_id=0):
+    return ScoredDetection(box=BoundingBox(*box), class_id=class_id, score=score)
 
 
 def _mask(arr):
     return BinaryMask.from_array(np.asarray(arr, dtype=bool))
 
 
-def _graphs(dets):
-    """The class graphs over ``dets``' masks, as the pipeline builds them from
-    the proposals the detections come from."""
+def _graphs(dets, masks):
+    """The class graphs over ``masks``, one per detection, as the pipeline
+    builds them from the proposals the detections come from."""
     return build_class_graphs([
-        Proposal(box=d.box, mask=d.mask, upn_score=0.5, feature=np.ones(1),
+        Proposal(box=d.box, mask=m, upn_score=0.5, feature=np.ones(1),
                  pred_class=d.class_id, similarity=d.score)
-        for d in dets
+        for d, m in zip(dets, masks, strict=True)
     ])
 
 
-def _soft_merge(dets):
-    return soft_merge(dets, _graphs(dets))
+def _soft_merge(dets, masks):
+    return soft_merge(dets, _graphs(dets, masks))
 
 
 def _ranked_by_class_reference(dets):
@@ -236,10 +236,10 @@ class TestWbf:
 
 class TestSoftMerge:
     def test_fully_covered_fragment_zeroed(self):
-        whole = _det((0, 0, 4, 4), 0.9, mask=_mask(np.ones((4, 4))))
+        whole = _det((0, 0, 4, 4), 0.9)
         frag_arr = np.zeros((4, 4)); frag_arr[1:3, 1:3] = 1
-        frag = _det((1, 1, 3, 3), 0.6, mask=_mask(frag_arr))
-        out = _soft_merge([whole, frag])
+        frag = _det((1, 1, 3, 3), 0.6)
+        out = _soft_merge([whole, frag], [_mask(np.ones((4, 4))), _mask(frag_arr)])
         scores = {d.box.as_tuple(): d.score for d in out}
         assert scores[(0, 0, 4, 4)] == 0.9
         assert scores[(1, 1, 3, 3)] == 0.0
@@ -247,65 +247,67 @@ class TestSoftMerge:
     def test_no_overlap_unchanged(self):
         left = np.zeros((4, 4)); left[:, :2] = 1
         right = np.zeros((4, 4)); right[:, 2:] = 1
-        a = _det((0, 0, 2, 4), 0.9, mask=_mask(left))
-        b = _det((2, 0, 4, 4), 0.7, mask=_mask(right))
-        assert [d.score for d in _soft_merge([a, b])] == [0.9, 0.7]
+        a = _det((0, 0, 2, 4), 0.9)
+        b = _det((2, 0, 4, 4), 0.7)
+        assert [d.score for d in _soft_merge([a, b], [_mask(left), _mask(right)])] == [0.9, 0.7]
 
     def test_half_coverage_by_hand(self):
         whole = np.zeros((4, 4)); whole[:, :2] = 1
         half = np.zeros((4, 4)); half[:, 1:3] = 1  # half of it under the whole
-        a = _det((0, 0, 2, 4), 0.9, mask=_mask(whole))
-        b = _det((1, 0, 3, 4), 0.6, mask=_mask(half))
-        out = _soft_merge([a, b])
+        a = _det((0, 0, 2, 4), 0.9)
+        b = _det((1, 0, 3, 4), 0.6)
+        out = _soft_merge([a, b], [_mask(whole), _mask(half)])
         scores = {d.box.as_tuple(): d.score for d in out}
         assert scores[(1, 0, 3, 4)] == pytest.approx(0.3)
 
     def test_top_detection_untouched(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            dets = []
+            dets, masks = [], []
             for _ in range(int(rng.integers(1, 10))):
                 arr = rng.random((6, 6)) < 0.5
                 if not arr.any():
                     arr[0, 0] = True
-                dets.append(_det((0, 0, 6, 6), float(rng.uniform(0, 1)), mask=_mask(arr)))
+                dets.append(_det((0, 0, 6, 6), float(rng.uniform(0, 1))))
+                masks.append(_mask(arr))
             top = max(range(len(dets)), key=lambda i: (dets[i].score, -i))
-            out = _soft_merge(dets)
+            out = _soft_merge(dets, masks)
             assert out[0].score == dets[top].score
 
     def test_matches_per_pair_reference(self):
-        def reference(dets):
+        def reference(dets, masks):
             scores = {}
             for c in {d.class_id for d in dets}:
                 order = sorted((i for i, d in enumerate(dets) if d.class_id == c),
                                key=lambda i: (-dets[i].score, i))
                 for rank, i in enumerate(order):
-                    penalty = max((mask_coverage(dets[i].mask, dets[j].mask)
+                    penalty = max((mask_coverage(masks[i], masks[j])
                                    for j in order[:rank]), default=0.0)
                     scores[i] = dets[i].score * (1.0 - penalty)
             return sorted(((scores[i], i) for i in range(len(dets))), key=lambda t: (-t[0], t[1]))
 
         rng = np.random.default_rng(31)
         for _ in range(40):
-            dets = []
+            dets, masks = [], []
             for _ in range(int(rng.integers(1, 14))):
                 mask, box = random_mask(rng, size=12)
                 score = float(rng.choice([0.25, 0.5, rng.uniform(0.01, 1.0)]))  # ties too
-                dets.append(_det(box, score, class_id=int(rng.integers(0, 3)), mask=mask))
-            want = reference(dets)
-            got = _soft_merge(dets)
+                dets.append(_det(box, score, class_id=int(rng.integers(0, 3))))
+                masks.append(mask)
+            want = reference(dets, masks)
+            got = _soft_merge(dets, masks)
             assert [(d.score, d.box, d.class_id) for d in got] == [
                 (s, dets[i].box, dets[i].class_id) for s, i in want
             ]
             assert all(type(d.score) is float for d in got)
 
     def test_detections_without_their_class_graph_rejected(self):
-        a = _det((0, 0, 2, 2), 0.9, mask=_mask(np.ones((2, 2))))
-        b = _det((0, 0, 1, 2), 0.5, mask=_mask([[1, 0], [1, 0]]))
+        a = _det((0, 0, 2, 2), 0.9)
+        b = _det((0, 0, 1, 2), 0.5)
         with pytest.raises(ValueError, match="class 0"):
             soft_merge([a, b], {})
         with pytest.raises(ValueError, match="class 0"):
-            soft_merge([a, b], _graphs([a]))
+            soft_merge([a, b], _graphs([a], [_mask(np.ones((2, 2)))]))
 
 
 class TestTopK:

@@ -210,7 +210,10 @@ class TestLoadValidation:
             "box": [0.0, 0.0, 4.0, 4.0],
             "mask": {"w": 8, "h": 8, "counts": [0, 64]},
         }
-        path = _write_manifest(tmp_path, supports=[support])
+        write_feature_map(tmp_path / "q0.fmap",
+                          FeatureMap(data=np.ones((2, 2, 2)), image_w=8, image_h=8))
+        path = _write_manifest(tmp_path, manifest={"feature_maps": {"q0": "q0.fmap"}},
+                               supports=[support])
         ds = load_dataset(path)
         assert ds.proposals == {} and ds.query_image_ids() == []
 

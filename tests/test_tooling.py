@@ -12,19 +12,56 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 
-def test_every_benchmark_hook_binding_resolves(monkeypatch):
-    # The benchmark's per-layer trace wraps these module attributes by name, so
-    # a binding renamed or dropped from the package would silently go untraced.
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_benchmark_hook_binding_resolves(monkeypatch):
+    # The benchmark's per-layer trace wraps these module attributes by name, so
+    # a binding renamed or dropped from the package would silently go untraced.
+    tracing = _load_tracing(monkeypatch)
     bound = tracing.bindings()  # raises AttributeError on a missing binding
     assert len(bound) == len(tracing.HOOKS)
     assert all(callable(obj) for obj in bound.values())
     names = {f"{h.module}.{h.attr}" for h in tracing.HOOKS}
     assert {"protodet.cli.run_support_stage", "protodet.cli.run_end_to_end",
             "protodet.postproc.mask_coverage"} <= names
+
+
+def test_benchmark_observers_read_real_results(monkeypatch, acceptance_manifest):
+    # The traced benchmark reads fields of what the wrapped layers return; a
+    # result type reshaped under it breaks the traced run alone.
+    from protodet.diffusion import DiffusionParams, diffuse
+    from protodet.interchange import load_dataset
+    from protodet.pipeline import run_query_stage, run_support_stage
+
+    tracing = _load_tracing(monkeypatch)
+    dataset = load_dataset(acceptance_manifest)
+    image = next(iter(run_query_stage(dataset, run_support_stage(dataset)).values()))
+    graph = next(iter(image.graphs.values()))  # built by diffusion.build_class_graph
+    result = diffuse(graph, DiffusionParams())
+    n = len(graph.node_ids)
+    expected = {
+        "synthio.load_dataset": (
+            {"synthio.proposals_loaded": sum(map(len, dataset.proposals.values()))}, {}),
+        "diffusion.build_class_graph": (
+            {"diffusion.graph_cells": n * n}, {"diffusion.graph_nodes.max": n}),
+        "diffusion.diffuse": ({"diffusion.diffuse.steps": result.steps_taken,
+                               "diffusion.diffuse.converged": int(result.converged)}, {}),
+    }
+    results = {"synthio.load_dataset": dataset, "diffusion.build_class_graph": graph,
+               "diffusion.diffuse": result}
+    observed = [hook for hook in tracing.HOOKS if hook.observe is not None]
+    assert {hook.name for hook in observed} == set(expected)
+    for hook in observed:
+        counts, maxima = {}, {}
+        hook.observe(counts, maxima, (), results[hook.name])
+        assert (counts, maxima) == expected[hook.name]
+    assert n > 1 and result.steps_taken > 0
 
 
 def test_every_all_name_resolves():
