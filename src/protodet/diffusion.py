@@ -108,12 +108,15 @@ class ClassGraph:
     @property
     def transition(self) -> np.ndarray:
         """(N, N): edges with each row scaled to sum 1; all-zero rows stay zero."""
-        edges = self.edges
-        row_sums = edges.sum(axis=1)
-        transition = np.zeros_like(edges)
-        nonzero = row_sums > 0.0
-        transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-        return transition
+        return _row_normalized(self.edges)
+
+
+def _row_normalized(edges: np.ndarray) -> np.ndarray:
+    row_sums = edges.sum(axis=1)
+    transition = np.zeros_like(edges)
+    nonzero = row_sums > 0.0
+    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
+    return transition
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +167,8 @@ def diffuse(
     max_steps updates.  ``init`` overrides the uniform start (the fixed point
     is unique, so this only matters for verification).
     """
-    transition, prior = g.transition, g.prior
+    edges = g.edges  # derived on each read: read once, for the prior and the transition
+    transition, prior = _row_normalized(edges), edges.max(axis=1)
     n = len(prior)
     if init is None:
         pi = np.full(n, 1.0 / n)

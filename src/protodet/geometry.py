@@ -186,22 +186,30 @@ def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
 
 
 _SEGMENT_CHUNK = 4096  # segment columns per product block: O(N**2 + N * chunk) floats
+# Fewer masks skip the component split, whose fixed cost exceeds its saving: per graph of
+# the benchmark corpora, it slowed 124 of 125 of 1-39 masks and sped up 13 of 15 of 40 or more.
+_COMPONENT_MIN_NODES = 40
 
 
 def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     """All pairwise coverages: ``out[i, j] == mask_coverage(masks[i], masks[j])``.
 
     Works on the run lengths and never decodes a raster.  Each mask's 1-runs
-    become flat ``[start, end)`` intervals.  The starts and ends of all masks
-    cut the raster into K segments, each lying wholly inside or wholly outside
-    every mask, so a 0/1 (N, K) membership matrix weighted by segment length
-    gives the intersection counts in one matrix product.  Every partial sum is
-    an integer below 2**53, hence exact in float64, and the final division is
-    the same correctly rounded quotient of two integers that ``mask_coverage``
+    become flat ``[start, end)`` intervals.  Masks whose row or column extents
+    are disjoint share no pixel, so from ``_COMPONENT_MIN_NODES`` (40) masks on
+    they are split into the connected components of the "extents overlap"
+    graph, and only pairs within a component are counted; fewer masks form one
+    component.  In a component of n masks, their starts and ends cut the raster
+    into K segments, each lying wholly inside or wholly outside every mask, so
+    a 0/1 (n, K) membership matrix weighted by segment length gives the
+    intersection counts in one matrix product.  Every partial sum is an
+    integer below 2**53, hence exact in float64, and the final division is the
+    same correctly rounded quotient of two integers that ``mask_coverage``
     computes: the values agree bit for bit.
 
-    Cost: O(runs*log(runs) + N*K + N**2*K) time with K <= min(2*runs, W*H);
-    memory O(runs + N*K + N**2), whatever the declared W*H.
+    Cost: O(runs*log(runs) + N**2) time for the intervals and the extent test,
+    plus the sum over components of O(n*K + n**2*K), K <= min(2*runs, W*H);
+    memory O(runs + N**2 + n*K), whatever the declared W*H.
 
     Raises ValueError when the masks differ in dimensions or one is empty.
     """
@@ -214,26 +222,58 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     width, height = dims.pop()
     total = width * height
 
-    lens = np.array([len(m.runs) for m in masks], dtype=np.int64)
-    runs = np.fromiter(
-        itertools.chain.from_iterable(m.runs for m in masks), dtype=np.int64, count=int(lens.sum())
-    )
-    row = np.repeat(np.arange(n), lens)
+    # each mask's runs padded to (0-run, 1-run) pairs
+    pairs = np.array([(len(m.runs) + 1) // 2 for m in masks], dtype=np.int64)
+    padded = itertools.chain.from_iterable(m.runs + (0,) * (len(m.runs) % 2) for m in masks)
+    runs = np.fromiter(padded, dtype=np.int64, count=2 * int(pairs.sum()))
+    row = np.repeat(np.arange(n), pairs)
+    ones = runs[1::2]
     # every mask's runs sum to W*H, so the running total minus row * W*H is a run's end
-    end = np.cumsum(runs) - row * total
-    local = np.arange(runs.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    ones = (local % 2 == 1) & (runs > 0)
-    areas = np.bincount(row[ones], weights=runs[ones], minlength=n)
+    end = np.cumsum(runs)[1::2] - row * total
+    areas = np.bincount(row, weights=ones, minlength=n)
     if not areas.all():
         empty = int(np.argmin(areas))
         raise ValueError(f"coverage undefined for an empty source mask (index {empty})")
-    row, end = row[ones], end[ones]
-    start = end - runs[ones]
+    row, end = row[ones > 0], end[ones > 0]
+    start = end - ones[ones > 0]
     # a zero-length 0-run between two 1-runs joins them into one interval
     apart = ~((row[1:] == row[:-1]) & (start[1:] == end[:-1]))
     first = np.concatenate(([True], apart))
     row, start, end = row[first], start[first], end[np.concatenate((apart, [True]))]
 
+    if n < _COMPONENT_MIN_NODES:
+        return _intersections(row, start, end, n) / areas[:, None]
+    label = _overlap_components(row, start, end, width)
+    inter = np.zeros((n, n))
+    for c in np.unique(label):
+        part = label == c
+        idx, keep = np.flatnonzero(part), part[row]
+        rank = np.cumsum(part) - 1  # a member's index within its component
+        inter[np.ix_(idx, idx)] = _intersections(rank[row[keep]], start[keep], end[keep], idx.size)
+    return inter / areas[:, None]
+
+
+def _overlap_components(row, start, end, width):
+    """Each mask's label: the least mask index in its component of the graph that joins
+    masks whose row and column extents both overlap.  ``row`` names each interval's mask."""
+    first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    top, bottom = start // width, (end - 1) // width
+    wraps = top != bottom  # an interval over a row break spans every column
+    left = np.minimum.reduceat(np.where(wraps, 0, start % width), first)
+    right = np.maximum.reduceat(np.where(wraps, width - 1, (end - 1) % width), first)
+    top, bottom = top[first], np.maximum.reduceat(bottom, first)
+    touch = ((left[:, None] <= right) & (left <= right[:, None])
+             & (top[:, None] <= bottom) & (top <= bottom[:, None]))
+    # each mask takes the least label among its neighbours (itself included),
+    # then that label's own label, until nothing moves
+    label = np.arange(first.size)
+    while not np.array_equal(nxt := np.where(touch, label, first.size).min(axis=1), label):
+        label = nxt[nxt]
+    return label
+
+
+def _intersections(row, start, end, n):
+    """(n, n) shared pixel counts of n masks; ``row`` names each 1-interval's mask."""
     cuts = np.sort(np.concatenate((start, end)))
     cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     k = cuts.size - 1
@@ -248,7 +288,7 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     for lo in range(0, k, _SEGMENT_CHUNK):
         block = member[:, lo:lo + _SEGMENT_CHUNK].astype(np.float64)
         inter += (block * seglen[lo:lo + _SEGMENT_CHUNK]) @ block.T
-    return inter / areas[:, None]
+    return inter
 
 
 def mask_downsample(m: BinaryMask, target_w: int, target_h: int) -> SoftMask:

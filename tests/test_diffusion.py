@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import protodet
 from conftest import random_class_props
 from protodet.diffusion import (
+    ClassGraph,
     DiffusionParams,
     Proposal,
     build_class_graph,
@@ -193,6 +194,34 @@ class TestDiffuse:
         oracle = _iterate_oracle(g.transition.tolist(), g.prior.tolist(), 0.3, 1e-6, 50)
         np.testing.assert_allclose(res.pi, oracle, atol=1e-12)
         np.testing.assert_allclose(res.pi, [0.0, 0.7, 0.805], atol=1e-9)
+
+    def test_edges_derived_once_per_call(self, monkeypatch):
+        # edges is derived from coverage on every read; diffuse reads it once
+        # and takes the prior and the transition from it, bit for bit as the
+        # properties give them
+        rng = np.random.default_rng(404)
+        graphs = [build_class_graph(random_class_props(rng, n)) for n in (1, 2, 9, 30)]
+        graphs.append(build_class_graph([_prop(0.5, _LEFT), _prop(0.5, _RIGHT)]))
+        params = DiffusionParams(alpha=0.3, tau=1e-9, max_steps=40)
+        wants = []
+        for g in graphs:
+            transition, restart = g.transition, (1.0 - params.alpha) * g.prior
+            pi, steps = np.full(len(g.members), 1.0 / len(g.members)), 0
+            while steps < params.max_steps:
+                nxt = np.clip(params.alpha * (transition @ pi) + restart, 0.0, 1.0)
+                steps += 1
+                delta, pi = float(np.linalg.norm(nxt - pi)), nxt
+                if delta < params.tau:
+                    break
+            wants.append((pi.tolist(), steps, delta < params.tau))
+        reads = []
+        derive = ClassGraph.edges.fget
+        monkeypatch.setattr(ClassGraph, "edges", property(lambda g: reads.append(g) or derive(g)))
+        for g, want in zip(graphs, wants):
+            reads.clear()
+            res = diffuse(g, params)
+            assert reads == [g]
+            assert (res.pi.tolist(), res.steps_taken, res.converged) == want
 
     def test_boundedness_on_random_graphs(self):
         rng = np.random.default_rng(77)

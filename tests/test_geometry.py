@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from protodet import geometry
 from protodet.errors import DataFormatError
 from protodet.geometry import (
     BinaryMask,
@@ -175,6 +176,25 @@ class TestCoverage:
             assert a.area == int(a_arr.sum())
 
 
+def _mask_of(width, height, rects):
+    """A width x height mask that is the union of ``(y1, x1, y2, x2)`` rectangles."""
+    arr = np.zeros((height, width), dtype=bool)
+    for y1, x1, y2, x2 in rects:
+        arr[y1:y2, x1:x2] = True
+    return BinaryMask.from_array(arr)
+
+
+def _embed_far(m, width, height):
+    """``m`` placed in the bottom-right corner of a width x height raster."""
+    ys, xs = np.nonzero(m.to_array())
+    flat = (ys + height - m.height).astype(np.int64) * width + (xs + width - m.width)
+    gaps = np.flatnonzero(np.diff(flat) != 1) + 1
+    starts = flat[np.concatenate(([0], gaps))]
+    ends = flat[np.concatenate((gaps - 1, [flat.size - 1]))] + 1
+    bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [width * height]))
+    return BinaryMask(width, height, tuple(np.diff(bounds).tolist()))
+
+
 @st.composite
 def _same_size_masks(draw, max_side=7, max_masks=6):
     """Non-empty masks of one size, with RLEs drawn directly from sorted cut
@@ -208,15 +228,80 @@ class TestCoverageMatrix:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tolist() == want.tolist()
 
+    @settings(deadline=None)
+    @given(_same_size_masks())
+    @example([_mask_of(4, 4, [(0, 0, 4, 2)]), _mask_of(4, 4, [(0, 3, 4, 4)])])  # shared rows only
+    @example([  # the first 1-run wraps from column 2 of row 0 to pixel 5, in column 1
+        BinaryMask(4, 4, (2, 4, 10)), BinaryMask(4, 4, (5, 1, 10)), BinaryMask(4, 4, (7, 6, 3)),
+    ])
+    @example([  # extents touching at adjacent columns, then at adjacent rows
+        _mask_of(6, 6, [(0, 0, 3, 3)]), _mask_of(6, 6, [(0, 3, 3, 6)]),
+        _mask_of(6, 6, [(3, 0, 6, 3)]), _mask_of(6, 6, [(3, 3, 6, 6)]),
+        _mask_of(6, 6, [(2, 2, 3, 3)]),  # shares one column and one row with the first
+    ])
+    @example([  # a chain 0-2-3-1 of column overlaps: labels must travel the whole chain
+        _mask_of(8, 1, [(0, 0, 1, 2)]), _mask_of(8, 1, [(0, 5, 1, 7)]),
+        _mask_of(8, 1, [(0, 1, 1, 4)]), _mask_of(8, 1, [(0, 3, 1, 6)]),
+    ])
+    @example([  # six singleton components
+        _mask_of(9, 9, [(y, x, y + 2, x + 2)]) for y in (0, 7) for x in (0, 4, 7)
+    ])
+    def test_partitioned_equals_scalar_oracle_exactly(self, masks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_COMPONENT_MIN_NODES", 0)
+            got = coverage_matrix(masks)
+        want = np.array([[mask_coverage(a, b) for b in masks] for a in masks])
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    @settings(deadline=None, max_examples=50)
+    @given(_same_size_masks())
+    def test_partitioned_exact_at_2_53_pixels(self, masks):
+        # the masks moved to the far corner of a 2**27 x 2**26 raster keep
+        # their coverages; extents there lie just below 2**53
+        side_w, side_h = 2**27, 2**26
+        big = [_embed_far(m, side_w, side_h) for m in masks]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_COMPONENT_MIN_NODES", 0)
+            got = coverage_matrix(big)
+        assert got.tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
+
+    def test_disjoint_groups_never_share_a_product(self, monkeypatch):
+        # two groups of overlapping rectangles, left and right of column 16:
+        # every row is shared, no column is
+        rng = np.random.default_rng(12)
+        groups = {"left": (0, 15), "right": (17, 32)}
+        masks = []
+        for lo, hi in groups.values():
+            for _ in range(24):
+                x1 = int(rng.integers(lo, hi - 4))
+                y1 = int(rng.integers(0, 12))
+                masks.append(_mask_of(32, 16, [(y1, x1, y1 + 4, x1 + 4)]))
+        calls = []
+        kernel = geometry._intersections
+
+        def spy(row, start, end, n):
+            calls.append({"left" if s % 32 < 16 else "right" for s in start})
+            return kernel(row, start, end, n)
+
+        monkeypatch.setattr(geometry, "_intersections", spy)
+        got = coverage_matrix(masks)
+        assert len(masks) >= geometry._COMPONENT_MIN_NODES
+        assert len(calls) >= 2 and all(len(groups_seen) == 1 for groups_seen in calls)
+        assert got.tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
+
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             coverage_matrix([BinaryMask(4, 4, (0, 16)), BinaryMask(4, 5, (0, 20))])
+        with pytest.raises(ValueError, match="dimension"):  # checked before emptiness
+            coverage_matrix([BinaryMask(4, 4, (16,)), BinaryMask(4, 5, (0, 20))])
 
-    @pytest.mark.parametrize("others,position", [(1, 0), (1, 1), (0, 0)])
+    # 46 masks exceed the component cutover: the caller's index is still named
+    @pytest.mark.parametrize("others,position", [(1, 0), (1, 1), (0, 0), (45, 41)])
     def test_empty_mask_rejected(self, others, position):
         masks = [BinaryMask(4, 4, (0, 16))] * others
         masks.insert(position, BinaryMask(4, 4, (16,)))
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=rf"empty source mask \(index {position}\)"):
             coverage_matrix(masks)
 
 
