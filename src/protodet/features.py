@@ -84,56 +84,56 @@ class ClassPrototype:
     support_count: int
 
 
-def map_box_to_grid(box: BoundingBox, fm: FeatureMap) -> tuple[int, int, int, int]:
-    """Map a pixel box to an inclusive grid-cell range (gx1, gy1, gx2, gy2).
+def map_box_to_grid(boxes: Sequence[BoundingBox], fm: FeatureMap) -> np.ndarray:
+    """Map pixel boxes to inclusive grid-cell ranges, one (gx1, gy1, gx2, gy2)
+    row of the (len(boxes), 4) int64 result per box.
 
     Coordinates scale by grid/image; the min corner floors and the max corner
     ceils minus one, so every cell the box touches is kept.  The range is
     clamped to the grid and never empty.
     """
-    bx1 = min(max(box.x1, 0.0), float(fm.image_w))
-    bx2 = min(max(box.x2, 0.0), float(fm.image_w))
-    by1 = min(max(box.y1, 0.0), float(fm.image_h))
-    by2 = min(max(box.y2, 0.0), float(fm.image_h))
-    sx = fm.grid_w / fm.image_w
-    sy = fm.grid_h / fm.image_h
-    gx1 = int(np.floor(bx1 * sx))
-    gy1 = int(np.floor(by1 * sy))
-    gx2 = int(np.ceil(bx2 * sx)) - 1
-    gy2 = int(np.ceil(by2 * sy)) - 1
-    gx1 = min(max(gx1, 0), fm.grid_w - 1)
-    gy1 = min(max(gy1, 0), fm.grid_h - 1)
-    gx2 = min(max(gx2, gx1), fm.grid_w - 1)
-    gy2 = min(max(gy2, gy1), fm.grid_h - 1)
-    return gx1, gy1, gx2, gy2
+    size = np.array([fm.image_w, fm.image_h] * 2, dtype=np.float64)
+    b = np.minimum(np.maximum(np.array([x.as_tuple() for x in boxes]).reshape(-1, 4), 0.0), size)
+    g = b * ([fm.grid_w / fm.image_w, fm.grid_h / fm.image_h] * 2)
+    last = [fm.grid_w - 1, fm.grid_h - 1]
+    lo = np.minimum(np.maximum(np.floor(g[:, :2]).astype(np.int64), 0), last)
+    hi = np.minimum(np.maximum(np.ceil(g[:, 2:]).astype(np.int64) - 1, lo), last)
+    return np.concatenate((lo, hi), axis=1)
 
 
-def masked_roi_pool(fm: FeatureMap, box: BoundingBox, sm: SoftMask) -> np.ndarray:
-    """Weighted mean of feature columns over the box's grid range.
+def masked_roi_pool(
+    fm: FeatureMap, boxes: Sequence[BoundingBox], sm: SoftMask,
+    names: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Weighted mean of feature columns over each box's grid range: row i of
+    the (len(boxes), channels) result pools box i under soft mask i.
 
     Cell weights come from the soft mask and the sums run only over the
     mapped cell range, so the result describes the object region rather
-    than the whole rectangle.  If the mask contributes zero weight there,
-    pooling falls back to a plain mean over the range (with a warning).
+    than the whole rectangle.  If a mask contributes zero weight there,
+    pooling falls back to a plain mean over the range, with a warning that
+    names the box by ``names[i]`` (default ``box i``).
     """
-    if (sm.height, sm.width) != (fm.grid_h, fm.grid_w):
+    if sm.weights.shape != (len(boxes), fm.grid_h, fm.grid_w):
         raise ValueError(
-            f"soft mask {sm.width}x{sm.height} does not match "
-            f"feature grid {fm.grid_w}x{fm.grid_h}"
+            f"soft masks of shape {sm.weights.shape} do not match {len(boxes)} boxes "
+            f"on feature grid {fm.grid_w}x{fm.grid_h}"
         )
-    gx1, gy1, gx2, gy2 = map_box_to_grid(box, fm)
-    w = sm.weights[gy1 : gy2 + 1, gx1 : gx2 + 1]
-    total = float(w.sum())
-    if total == 0.0:
-        log.warning(
-            "mask contributes zero weight inside grid box (%d,%d)-(%d,%d); "
-            "falling back to unweighted mean",
-            gx1, gy1, gx2, gy2,
-        )
-        w = np.ones_like(w)
+    out = np.empty((len(boxes), fm.channels))
+    for i, (gx1, gy1, gx2, gy2) in enumerate(map_box_to_grid(boxes, fm).tolist()):
+        w = sm.weights[i, gy1 : gy2 + 1, gx1 : gx2 + 1]
         total = float(w.sum())
-    block = fm.data[:, gy1 : gy2 + 1, gx1 : gx2 + 1]
-    return (block * w).sum(axis=(1, 2)) / total
+        if total == 0.0:
+            log.warning(
+                "%s: mask contributes zero weight inside grid box (%d,%d)-(%d,%d); "
+                "falling back to unweighted mean",
+                f"box {i}" if names is None else names[i], gx1, gy1, gx2, gy2,
+            )
+            w = np.ones_like(w)
+            total = float(w.sum())
+        block = fm.data[:, gy1 : gy2 + 1, gx1 : gx2 + 1]
+        out[i] = (block * w).sum(axis=(1, 2)) / total
+    return out
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -175,16 +175,23 @@ def build_prototypes(features_by_class: Iterable[tuple[int, np.ndarray]]) -> lis
 
 
 def match_proposal(
-    fq: np.ndarray, prototypes: Sequence[ClassPrototype]
-) -> tuple[int, float]:
-    """Best class by cosine similarity; ties break toward the lowest class_id."""
+    features: Iterable[np.ndarray], prototypes: Sequence[ClassPrototype]
+) -> list[tuple[int, float]]:
+    """Each feature's best (class_id, cosine similarity); ties break toward the
+    lowest class_id.  Each similarity is the float ``cosine`` returns: one
+    ``np.dot`` per pair over the product of the two norms, each norm taken once."""
     if not prototypes:
         raise ValueError("cannot match against an empty prototype list")
-    best_id = -1
-    best_sim = -np.inf
-    for proto in sorted(prototypes, key=lambda p: p.class_id):
-        sim = cosine(fq, proto.vector)
-        if sim > best_sim:
-            best_sim = sim
-            best_id = proto.class_id
-    return best_id, float(best_sim)
+    protos = sorted(prototypes, key=lambda p: p.class_id)
+    vectors = [np.asarray(p.vector, dtype=np.float64) for p in protos]
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    out = []
+    for fq in features:
+        va = np.asarray(fq, dtype=np.float64)
+        na = float(np.linalg.norm(va))
+        if na == 0.0 or 0.0 in norms:
+            raise ValueError("cosine undefined for a zero vector")
+        sims = [float(np.dot(va, vb) / (na * nb)) for vb, nb in zip(vectors, norms)]
+        best = sims.index(max(sims))  # the first maximum, in class_id order
+        out.append((protos[best].class_id, sims[best]))
+    return out

@@ -149,27 +149,19 @@ class BinaryMask:
 
 @dataclass(frozen=True, eq=False)
 class SoftMask:
-    """Fractional mask on a feature-map grid; weights lie in [0, 1]."""
+    """Fractional masks on a feature-map grid, one per box; weights lie in [0, 1]."""
 
-    weights: np.ndarray  # (height, width) float64
+    weights: np.ndarray  # (count, height, width) float64
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"soft mask weights must be 2D, got shape {w.shape}")
+        if w.ndim != 3:
+            raise ValueError(f"soft mask weights must be (count, height, width), got {w.shape}")
         if w.size == 0:
             raise ValueError("soft mask must be non-empty")
         if not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0:
             raise ValueError("soft mask weights must be finite and within [0, 1]")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.weights.shape[0]
 
 
 def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
@@ -291,35 +283,55 @@ def _intersections(row, start, end, n):
     return inter
 
 
-def mask_downsample(m: BinaryMask, target_w: int, target_h: int) -> SoftMask:
-    """Bilinear resample of the binary raster to (target_h, target_w).
+# 2**62 // (W*H) masks per searchsorted pass keep the offset indices i*W*H + p below
+# 2**63; past it (1,024 masks of 2**53 pixels) they wrap and read wrong runs
+_SAMPLE_INDEX_LIMIT = 2**62
+_SAMPLES_PER_PASS = 2**13  # keeps each pass's temporaries at 64 KiB per array
+
+
+def mask_downsample(masks: Sequence[BinaryMask], target_w: int, target_h: int) -> SoftMask:
+    """Bilinear resample of each binary raster to (target_h, target_w).
 
     Pixel centers align (source coordinate of target cell i is
     (i + 0.5) * scale - 0.5), samples beyond the border clamp to the edge
     pixel, and fractional values are kept.  A constant mask stays constant.
-    The 2*target_h x 2*target_w corner pixels are read from the runs: pixel p
-    lies in run number #(run ends <= p), and odd runs hold the 1s.
+    The masks share their dimensions, hence their 2*target_h x 2*target_w
+    corner pixels, which are read from the runs of all masks at once: with the
+    runs concatenated, mask i's pixel p lies at i*W*H + p, its run number is
+    #(run ends <= i*W*H + p) minus the (even) number of runs of masks before
+    it, and odd runs hold the 1s.  The masks must be non-empty and of one size.
     """
     if target_w < 1 or target_h < 1:
         raise ValueError(f"target dims must be >= 1, got {target_w}x{target_h}")
-    sx = (np.arange(target_w) + 0.5) * (m.width / target_w) - 0.5
-    sy = (np.arange(target_h) + 0.5) * (m.height / target_h) - 0.5
-    sx = np.clip(sx, 0.0, m.width - 1.0)
-    sy = np.clip(sy, 0.0, m.height - 1.0)
+    dims = {(m.width, m.height) for m in masks}
+    if len(dims) != 1:
+        raise ValueError(f"need masks of one size, got {sorted(dims)}")
+    width, height = dims.pop()
+    sx = (np.arange(target_w) + 0.5) * (width / target_w) - 0.5
+    sy = (np.arange(target_h) + 0.5) * (height / target_h) - 0.5
+    sx = np.clip(sx, 0.0, width - 1.0)
+    sy = np.clip(sy, 0.0, height - 1.0)
 
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, m.width - 1)
-    y1 = np.minimum(y0 + 1, m.height - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
     fx = sx - x0
     fy = sy - y0
 
-    flat = np.concatenate((y0, y1))[:, None] * m.width + np.concatenate((x0, x1))
-    ends = np.cumsum(np.asarray(m.runs, dtype=np.int64))
-    src = (np.searchsorted(ends, flat, side="right") % 2).reshape(2 * target_h, 2, target_w)
-    rows = src[:, 0] * (1.0 - fx) + src[:, 1] * fx
-    out = rows[:target_h] * (1.0 - fy[:, None]) + rows[target_h:] * fy[:, None]
-    return SoftMask(weights=np.clip(out, 0.0, 1.0))
+    flat = (np.concatenate((y0, y1))[:, None] * width + np.concatenate((x0, x1))).ravel()
+    out = np.empty((len(masks), target_h, target_w))
+    step = max(min(_SAMPLE_INDEX_LIMIT // (width * height), _SAMPLES_PER_PASS // flat.size), 1)
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo:lo + step]
+        # each mask's runs padded to an even count, so its first run's index is even
+        runs = itertools.chain.from_iterable(m.runs + (0,) * (len(m.runs) % 2) for m in chunk)
+        ends = np.cumsum(np.fromiter(runs, dtype=np.int64))
+        at = flat + np.arange(len(chunk))[:, None] * (width * height)
+        src = (np.searchsorted(ends, at, side="right") & 1).reshape(-1, 2 * target_h, 2, target_w)
+        rows = src[:, :, 0] * (1.0 - fx) + src[:, :, 1] * fx
+        out[lo:lo + step] = rows[:, :target_h] * (1.0 - fy[:, None]) + rows[:, target_h:] * fy[:, None]
+    return SoftMask(weights=np.clip(out, 0.0, 1.0, out=out))
 
 
 def box_to_full_mask(box: BoundingBox, width: int, height: int) -> tuple[BinaryMask, bool]:

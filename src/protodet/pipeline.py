@@ -5,8 +5,11 @@ prototypes.  Stage 2 classifies every query proposal by cosine against those
 prototypes (using its precomputed vector when present, else pooling it from
 the image feature map) into one ``QueryImage`` per image, whose class graphs
 are built on first use and then shared by every method and sweep cell that
-reads them.  Stage 3 rescores with the selected method and keeps the best
-``max_output`` detections per image.  Stages 2-3 handle one image at a time,
+reads them.  Stages 1-2 make one pass per image: one ``mask_downsample`` and
+one ``masked_roi_pool`` call over the image's masks that need pooling, and in
+stage 2 one ``match_proposal`` call over all of its proposals.  Stage 3
+rescores with the selected method and keeps the best ``max_output``
+detections per image.  Stages 2-3 handle one image at a time,
 in image order, on the calling thread; ``PipelineConfig.jobs`` is validated
 but selects no code path, so outputs are identical for any value.
 """
@@ -25,13 +28,14 @@ from .errors import DataFormatError, PipelineError
 from .evaluation import EvalReport, evaluate
 from .features import (
     ClassPrototype,
+    FeatureMap,
     build_prototypes,
     masked_roi_pool,
     match_proposal,
 )
 from .geometry import mask_downsample
 from .postproc import ScoredDetection, topk_by_score
-from .interchange import Dataset, ProposalRecord, load_dataset, load_prototypes
+from .interchange import Dataset, load_dataset, load_prototypes
 
 __all__ = [
     "METHODS",
@@ -104,66 +108,67 @@ class PipelineConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
+def _pool(fm: FeatureMap, items: Sequence, index: Sequence[int], image_id: str, kind: str):
+    """The features of ``items[i]`` for i in ``index``, records of one image with a
+    mask and a box, from one downsample and one pooling call."""
+    soft = mask_downsample([items[i].mask for i in index], fm.grid_w, fm.grid_h)
+    names = [f"image {image_id!r} {kind} {i}" for i in index]
+    return masked_roi_pool(fm, [items[i].box for i in index], soft, names)
+
+
 def run_support_stage(dataset: Dataset) -> list[ClassPrototype]:
-    """Pool every support annotation and build one prototype per class."""
+    """Pool every support annotation, one pass per support image, and build one
+    prototype per class."""
     present = {s.class_id for s in dataset.supports}
     # ids below len(present) + 10 hold every missing id, or 10, however large num_classes is
     missing = sorted(set(range(min(dataset.num_classes, len(present) + 10))) - present)
     if missing:
         raise PipelineError(f"support stage: no support annotations for class ids {missing}")
-    pairs = []
-    for s in dataset.supports:
-        fm = dataset.feature_maps.get(s.image_id)
+    by_image: dict[str, list[int]] = {}
+    for i, s in enumerate(dataset.supports):
+        by_image.setdefault(s.image_id, []).append(i)
+    features = {}
+    for image_id, idx in by_image.items():
+        fm = dataset.feature_maps.get(image_id)
         if fm is None:
-            raise PipelineError(
-                f"support stage: no feature map for support image {s.image_id!r}"
-            )
-        soft = mask_downsample(s.mask, fm.grid_w, fm.grid_h)
+            raise PipelineError(f"support stage: no feature map for support image {image_id!r}")
+        group = [dataset.supports[i] for i in idx]
         try:
-            pairs.append((s.class_id, masked_roi_pool(fm, s.box, soft)))
+            features.update(zip(idx, _pool(fm, group, range(len(group)), image_id, "support")))
         except ValueError as exc:
-            raise PipelineError(f"support stage: {s.image_id!r}: {exc}") from exc
+            raise PipelineError(f"support stage: {image_id!r}: {exc}") from exc
     try:
-        return build_prototypes(pairs)
+        return build_prototypes((s.class_id, features[i]) for i, s in enumerate(dataset.supports))
     except ValueError as exc:
         raise PipelineError(f"support stage: {exc}") from exc
-
-
-def _match_one(
-    rec: ProposalRecord, dataset: Dataset, prototypes: Sequence[ClassPrototype]
-) -> Proposal:
-    feature = rec.feature
-    if feature is None:
-        fm = dataset.feature_maps.get(rec.image_id)
-        if fm is None:
-            raise PipelineError(
-                f"query stage: proposal in image {rec.image_id!r} has no precomputed "
-                "feature and the image has no feature map"
-            )
-        soft = mask_downsample(rec.mask, fm.grid_w, fm.grid_h)
-        feature = masked_roi_pool(fm, rec.box, soft)
-    pred_class, similarity = match_proposal(feature, prototypes)
-    return Proposal(
-        box=rec.box,
-        mask=rec.mask,
-        upn_score=rec.upn_score,
-        feature=feature,
-        pred_class=pred_class,
-        similarity=similarity,
-    )
 
 
 def run_query_stage(
     dataset: Dataset, prototypes: Sequence[ClassPrototype]
 ) -> dict[str, QueryImage]:
-    """Classify every proposal of every query image against the prototypes."""
+    """Classify every proposal of every query image against the prototypes: per
+    image, one pooling pass over the proposals without a precomputed feature,
+    then one matching call."""
     if not prototypes:
         raise PipelineError("query stage: no prototypes")
     out: dict[str, QueryImage] = {}
     for image_id in dataset.query_image_ids():
+        recs = dataset.proposals[image_id]
+        features = [rec.feature for rec in recs]
+        todo = [i for i, f in enumerate(features) if f is None]
+        fm = dataset.feature_maps.get(image_id)
+        if todo and fm is None:
+            raise PipelineError(f"query stage: proposal in image {image_id!r} has no precomputed "
+                                "feature and the image has no feature map")
         try:
+            if todo:
+                for i, feature in zip(todo, _pool(fm, recs, todo, image_id, "proposal")):
+                    features[i] = feature
             out[image_id] = QueryImage(tuple(
-                _match_one(rec, dataset, prototypes) for rec in dataset.proposals[image_id]
+                Proposal(box=rec.box, mask=rec.mask, upn_score=rec.upn_score, feature=feature,
+                         pred_class=pred_class, similarity=similarity)
+                for rec, feature, (pred_class, similarity)
+                in zip(recs, features, match_proposal(features, prototypes))
             ))
         except ValueError as exc:
             raise PipelineError(f"query stage: image {image_id!r}: {exc}") from exc

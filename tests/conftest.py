@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from protodet.diffusion import Proposal
+from protodet.features import cosine
 from protodet.generator import GeneratorConfig, generate_dataset
 from protodet.geometry import BinaryMask, BoundingBox
 from protodet.interchange import load_dataset
@@ -55,3 +56,57 @@ def random_class_props(rng, n, class_id=0, size=24, scores=None):
             )
         )
     return props
+
+
+# Per-item references for the query stage's one-pass-per-image kernels: the
+# forms they took before they batched an image's masks, boxes and features.
+
+def downsample_by_decoding(m, target_w, target_h):
+    """The decode-based resampler that ``mask_downsample`` replaced: it reads
+    the same corner pixels from the full ``H x W`` raster."""
+    src = m.to_array().astype(np.float64)
+    sx = np.clip((np.arange(target_w) + 0.5) * (m.width / target_w) - 0.5, 0.0, m.width - 1.0)
+    sy = np.clip((np.arange(target_h) + 0.5) * (m.height / target_h) - 0.5, 0.0, m.height - 1.0)
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    x1 = np.minimum(x0 + 1, m.width - 1)
+    y1 = np.minimum(y0 + 1, m.height - 1)
+    fx = sx - x0
+    fy = sy - y0
+    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
+    out = top * (1.0 - fy[:, None]) + bot * fy[:, None]
+    return np.clip(out, 0.0, 1.0)
+
+
+def pool_one_box(fm, box, weights):
+    """One box pooled under its (grid_h, grid_w) weights: the inclusive grid range
+    by scaling, floor and ceil minus one, clamped; then the weighted mean, or the
+    plain mean where the mask has no weight in the range."""
+    sx, sy = fm.grid_w / fm.image_w, fm.grid_h / fm.image_h
+    gx1 = int(np.floor(min(max(box.x1, 0.0), float(fm.image_w)) * sx))
+    gy1 = int(np.floor(min(max(box.y1, 0.0), float(fm.image_h)) * sy))
+    gx2 = int(np.ceil(min(max(box.x2, 0.0), float(fm.image_w)) * sx)) - 1
+    gy2 = int(np.ceil(min(max(box.y2, 0.0), float(fm.image_h)) * sy)) - 1
+    gx1 = min(max(gx1, 0), fm.grid_w - 1)
+    gy1 = min(max(gy1, 0), fm.grid_h - 1)
+    gx2 = min(max(gx2, gx1), fm.grid_w - 1)
+    gy2 = min(max(gy2, gy1), fm.grid_h - 1)
+    w = weights[gy1 : gy2 + 1, gx1 : gx2 + 1]
+    total = float(w.sum())
+    if total == 0.0:
+        w = np.ones_like(w)
+        total = float(w.sum())
+    block = fm.data[:, gy1 : gy2 + 1, gx1 : gx2 + 1]
+    return (block * w).sum(axis=(1, 2)) / total
+
+
+def match_one(fq, prototypes):
+    """One feature's best (class_id, similarity): ``cosine`` against each
+    prototype in class order, the first maximum kept."""
+    best_id, best_sim = -1, -np.inf
+    for proto in sorted(prototypes, key=lambda p: p.class_id):
+        sim = cosine(fq, proto.vector)
+        if sim > best_sim:
+            best_id, best_sim = proto.class_id, sim
+    return best_id, best_sim

@@ -272,13 +272,13 @@ def test_criterion_7_pooling_oracle_and_lambda_zero_identity(acceptance_dataset)
         weights = rng.uniform(0.0, 1.0, size=(gh, gw))
         if rng.random() < 0.3:
             weights = (weights > 0.5).astype(float)
-        sm = SoftMask(weights=weights)
+        sm = SoftMask(weights=weights[None])
         x = np.sort(rng.uniform(0, iw, 2))
         y = np.sort(rng.uniform(0, ih, 2))
         box = BoundingBox(x[0], y[0], x[1] + 0.5, y[1] + 0.5)
-        got = masked_roi_pool(fm, box, sm)
+        (got,) = masked_roi_pool(fm, [box], sm)
         # dense brute-force weighted mean over the mapped cell range
-        gx1, gy1, gx2, gy2 = map_box_to_grid(box, fm)
+        gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
         num = np.zeros(c)
         den = 0.0
         for u in range(gy1, gy2 + 1):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import match_one, pool_one_box
 from protodet.features import (
     ClassPrototype,
     FeatureMap,
@@ -23,30 +24,30 @@ def _fm(data, image_w, image_h):
 class TestMapBoxToGrid:
     def test_full_image_box_covers_full_grid(self):
         fm = _fm(np.zeros((2, 7, 9)), image_w=90, image_h=70)
-        assert map_box_to_grid(BoundingBox(0, 0, 90, 70), fm) == (0, 0, 8, 6)
+        assert map_box_to_grid([BoundingBox(0, 0, 90, 70)], fm).tolist() == [[0, 0, 8, 6]]
 
     def test_single_patch_box(self):
         fm = _fm(np.zeros((1, 45, 45)), image_w=630, image_h=630)
-        assert map_box_to_grid(BoundingBox(0, 0, 14, 14), fm) == (0, 0, 0, 0)
+        assert map_box_to_grid([BoundingBox(0, 0, 14, 14)], fm).tolist() == [[0, 0, 0, 0]]
 
     def test_scale_floor_ceil_rule_by_hand(self):
         # scale 45/630 = 1/14:
         #   x: floor(100/14) = 7 .. ceil(300/14) - 1 = 21
         #   y: floor(200/14) = 14 .. ceil(400/14) - 1 = 28
         fm = _fm(np.zeros((1, 45, 45)), image_w=630, image_h=630)
-        assert map_box_to_grid(BoundingBox(100, 200, 300, 400), fm) == (7, 14, 21, 28)
+        assert map_box_to_grid([BoundingBox(100, 200, 300, 400)], fm).tolist() == [[7, 14, 21, 28]]
 
     def test_range_never_empty(self):
         fm = _fm(np.zeros((1, 4, 4)), image_w=100, image_h=100)
-        gx1, gy1, gx2, gy2 = map_box_to_grid(BoundingBox(99.4, 99.4, 99.6, 99.6), fm)
+        gx1, gy1, gx2, gy2 = map_box_to_grid([BoundingBox(99.4, 99.4, 99.6, 99.6)], fm)[0]
         assert gx1 <= gx2 and gy1 <= gy2
 
 
 class TestMaskedRoiPool:
     def test_constant_map_pools_to_constant(self):
         fm = _fm(np.full((3, 4, 4), 2.5), image_w=8, image_h=8)
-        sm = SoftMask(weights=np.eye(4) * 0.5)
-        vec = masked_roi_pool(fm, BoundingBox(0, 0, 8, 8), sm)
+        sm = SoftMask(weights=np.eye(4)[None] * 0.5)
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 8, 8)], sm)
         np.testing.assert_allclose(vec, [2.5, 2.5, 2.5])
 
     def test_single_cell_mask_selects_that_column(self):
@@ -54,7 +55,7 @@ class TestMaskedRoiPool:
         data = rng.standard_normal((5, 3, 3))
         fm = _fm(data, image_w=9, image_h=9)
         w = np.zeros((3, 3)); w[1, 2] = 1.0
-        vec = masked_roi_pool(fm, BoundingBox(0, 0, 9, 9), SoftMask(weights=w))
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 9, 9)], SoftMask(weights=w[None]))
         np.testing.assert_allclose(vec, data[:, 1, 2])
 
     def test_two_selected_cells_average(self):
@@ -63,7 +64,7 @@ class TestMaskedRoiPool:
         data[:, 0, 1] = [5.0, 7.0]
         fm = _fm(data, image_w=2, image_h=2)
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
-        vec = masked_roi_pool(fm, BoundingBox(0, 0, 2, 2), SoftMask(weights=w))
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], SoftMask(weights=w[None]))
         np.testing.assert_allclose(vec, [3.0, 5.0])
 
     def test_all_ones_mask_equals_unweighted_mean(self):
@@ -77,24 +78,70 @@ class TestMaskedRoiPool:
             x = np.sort(rng.uniform(0, gw * 10, size=2))
             y = np.sort(rng.uniform(0, gh * 10, size=2))
             box = BoundingBox(x[0], y[0], x[1] + 1e-3, y[1] + 1e-3)
-            sm = SoftMask(weights=np.ones((gh, gw)))
-            gx1, gy1, gx2, gy2 = map_box_to_grid(box, fm)
+            sm = SoftMask(weights=np.ones((1, gh, gw)))
+            gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
             expected = data[:, gy1 : gy2 + 1, gx1 : gx2 + 1].mean(axis=(1, 2))
-            np.testing.assert_allclose(masked_roi_pool(fm, box, sm), expected, atol=1e-6)
+            np.testing.assert_allclose(masked_roi_pool(fm, [box], sm)[0], expected, atol=1e-6)
 
     def test_zero_weight_falls_back_to_plain_mean(self, caplog):
         data = np.arange(8, dtype=float).reshape(2, 2, 2)
         fm = _fm(data, image_w=2, image_h=2)
-        sm = SoftMask(weights=np.zeros((2, 2)))
+        sm = SoftMask(weights=np.zeros((1, 2, 2)))
         with caplog.at_level("WARNING"):
-            vec = masked_roi_pool(fm, BoundingBox(0, 0, 2, 2), sm)
+            (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], sm)
         assert "falling back" in caplog.text
         np.testing.assert_allclose(vec, data.mean(axis=(1, 2)))
 
     def test_dimension_mismatch_rejected(self):
         fm = _fm(np.zeros((1, 3, 3)), image_w=3, image_h=3)
         with pytest.raises(ValueError):
-            masked_roi_pool(fm, BoundingBox(0, 0, 3, 3), SoftMask(weights=np.ones((2, 2))))
+            masked_roi_pool(fm, [BoundingBox(0, 0, 3, 3)], SoftMask(weights=np.ones((1, 2, 2))))
+
+
+class TestOnePassAgainstPerItem:
+    def test_pooling_equals_per_box_reference(self):
+        rng = np.random.default_rng(1313)
+        for _ in range(40):
+            c, gh, gw = (int(v) for v in rng.integers(1, 8, size=3))
+            fm = _fm(rng.standard_normal((c, gh, gw)), image_w=gw * 7, image_h=gh * 5)
+            n = int(rng.integers(1, 12))
+            weights = rng.uniform(0.0, 1.0, size=(n, gh, gw))
+            weights[rng.random(n) < 0.3] = 0.0  # falls back to the plain mean
+            weights[rng.random(n) < 0.3] = 1.0
+            corners = rng.uniform(0.0, 1.2, size=(n, 4)) * ([gw * 7, gh * 5] * 2)  # some outside
+            boxes = [BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2) + 0.5, max(y1, y2) + 0.5)
+                     for x1, y1, x2, y2 in corners]
+            got = masked_roi_pool(fm, boxes, SoftMask(weights=weights))
+            assert got.shape == (n, c)
+            for row, box, w in zip(got, boxes, weights):
+                assert row.tobytes() == pool_one_box(fm, box, w).tobytes()
+
+    def test_box_and_mask_counts_must_agree(self):
+        fm = _fm(np.zeros((1, 2, 2)), image_w=2, image_h=2)
+        with pytest.raises(ValueError, match="do not match 2 boxes"):
+            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)] * 2, SoftMask(weights=np.ones((1, 2, 2))))
+
+    def test_matching_equals_per_prototype_cosine(self):
+        rng = np.random.default_rng(1414)
+        for _ in range(30):
+            dim, k = (int(v) for v in rng.integers(1, 6, size=2))
+            vectors = rng.standard_normal((k, dim))
+            ids = rng.permutation(np.arange(1, 20))[:k]
+            # vectors[0] again under a lower and a higher class id: exact ties
+            protos = [ClassPrototype(int(i), v, 1) for i, v in zip(ids, vectors)]
+            protos += [ClassPrototype(99, vectors[0].copy(), 1),
+                       ClassPrototype(0, vectors[0].copy(), 1)]
+            feats = [*rng.standard_normal((int(rng.integers(0, 20)), dim)), vectors[0] * 3.0]
+            got = match_proposal(feats, protos)
+            assert got == [match_one(f, protos) for f in feats]
+            assert got[-1][0] == 0
+
+    def test_zero_vector_is_rejected(self):
+        protos = [ClassPrototype(0, np.array([1.0, 0.0]), 1)]
+        with pytest.raises(ValueError, match="zero vector"):
+            match_proposal([np.array([1.0, 1.0]), np.zeros(2)], protos)
+        with pytest.raises(ValueError, match="zero vector"):
+            match_proposal([np.array([1.0, 1.0])], protos + [ClassPrototype(1, np.zeros(2), 1)])
 
 
 class TestNormalizeAndCosine:
@@ -168,20 +215,20 @@ class TestMatchProposal:
 
     def test_exact_prototype_match(self):
         protos = self._protos(np.eye(4))
-        cls, sim = match_proposal(np.array([0.0, 0.0, 0.0, 1.0]), protos)
+        ((cls, sim),) = match_proposal([np.array([0.0, 0.0, 0.0, 1.0])], protos)
         assert cls == 3
         assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_query_ties_to_lowest_class(self):
         protos = self._protos([[1, 0, 0], [0, 1, 0]])
-        cls, sim = match_proposal(np.array([0.0, 0.0, 5.0]), protos)
+        ((cls, sim),) = match_proposal([np.array([0.0, 0.0, 5.0])], protos)
         assert (cls, sim) == (0, 0.0)
 
     def test_mixture_query_by_hand(self):
         # fq = normalize(0.9 p0 + 0.1 p1): cos to p0 is 0.9 / sqrt(0.82)
         protos = self._protos([[1, 0], [0, 1]])
         fq = np.array([0.9, 0.1]) / math.sqrt(0.82)
-        cls, sim = match_proposal(fq, protos)
+        ((cls, sim),) = match_proposal([fq], protos)
         assert cls == 0
         assert sim == pytest.approx(0.9 / math.sqrt(0.82), abs=1e-12)
 
@@ -190,10 +237,10 @@ class TestMatchProposal:
         protos = self._protos([l for l in np.linalg.qr(rng.standard_normal((5, 5)))[0].T])
         for _ in range(100):
             fq = rng.standard_normal(5)
-            cls, _ = match_proposal(fq, protos)
-            scaled_cls, _ = match_proposal(fq * float(rng.uniform(0.1, 50.0)), protos)
+            scaled = fq * float(rng.uniform(0.1, 50.0))
+            (cls, _), (scaled_cls, _) = match_proposal([fq, scaled], protos)
             assert cls == scaled_cls
 
     def test_empty_prototypes_rejected(self):
         with pytest.raises(ValueError):
-            match_proposal(np.ones(3), [])
+            match_proposal([np.ones(3)], [])

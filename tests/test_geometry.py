@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import downsample_by_decoding
 from protodet import geometry
 from protodet.errors import DataFormatError
 from protodet.geometry import (
@@ -322,24 +323,6 @@ def _bilinear_oracle(src, tw, th):
     return out
 
 
-def _downsample_by_decoding(m, target_w, target_h):
-    """The decode-based resampler that ``mask_downsample`` replaced: it reads
-    the same corner pixels from the full ``H x W`` raster."""
-    src = m.to_array().astype(np.float64)
-    sx = np.clip((np.arange(target_w) + 0.5) * (m.width / target_w) - 0.5, 0.0, m.width - 1.0)
-    sy = np.clip((np.arange(target_h) + 0.5) * (m.height / target_h) - 0.5, 0.0, m.height - 1.0)
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, m.width - 1)
-    y1 = np.minimum(y0 + 1, m.height - 1)
-    fx = sx - x0
-    fy = sy - y0
-    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
-    out = top * (1.0 - fy[:, None]) + bot * fy[:, None]
-    return np.clip(out, 0.0, 1.0)
-
-
 @st.composite
 def _mask_and_target(draw, max_side=12, max_target=16):
     """Any mask, empty and full included, and any target size, larger than the
@@ -351,7 +334,58 @@ def _mask_and_target(draw, max_side=12, max_target=16):
     return mask, draw(st.integers(1, max_target)), draw(st.integers(1, max_target))
 
 
+@st.composite
+def _masks_and_target(draw, max_side=12, max_target=16, max_masks=6):
+    """One to ``max_masks`` masks of one size, empty and full included, and any
+    target size; an odd or even run count each, so the masks' offsets vary."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    cut_lists = st.lists(st.integers(0, w * h), max_size=12).map(sorted)
+    one_mask = cut_lists.map(
+        lambda cuts: BinaryMask(w, h, tuple(np.diff([0, *cuts, w * h]).tolist())))
+    masks = draw(st.lists(one_mask, min_size=1, max_size=max_masks))
+    return masks, draw(st.integers(1, max_target)), draw(st.integers(1, max_target))
+
+
 class TestDownsample:
+    @settings(deadline=None)
+    @given(_masks_and_target())
+    @example(([BinaryMask(4, 4, (2, 3, 0, 0, 0, 2, 9)),  # zero-length interior runs
+               BinaryMask(4, 4, (0, 3, 13)),  # leading 1-run
+               BinaryMask(4, 4, (15, 1)),  # a run ending on the last pixel
+               BinaryMask(4, 4, (0, 16)), BinaryMask(4, 4, (16,))], 3, 3))
+    @example(([BinaryMask(4, 4, (15, 1)), BinaryMask(4, 4, (0, 3, 13))], 4, 4))
+    @example(([BinaryMask(1, 1, (0, 1)), BinaryMask(1, 1, (1,))], 3, 2))
+    @example(([BinaryMask(3, 2, (1, 2, 1, 2)), BinaryMask(3, 2, (0, 6)),  # target larger
+               BinaryMask(3, 2, (1, 2, 1, 2))], 11, 7))                   # than the mask
+    def test_one_pass_equals_decode_based_version_per_mask(self, case):
+        masks, tw, th = case
+        got = mask_downsample(masks, tw, th).weights
+        assert got.shape == (len(masks), th, tw)
+        for mask, weights in zip(masks, got):
+            assert weights.tobytes() == downsample_by_decoding(mask, tw, th).tobytes()
+
+    # A 1x1 target reads 4 samples a mask, so only the int64 index limit splits the
+    # 1,100 masks; an 8x8 target reads 256, and the passes hold 32 masks each.
+    @pytest.mark.parametrize("target", [1, 8])
+    def test_one_pass_is_exact_for_over_1024_masks_of_2_53_pixels(self, target):
+        # Mask i's samples sit at i * 2**53 + p, past 2**63 from mask 1,024 on: the
+        # masks are read in passes that keep every index in int64.  Runs only, no raster.
+        w, h = 2**27, 2**26
+        rng = np.random.default_rng(53)
+        masks = [BinaryMask(w, h, tuple(np.diff([0, *np.sort(rng.integers(0, w * h, 40)), w * h])
+                                        .tolist())) for _ in range(1100)]
+        got = mask_downsample(masks, target, target).weights
+        assert len({weights.tobytes() for weights in got}) > 1  # not all alike
+        for mask, weights in zip(masks, got):
+            assert weights.tobytes() == mask_downsample([mask], target, target).weights[0].tobytes()
+
+    def test_masks_of_different_sizes_rejected(self):
+        with pytest.raises(ValueError, match="one size"):
+            mask_downsample([BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,))], 2, 2)
+        with pytest.raises(ValueError, match="one size"):
+            mask_downsample([], 2, 2)
+
     @settings(deadline=None)
     @given(_mask_and_target())
     @example((BinaryMask(4, 4, (2, 3, 0, 0, 0, 2, 9)), 3, 3))  # zero-length interior runs
@@ -364,27 +398,27 @@ class TestDownsample:
     @example((BinaryMask(3, 2, (1, 2, 1, 2)), 11, 7))  # target larger than the mask
     def test_equals_decode_based_version_exactly(self, case):
         mask, tw, th = case
-        got = mask_downsample(mask, tw, th).weights
-        want = _downsample_by_decoding(mask, tw, th)
+        (got,) = mask_downsample([mask], tw, th).weights
+        want = downsample_by_decoding(mask, tw, th)
         assert got.dtype == want.dtype and got.shape == want.shape == (th, tw)
         assert got.tobytes() == want.tobytes()
 
     def test_constant_masks_stay_constant(self):
         ones = BinaryMask(6, 5, (0, 30))
         for tw, th in ((2, 2), (3, 7), (11, 1)):
-            sm = mask_downsample(ones, tw, th)
-            np.testing.assert_array_equal(sm.weights, np.ones((th, tw)))
+            sm = mask_downsample([ones], tw, th)
+            np.testing.assert_array_equal(sm.weights, np.ones((1, th, tw)))
         zeros = BinaryMask(6, 5, (30,))
-        np.testing.assert_array_equal(mask_downsample(zeros, 3, 3).weights, np.zeros((3, 3)))
+        np.testing.assert_array_equal(mask_downsample([zeros], 3, 3).weights, np.zeros((1, 3, 3)))
 
     def test_left_half_mask_against_scalar_oracle(self):
         arr = np.zeros((4, 4)); arr[:, :2] = 1
         mask = BinaryMask.from_array(arr)
-        sm = mask_downsample(mask, 2, 2)
+        (weights,) = mask_downsample([mask], 2, 2).weights
         expected = _bilinear_oracle(arr.tolist(), 2, 2)
-        np.testing.assert_allclose(sm.weights, expected, atol=1e-12)
+        np.testing.assert_allclose(weights, expected, atol=1e-12)
         # frozen values from the oracle: target centers land on all-1 / all-0 columns
-        np.testing.assert_array_equal(sm.weights, [[1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(weights, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_random_masks_match_oracle(self):
         rng = np.random.default_rng(99)
@@ -394,10 +428,10 @@ class TestDownsample:
             arr = rng.random((h, w)) < 0.5
             tw = int(rng.integers(1, 9))
             th = int(rng.integers(1, 9))
-            sm = mask_downsample(BinaryMask.from_array(arr), tw, th)
+            (weights,) = mask_downsample([BinaryMask.from_array(arr)], tw, th).weights
             expected = _bilinear_oracle(arr.astype(float).tolist(), tw, th)
-            np.testing.assert_allclose(sm.weights, expected, atol=1e-12)
-            assert sm.weights.min() >= 0.0 and sm.weights.max() <= 1.0
+            np.testing.assert_allclose(weights, expected, atol=1e-12)
+            assert weights.min() >= 0.0 and weights.max() <= 1.0
 
 
 def _box_mask_by_raster(box, width, height):

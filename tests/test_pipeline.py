@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_CFG
+from conftest import ACCEPTANCE_CFG, downsample_by_decoding, match_one, pool_one_box
 from protodet.cli import main
 from protodet.diffusion import DiffusionParams, Proposal
 from protodet.errors import PipelineError
-from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, cosine
+from protodet.features import (ClassPrototype, FeatureMap, SupportAnnotation, build_prototypes,
+                               cosine)
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox
 from protodet.interchange import Dataset, ImageInfo, ProposalRecord, load_dataset, write_dataset
@@ -102,7 +103,92 @@ class TestSupportStage:
             assert cosine(p.vector, planted[p.class_id]) >= 0.99
 
 
+def _pool_per_item(fm, item):
+    return pool_one_box(fm, item.box, downsample_by_decoding(item.mask, fm.grid_w, fm.grid_h))
+
+
+def _query_stage_per_proposal(dataset, prototypes):
+    """The query stage with each proposal pooled and matched on its own, by the
+    per-item references, as (feature bytes, class, similarity) per proposal."""
+    out = {}
+    for image_id in dataset.query_image_ids():
+        rows = []
+        for rec in dataset.proposals[image_id]:
+            feature = rec.feature
+            if feature is None:
+                feature = _pool_per_item(dataset.feature_maps[image_id], rec)
+            rows.append((feature.tobytes(), *match_one(feature, prototypes)))
+        out[image_id] = rows
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixed_fmap_dataset(tmp_path_factory):
+    """Query features pooled from feature maps, except every other proposal of
+    the first image, which carries a precomputed feature."""
+    cfg = GeneratorConfig(seed=23, images=4, query_feature_maps=True)
+    ds = load_dataset(generate_dataset(cfg, tmp_path_factory.mktemp("mixed_fmap") / "ds"))
+    first = ds.query_image_ids()[0]
+    rng = np.random.default_rng(23)
+    ds.proposals[first] = [
+        replace(rec, feature=rng.standard_normal(cfg.feature_dim)) if i % 2 else rec
+        for i, rec in enumerate(ds.proposals[first])
+    ]
+    return ds
+
+
 class TestQueryStage:
+    @pytest.mark.parametrize("corpus", ["acceptance_dataset", "mixed_fmap_dataset"])
+    def test_one_pass_per_image_equals_per_proposal_stage(self, corpus, request):
+        ds = request.getfixturevalue(corpus)
+        prototypes = run_support_stage(ds)
+        want = build_prototypes((s.class_id, _pool_per_item(ds.feature_maps[s.image_id], s))
+                                for s in ds.supports)
+        assert [(p.class_id, p.vector.tobytes()) for p in prototypes] == [
+            (p.class_id, p.vector.tobytes()) for p in want]
+        got = run_query_stage(ds, prototypes)
+        assert {image_id: [(p.feature.tobytes(), p.pred_class, p.similarity)
+                           for p in image.proposals] for image_id, image in got.items()
+                } == _query_stage_per_proposal(ds, prototypes)
+
+    def test_each_layer_is_called_once_per_query_image(self, mixed_fmap_dataset, monkeypatch):
+        # an image's masks are downsampled, pooled and matched in one call each
+        import protodet.pipeline
+
+        ds = mixed_fmap_dataset
+        prototypes = run_support_stage(ds)
+        sizes = {name: [] for name in ("mask_downsample", "masked_roi_pool", "match_proposal")}
+        for name in sizes:
+            def spy(*args, _original=getattr(protodet.pipeline, name), _name=name):
+                sizes[_name].append(len(args[_name == "masked_roi_pool"]))
+                return _original(*args)
+
+            monkeypatch.setattr(protodet.pipeline, name, spy)
+        run_query_stage(ds, prototypes)
+        counts = [len(ds.proposals[i]) for i in ds.query_image_ids()]
+        pooled = [sum(r.feature is None for r in ds.proposals[i]) for i in ds.query_image_ids()]
+        assert min(counts) > 0 and pooled[0] < counts[0]
+        assert sizes == {"mask_downsample": pooled, "masked_roi_pool": pooled,
+                         "match_proposal": counts}
+
+    def test_zero_weight_warnings_name_the_image_and_proposal(self, caplog):
+        ds = _tiny_dataset(support_vec=(3.0, 4.0), with_query_fmap=True)
+        # the mask's one pixel lies outside the box's grid cell
+        corner, box = BinaryMask(8, 8, (63, 1)), BoundingBox(0, 0, 2, 2)
+        rec = ds.proposals["q0"][0]
+        ds.proposals["q0"] = [replace(rec, feature=np.array([1.0, 0.0])),
+                              replace(rec, mask=corner, box=box)]
+        ds.supports.append(replace(ds.supports[0], mask=corner, box=box))
+        with caplog.at_level("WARNING", logger="protodet.features"):
+            protos = run_support_stage(ds)
+            pooled = run_query_stage(ds, protos)["q0"].proposals[1]
+        assert [r.getMessage().split(": mask contributes zero weight")[0] for r in caplog.records
+                ] == ["image 'sup0' support 1", "image 'q0' proposal 1"]
+        assert all("falling back to unweighted mean" in r.getMessage() for r in caplog.records)
+        # the fallback is the plain mean over the box's cell: the flat map's vector
+        np.testing.assert_allclose(protos[0].vector, [0.6, 0.8], atol=1e-12)
+        np.testing.assert_allclose(pooled.feature, [3.0, 4.0], atol=1e-12)
+
     def test_planted_feature_matches_its_class_exactly(self):
         ds = _tiny_dataset()
         protos = [
