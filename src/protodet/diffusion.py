@@ -12,6 +12,10 @@ rate alpha.  A node holding the strict top score of its class has no outgoing
 edges, so its pi stays exactly 0 and its matching score is untouched, while a
 fragment nested inside a stronger proposal saturates toward 1 - alpha and gets
 decayed by the (1 - pi)^lambda transform.
+
+A ``ClassGraph`` stores only its members and their coverage and derives
+``edges`` on each read; ``diffuse`` alone builds the prior and P, from one
+``edges`` read per call.
 """
 
 from __future__ import annotations
@@ -84,9 +88,9 @@ class DiffusionParams:
 
 @dataclass(frozen=True, eq=False)
 class ClassGraph:
-    """A class's proposals and their pairwise mask coverage; ``edges``, ``prior``
-    and ``transition`` are derived from these on each read.  One graph serves
-    every method and every diffusion setting."""
+    """A class's proposals and their pairwise mask coverage; ``edges`` is derived
+    from these on each read.  One graph serves every method and every diffusion
+    setting."""
 
     node_ids: tuple[int, ...]
     members: tuple[Proposal, ...]  # in node order
@@ -99,24 +103,6 @@ class ClassGraph:
         edges = np.where(scores[:, None] > scores[None, :], 0.0, self.coverage)
         np.fill_diagonal(edges, 0.0)
         return edges
-
-    @property
-    def prior(self) -> np.ndarray:
-        """(N,): each node's strongest outgoing edge."""
-        return self.edges.max(axis=1)
-
-    @property
-    def transition(self) -> np.ndarray:
-        """(N, N): edges with each row scaled to sum 1; all-zero rows stay zero."""
-        return _row_normalized(self.edges)
-
-
-def _row_normalized(edges: np.ndarray) -> np.ndarray:
-    row_sums = edges.sum(axis=1)
-    transition = np.zeros_like(edges)
-    nonzero = row_sums > 0.0
-    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    return transition
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +153,12 @@ def diffuse(
     max_steps updates.  ``init`` overrides the uniform start (the fixed point
     is unique, so this only matters for verification).
     """
-    edges = g.edges  # derived on each read: read once, for the prior and the transition
-    transition, prior = _row_normalized(edges), edges.max(axis=1)
+    edges = g.edges  # derived on each read: read once
+    prior = edges.max(axis=1)  # each node's strongest outgoing edge
+    row_sums = edges.sum(axis=1)
+    transition = np.zeros_like(edges)  # each row scaled to sum 1; all-zero rows stay zero
+    nonzero = row_sums > 0.0
+    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
     n = len(prior)
     if init is None:
         pi = np.full(n, 1.0 / n)

@@ -237,7 +237,7 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
         return _intersections(row, start, end, n) / areas[:, None]
     label = _overlap_components(row, start, end, width)
     inter = np.zeros((n, n))
-    for c in np.unique(label):
+    for c in np.flatnonzero(label == np.arange(n)):  # each component's root, ascending
         part = label == c
         idx, keep = np.flatnonzero(part), part[row]
         rank = np.cumsum(part) - 1  # a member's index within its component

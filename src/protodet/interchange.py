@@ -301,6 +301,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                              height=_json_int(entry["height"], "image height"))
             if info.image_id in by_id:
                 raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
+            if _splits_a_tsv_row(info.image_id):
+                raise DataFormatError(f"{path}: image id {info.image_id!r} holds a tab or a "
+                                      "line break, which detections.tsv cannot hold")
             if info.width < 1 or info.height < 1:
                 raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
             if info.width * info.height > MAX_IMAGE_PIXELS:
@@ -496,6 +499,12 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
 _DET_HEADER = "image_id\tclass_id\tscore\tx1\ty1\tx2\ty2"
 
 
+def _splits_a_tsv_row(image_id: str) -> bool:
+    """Whether ``image_id`` holds a tab or a character that ``str.splitlines``
+    breaks on, either of which would split its row in ``load_detections``."""
+    return "\t" in image_id or len(f"{image_id}.".splitlines()) != 1
+
+
 def export_run(
     detections: Mapping[str, Sequence[ScoredDetection]],
     report: EvalReport | None,
@@ -511,6 +520,8 @@ def export_run(
     paths = {"detections": out / "detections.tsv"}
     lines = [_DET_HEADER]
     for image_id in sorted(detections):
+        if _splits_a_tsv_row(image_id):
+            raise ValueError(f"image id {image_id!r} holds a tab or a line break")
         for det in detections[image_id]:
             b = det.box
             lines.append(

@@ -85,7 +85,7 @@ METHODS: dict[str, Callable[[QueryImage, PipelineConfig], list[ScoredDetection]]
     "nms": lambda image, cfg: postproc.nms(_raw(image), NMS_IOU_THR),
     "softnms": lambda image, cfg: postproc.soft_nms(_raw(image), SOFT_NMS_SIGMA),
     "wbf": lambda image, cfg: postproc.wbf(_raw(image), WBF_IOU_THR),
-    "softmerge": lambda image, cfg: postproc.soft_merge(_raw(image), image.graphs),
+    "softmerge": lambda image, cfg: postproc.soft_merge(image.graphs),
     "diffusion": _diffused,
     "diffusion+nms": lambda image, cfg: postproc.nms(_diffused(image, cfg), NMS_IOU_THR),
 }

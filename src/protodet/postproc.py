@@ -1,7 +1,9 @@
 """Classical detection post-processing baselines: NMS, Soft-NMS, WBF, soft merging.
 
 All methods suppress per class and return detections sorted by descending
-score with ties broken by input position.
+score with ties broken by input position.  ``nms``, ``soft_nms`` and ``wbf``
+take a detection list; ``soft_merge`` takes the class graphs of the proposals
+alone, and a proposal's position is its node id.
 """
 
 from __future__ import annotations
@@ -124,26 +126,22 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
     return _by_score(fused_out)
 
 
-def soft_merge(
-    dets: list[ScoredDetection], graphs: Mapping[int, ClassGraph]
-) -> list[ScoredDetection]:
-    """Single-pass mask-coverage decay: walking each class by descending score,
-    a detection keeps score * (1 - max coverage of its mask by any
-    higher-ranked mask).  A fully swallowed fragment drops to zero.  The
-    coverage is read from ``graphs``, the ``build_class_graphs`` of the
-    proposals ``dets`` were made from, permuted into rank order."""
-    new_scores: dict[int, float] = {}
-    for class_id, order in _ranked_by_class(dets).items():
-        graph = graphs.get(class_id)
-        if graph is None or sorted(graph.node_ids) != sorted(order):
-            raise ValueError(f"no class graph over the class {class_id} detections")
-        pos = {node: k for k, node in enumerate(graph.node_ids)}
-        perm = [pos[i] for i in order]
-        cov = graph.coverage[np.ix_(perm, perm)]
+def soft_merge(graphs: Mapping[int, ClassGraph]) -> list[ScoredDetection]:
+    """Single-pass mask-coverage decay over ``build_class_graphs(props)``:
+    walking each class by descending similarity (of equal ones, the earlier
+    node first), a proposal keeps similarity * (1 - max coverage of its mask by
+    any higher-ranked mask).  A fully swallowed fragment drops to zero."""
+    merged: dict[int, ScoredDetection] = {}
+    for graph in graphs.values():
+        members = graph.members
+        order = sorted(range(len(members)), key=lambda k: -members[k].similarity)
+        cov = graph.coverage[np.ix_(order, order)]
         penalties = np.tril(cov, -1).max(axis=1, initial=0.0).tolist()
-        for i, penalty in zip(order, penalties):
-            new_scores[i] = dets[i].score * (1.0 - penalty)
-    return _by_score([replace(d, score=new_scores[i]) for i, d in enumerate(dets)])
+        for k, penalty in zip(order, penalties):
+            p = members[k]
+            merged[graph.node_ids[k]] = ScoredDetection(
+                box=p.box, class_id=p.pred_class, score=p.similarity * (1.0 - penalty))
+    return _by_score([merged[i] for i in sorted(merged)])
 
 
 def topk_by_score(dets: list[ScoredDetection], k: int) -> list[ScoredDetection]:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from protodet.diffusion import Proposal
 from protodet.features import cosine
 from protodet.generator import GeneratorConfig, generate_dataset
-from protodet.geometry import BinaryMask, BoundingBox
+from protodet.geometry import BinaryMask, BoundingBox, coverage_matrix
 from protodet.interchange import load_dataset
 
 # The fixed-seed corpus the acceptance criteria are calibrated against.
@@ -110,3 +112,43 @@ def match_one(fq, prototypes):
         if sim > best_sim:
             best_id, best_sim = proto.class_id, sim
     return best_id, best_sim
+
+
+def build_time_graph(props):
+    """coverage, edges, prior and transition as the graph build once computed
+    and stored them: the formulas that ``ClassGraph.edges`` and the walk that
+    ``diffuse`` derives from it must reproduce bit for bit."""
+    n = len(props)
+    coverage = coverage_matrix([p.mask for p in props])
+    scores = np.array([p.upn_score for p in props], dtype=np.float64)
+    edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
+    np.fill_diagonal(edges, 0.0)
+    prior = edges.max(axis=1) if n > 1 else np.zeros(1)
+    row_sums = edges.sum(axis=1)
+    transition = np.zeros_like(edges)
+    nonzero = row_sums > 0.0
+    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
+    return coverage, edges, prior, transition
+
+
+def soft_merge_of_detections(dets, graphs):
+    """The two-input ``soft_merge`` that the one-input form replaced: it ranks
+    the detections of each class by descending score, reads the coverage of
+    that class's graph permuted into rank order, and checks that the graph's
+    nodes are those detections."""
+    ranked = {}
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        ranked.setdefault(dets[i].class_id, []).append(i)
+    new_scores = {}
+    for class_id, order in ranked.items():
+        graph = graphs.get(class_id)
+        if graph is None or sorted(graph.node_ids) != sorted(order):
+            raise ValueError(f"no class graph over the class {class_id} detections")
+        pos = {node: k for k, node in enumerate(graph.node_ids)}
+        perm = [pos[i] for i in order]
+        cov = graph.coverage[np.ix_(perm, perm)]
+        penalties = np.tril(cov, -1).max(axis=1, initial=0.0).tolist()
+        for i, penalty in zip(order, penalties):
+            new_scores[i] = dets[i].score * (1.0 - penalty)
+    return sorted((replace(d, score=new_scores[i]) for i, d in enumerate(dets)),
+                  key=lambda d: -d.score)

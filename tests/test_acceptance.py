@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_class_props
+from conftest import build_time_graph, random_class_props
 from test_evaluation import _oracle_evaluate, _to_library_inputs
 
 from protodet.cli import main as cli_main
@@ -109,10 +109,11 @@ def test_criterion_2_contraction_and_convergence_budget():
     for _ in range(100):
         props = random_class_props(rng, int(rng.integers(2, 51)))
         g = build_class_graph(props)
+        _, _, prior, transition = build_time_graph(props)
         pi = np.full(len(props), 1.0 / len(props))
         prev = None
         for _ in range(70):
-            nxt = alpha * (g.transition @ pi) + (1 - alpha) * g.prior
+            nxt = alpha * (transition @ pi) + (1 - alpha) * prior
             diff = float(np.abs(nxt - pi).max())
             if prev is not None and prev > 0.0:
                 worst_ratio = max(worst_ratio, diff / prev)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protodet
-from conftest import random_class_props
+from conftest import build_time_graph, random_class_props
 from protodet.diffusion import (
     ClassGraph,
     DiffusionParams,
@@ -21,7 +21,7 @@ from protodet.diffusion import (
     diffuse_all_classes,
     refine_scores,
 )
-from protodet.geometry import BinaryMask, BoundingBox, coverage_matrix, mask_coverage
+from protodet.geometry import BinaryMask, BoundingBox, mask_coverage
 
 
 def _prop(score, arr, class_id=0, similarity=0.9):
@@ -70,16 +70,20 @@ def _iterate_oracle(transition, prior, alpha, tau, max_steps):
 
 class TestBuildClassGraph:
     def test_single_node(self):
-        g = build_class_graph([_prop(0.8, _full())])
+        props = [_prop(0.8, _full())]
+        g = build_class_graph(props)
+        _, _, prior, transition = build_time_graph(props)
         assert g.edges.tolist() == [[0.0]]
-        assert g.prior.tolist() == [0.0]
-        assert g.transition.tolist() == [[0.0]]
+        assert prior.tolist() == [0.0]
+        assert transition.tolist() == [[0.0]]
 
     def test_two_node_containment(self):
-        g = build_class_graph([_prop(0.9, _full()), _prop(0.5, _half())])
+        props = [_prop(0.9, _full()), _prop(0.5, _half())]
+        g = build_class_graph(props)
+        _, _, prior, transition = build_time_graph(props)
         assert g.edges.tolist() == [[0.0, 0.0], [1.0, 0.0]]
-        assert g.prior.tolist() == [0.0, 1.0]
-        assert g.transition.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert prior.tolist() == [0.0, 1.0]
+        assert transition.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_equal_scores_give_bidirectional_edges(self):
         first = _full()
@@ -101,13 +105,14 @@ class TestBuildClassGraph:
         for _ in range(50):
             props = random_class_props(rng, int(rng.integers(1, 12)))
             g = build_class_graph(props)
+            _, _, prior, transition = build_time_graph(props)
             n = len(props)
             assert np.all(np.diag(g.edges) == 0.0)
             scores = np.array([p.upn_score for p in props])
             higher = scores[:, None] > scores[None, :]
             assert np.all(g.edges[higher] == 0.0)
-            assert np.array_equal(g.prior, g.edges.max(axis=1) if n > 1 else [0.0])
-            row_sums = g.transition.sum(axis=1)
+            assert np.array_equal(prior, g.edges.max(axis=1) if n > 1 else [0.0])
+            row_sums = transition.sum(axis=1)
             for i in range(n):
                 if g.edges[i].sum() == 0.0:
                     assert row_sums[i] == 0.0
@@ -120,22 +125,6 @@ class TestBuildClassGraph:
                         assert g.edges[i, j] == 0.0
                     else:
                         assert g.edges[i, j] == mask_coverage(props[i].mask, props[j].mask)
-
-
-def _build_time_graph(props):
-    """edges, prior and transition as the graph build once computed and stored
-    them: the formulas the derived properties must reproduce bit for bit."""
-    n = len(props)
-    coverage = coverage_matrix([p.mask for p in props])
-    scores = np.array([p.upn_score for p in props], dtype=np.float64)
-    edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
-    np.fill_diagonal(edges, 0.0)
-    prior = edges.max(axis=1) if n > 1 else np.zeros(1)
-    row_sums = edges.sum(axis=1)
-    transition = np.zeros_like(edges)
-    nonzero = row_sums > 0.0
-    transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    return coverage, edges, prior, transition
 
 
 @st.composite
@@ -164,11 +153,16 @@ class TestDerivedGraph:
     @example([_prop(0.5, _full()), _prop(0.5, _half()), _prop(0.5, _inner())])  # all tied
     def test_derived_arrays_equal_the_build_time_formulas(self, props):
         g = build_class_graph(props)
-        coverage, edges, prior, transition = _build_time_graph(props)
+        coverage, edges, prior, transition = build_time_graph(props)
         assert np.array_equal(g.coverage, coverage)
         assert np.array_equal(g.edges, edges)
-        assert np.array_equal(g.prior, prior)
-        assert np.array_equal(g.transition, transition)
+        # diffuse derives the walk: at alpha = 0 one step from any start is the
+        # prior, and at alpha = 0.5 one step from the j-th unit vector is half
+        # of the transition's column j plus half of the prior
+        assert np.array_equal(diffuse(g, DiffusionParams(alpha=0.0, max_steps=1)).pi, prior)
+        half = DiffusionParams(alpha=0.5, max_steps=1)
+        for e in np.eye(len(props)):
+            assert np.array_equal(diffuse(g, half, init=e).pi, 0.5 * (transition @ e) + 0.5 * prior)
         assert g.members == tuple(props)
 
 
@@ -180,9 +174,11 @@ class TestDiffuse:
         assert res.converged
 
     def test_two_node_containment_fixed_point(self):
-        g = build_class_graph([_prop(0.9, _full()), _prop(0.5, _half())])
+        props = [_prop(0.9, _full()), _prop(0.5, _half())]
+        g = build_class_graph(props)
+        _, _, prior, transition = build_time_graph(props)
         res = diffuse(g, DiffusionParams(alpha=0.3, tau=1e-6, max_steps=50))
-        oracle = _iterate_oracle(g.transition.tolist(), g.prior.tolist(), 0.3, 1e-6, 50)
+        oracle = _iterate_oracle(transition.tolist(), prior.tolist(), 0.3, 1e-6, 50)
         np.testing.assert_allclose(res.pi, oracle, atol=1e-12)
         assert abs(res.pi[0] - 0.0) < 1e-9 and abs(res.pi[1] - 0.7) < 1e-9
         assert res.converged and res.steps_taken <= 50
@@ -190,22 +186,24 @@ class TestDiffuse:
     def test_three_node_chain_fixed_point(self):
         props = [_prop(0.9, _full()), _prop(0.6, _half()), _prop(0.3, _inner())]
         g = build_class_graph(props)
+        _, _, prior, transition = build_time_graph(props)
         res = diffuse(g, DiffusionParams(alpha=0.3, tau=1e-6, max_steps=50))
-        oracle = _iterate_oracle(g.transition.tolist(), g.prior.tolist(), 0.3, 1e-6, 50)
+        oracle = _iterate_oracle(transition.tolist(), prior.tolist(), 0.3, 1e-6, 50)
         np.testing.assert_allclose(res.pi, oracle, atol=1e-12)
         np.testing.assert_allclose(res.pi, [0.0, 0.7, 0.805], atol=1e-9)
 
     def test_edges_derived_once_per_call(self, monkeypatch):
         # edges is derived from coverage on every read; diffuse reads it once
         # and takes the prior and the transition from it, bit for bit as the
-        # properties give them
+        # graph build once stored them
         rng = np.random.default_rng(404)
         graphs = [build_class_graph(random_class_props(rng, n)) for n in (1, 2, 9, 30)]
         graphs.append(build_class_graph([_prop(0.5, _LEFT), _prop(0.5, _RIGHT)]))
         params = DiffusionParams(alpha=0.3, tau=1e-9, max_steps=40)
         wants = []
         for g in graphs:
-            transition, restart = g.transition, (1.0 - params.alpha) * g.prior
+            _, _, prior, transition = build_time_graph(g.members)
+            restart = (1.0 - params.alpha) * prior
             pi, steps = np.full(len(g.members), 1.0 / len(g.members)), 0
             while steps < params.max_steps:
                 nxt = np.clip(params.alpha * (transition @ pi) + restart, 0.0, 1.0)
@@ -236,12 +234,12 @@ class TestDiffuse:
         alpha = 0.3
         for _ in range(100):
             props = random_class_props(rng, int(rng.integers(2, 51)))
-            g = build_class_graph(props)
+            _, _, prior, transition = build_time_graph(props)
             n = len(props)
             pi = np.full(n, 1.0 / n)
             prev_diff = None
             for _ in range(40):
-                nxt = alpha * (g.transition @ pi) + (1 - alpha) * g.prior
+                nxt = alpha * (transition @ pi) + (1 - alpha) * prior
                 diff = float(np.abs(nxt - pi).max())
                 if prev_diff is not None and prev_diff > 0.0:
                     assert diff <= alpha * prev_diff + 1e-12

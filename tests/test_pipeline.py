@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_CFG, downsample_by_decoding, match_one, pool_one_box
+from conftest import (ACCEPTANCE_CFG, downsample_by_decoding, match_one, pool_one_box,
+                      soft_merge_of_detections)
 from protodet.cli import main
 from protodet.diffusion import DiffusionParams, Proposal
 from protodet.errors import PipelineError
@@ -23,6 +24,7 @@ from protodet.pipeline import (
     run_refine_stage,
     run_support_stage,
 )
+from protodet.postproc import ScoredDetection
 
 
 def _tiny_dataset(support_vec=(1.0, 0.0), feature=(1.0, 0.0), with_query_fmap=False):
@@ -135,6 +137,18 @@ def mixed_fmap_dataset(tmp_path_factory):
         for i, rec in enumerate(ds.proposals[first])
     ]
     return ds
+
+
+@pytest.fixture(scope="module")
+def overlap_dataset(tmp_path_factory):
+    """The compare-overlap regime: noisy features, overlapping fragment and
+    whole scores, many fragments per object."""
+    cfg = GeneratorConfig(seed=1, images=6, objects_per_image=(3, 3),
+                          fragments_per_object=(11, 11), distractors_per_image=(2, 2),
+                          image_size=128, grid_size=16, feature_noise=0.6,
+                          allow_score_overlap=True, fragment_score_range=(0.05, 0.7),
+                          whole_score_range=(0.3, 0.95))
+    return load_dataset(generate_dataset(cfg, tmp_path_factory.mktemp("overlap") / "ds"))
 
 
 class TestQueryStage:
@@ -288,6 +302,20 @@ class TestRefineStage:
         props = run_query_stage(acceptance_dataset, protos)
         dets = run_refine_stage(props, PipelineConfig(method="none", max_output=3))
         assert all(len(v) <= 3 for v in dets.values())
+
+    @pytest.mark.parametrize("corpus", ["acceptance_dataset", "overlap_dataset"])
+    def test_softmerge_equals_the_two_input_reference(self, corpus, request):
+        ds = request.getfixturevalue(corpus)
+        images = run_query_stage(ds, run_support_stage(ds))
+        cfg = PipelineConfig(method="softmerge")
+        zeroed = 0
+        for image in images.values():
+            raw = [ScoredDetection(box=p.box, class_id=p.pred_class, score=p.similarity)
+                   for p in image.proposals]
+            got = METHODS["softmerge"](image, cfg)
+            assert got == soft_merge_of_detections(raw, image.graphs)
+            zeroed += sum(d.score == 0.0 for d in got)
+        assert zeroed > 0  # some fragment is swallowed whole
 
     def test_all_methods_run(self, acceptance_dataset):
         protos = run_support_stage(acceptance_dataset)

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mask
+from conftest import random_mask, soft_merge_of_detections
 from protodet.diffusion import Proposal, build_class_graphs
 from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
 from protodet.postproc import (
@@ -27,18 +27,14 @@ def _mask(arr):
     return BinaryMask.from_array(np.asarray(arr, dtype=bool))
 
 
-def _graphs(dets, masks):
-    """The class graphs over ``masks``, one per detection, as the pipeline
-    builds them from the proposals the detections come from."""
-    return build_class_graphs([
+def _soft_merge(dets, masks):
+    """``soft_merge`` over the class graphs of proposals with these boxes,
+    classes and masks, whose similarities are the detections' scores."""
+    return soft_merge(build_class_graphs([
         Proposal(box=d.box, mask=m, upn_score=0.5, feature=np.ones(1),
                  pred_class=d.class_id, similarity=d.score)
         for d, m in zip(dets, masks, strict=True)
-    ])
-
-
-def _soft_merge(dets, masks):
-    return soft_merge(dets, _graphs(dets, masks))
+    ]))
 
 
 def _ranked_by_class_reference(dets):
@@ -234,6 +230,31 @@ class TestWbf:
                 assert lo_y - 1e-9 <= f.box.y1 and f.box.y2 <= hi_y + 1e-9
 
 
+_FULL = np.ones((8, 8), dtype=bool)
+_INNER = np.zeros((8, 8), dtype=bool)
+_INNER[2:6, 2:6] = True
+
+
+def _proposal(class_id, arr, upn_score, similarity):
+    ys, xs = np.nonzero(arr)
+    return Proposal(box=BoundingBox(float(xs.min()), float(ys.min()), float(xs.max() + 1),
+                                    float(ys.max() + 1)),
+                    mask=_mask(arr), upn_score=upn_score, feature=np.ones(1),
+                    pred_class=class_id, similarity=similarity)
+
+
+@st.composite
+def _class_prop(draw, side=8):
+    """A proposal of one of three classes with a rectangle mask, often nested
+    in or equal to another, and a similarity from a small set, so ties are common."""
+    x1, y1 = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    x2, y2 = draw(st.integers(x1 + 1, side)), draw(st.integers(y1 + 1, side))
+    arr = np.zeros((side, side), dtype=bool)
+    arr[y1:y2, x1:x2] = True
+    similarity = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0))
+    return _proposal(draw(st.integers(0, 2)), arr, draw(st.floats(0.0, 1.0)), similarity)
+
+
 class TestSoftMerge:
     def test_fully_covered_fragment_zeroed(self):
         whole = _det((0, 0, 4, 4), 0.9)
@@ -301,13 +322,18 @@ class TestSoftMerge:
             ]
             assert all(type(d.score) is float for d in got)
 
-    def test_detections_without_their_class_graph_rejected(self):
-        a = _det((0, 0, 2, 2), 0.9)
-        b = _det((0, 0, 1, 2), 0.5)
-        with pytest.raises(ValueError, match="class 0"):
-            soft_merge([a, b], {})
-        with pytest.raises(ValueError, match="class 0"):
-            soft_merge([a, b], _graphs([a], [_mask(np.ones((2, 2)))]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_class_prop(), max_size=12))
+    @example([])
+    @example([_proposal(0, _FULL, 0.5, 0.9), _proposal(0, _INNER, 0.5, 0.6),  # swallowed
+              _proposal(1, _INNER, 0.5, 0.6), _proposal(0, _FULL, 0.25, 0.6)])  # tied
+    def test_equals_the_two_input_reference(self, props):
+        graphs = build_class_graphs(props)
+        raw = [ScoredDetection(box=p.box, class_id=p.pred_class, score=p.similarity)
+               for p in props]
+        got, want = soft_merge(graphs), soft_merge_of_detections(raw, graphs)
+        assert got == want
+        assert [type(d.score) for d in got] == [type(d.score) for d in want]
 
 
 class TestTopK:

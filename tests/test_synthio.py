@@ -75,6 +75,11 @@ def _proposal_row(score, image_id="q0", w=8, h=8, runs=None, feature=(1.0, 0.0))
     }
 
 
+# A tab splits a detections.tsv row into columns, and each of the others is a
+# line break to ``str.splitlines``, which ``load_detections`` reads rows with.
+_ROW_BREAKERS = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
 class TestFeatureMapBlob:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -279,6 +284,17 @@ class TestLoadValidation:
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, image_id="nope")])
         with pytest.raises(DataFormatError, match="nope"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("char", _ROW_BREAKERS)
+    def test_image_id_that_would_split_a_detections_row_is_data_error(self, tmp_path, char,
+                                                                      capsys):
+        image_id = f"a{char}b"
+        path = _write_manifest(tmp_path, images=[{"id": image_id, "width": 8, "height": 8}],
+                               proposals=[_proposal_row(0.5, image_id=image_id)])
+        with pytest.raises(DataFormatError, match="tab or a line break"):
+            load_dataset(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert repr(image_id) in capsys.readouterr().err
 
     def test_score_out_of_range_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, proposals=[_proposal_row(1.5)])
@@ -503,6 +519,14 @@ class TestExport:
         assert paths["report_txt"].read_text().startswith("nAP=")
         doc = json.loads(paths["report_json"].read_text())
         assert doc["nAP"] == report.nap
+
+    @pytest.mark.parametrize("char", _ROW_BREAKERS)
+    def test_image_id_that_would_split_its_row_rejected(self, tmp_path, char):
+        dets = {f"a{char}b": [ScoredDetection(box=BoundingBox(0, 0, 1, 1), class_id=0,
+                                              score=0.5)]}
+        with pytest.raises(ValueError, match="tab or a line break"):
+            export_run(dets, None, tmp_path / "out")
+        assert not (tmp_path / "out" / "detections.tsv").exists()
 
     def test_bad_header_rejected_on_load(self, tmp_path):
         bad = tmp_path / "dets.tsv"

@@ -4,9 +4,13 @@ the package's own layering."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -116,3 +120,19 @@ def test_overlap_is_computed_once_per_image_class():
     calls = _calls("coverage_matrix", "box_iou")
     assert calls["coverage_matrix"] == {("diffusion", "build_class_graph")}
     assert {call for call in calls["box_iou"] if call[0] != "evaluation"} == {("postproc", "wbf")}
+
+
+@pytest.mark.parametrize("node_id", [
+    "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
+    "tests/test_pipeline.py::TestDeclaredDimensions",
+])
+def test_memory_bound_tests_pass_in_a_fresh_interpreter(node_id):
+    # These tests measure allocations with tracemalloc, so a lazy import that
+    # an earlier test of the same process has already paid for can hide
+    # behind them; each must also pass as the first thing a process runs.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node_id],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
