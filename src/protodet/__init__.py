@@ -33,7 +33,6 @@ from .generator import GeneratorConfig, generate_dataset, planted_prototypes
 from .geometry import (
     BinaryMask,
     BoundingBox,
-    SoftMask,
     box_area,
     box_iou,
     box_iou_matrix,

@@ -45,12 +45,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class Proposal:
-    """Query proposal after matching: box, mask, objectness, feature, class, cosine."""
+    """Query proposal after matching: box, mask, objectness, predicted class and
+    its cosine similarity.  The feature it was matched by is not kept."""
 
     box: BoundingBox
     mask: BinaryMask
     upn_score: float
-    feature: np.ndarray
     pred_class: int
     similarity: float
 

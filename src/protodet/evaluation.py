@@ -51,16 +51,12 @@ class EvalReport:
     gt_count: int
 
     def to_text(self) -> str:
-        lines = [
-            f"nAP={self.nap!r}",
-            f"nAP50={self.nap50!r}",
-            f"nAP75={self.nap75!r}",
-            f"det_count={self.det_count}",
-            f"gt_count={self.gt_count}",
-        ]
-        for class_id in sorted(self.per_class_ap):
-            aps = ",".join(repr(a) for a in self.per_class_ap[class_id])
-            lines.append(f"class_{class_id}_ap={aps}")
+        """``report.txt``: one ``key=repr`` line per field of ``to_json_dict``, then
+        one ``class_<id>_ap=`` line of comma-joined APs per class."""
+        fields = self.to_json_dict()
+        per_class = fields.pop("per_class_ap")
+        lines = [f"{key}={value!r}" for key, value in fields.items()]
+        lines += [f"class_{c}_ap={','.join(map(repr, aps))}" for c, aps in per_class.items()]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

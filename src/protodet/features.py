@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import BinaryMask, BoundingBox, SoftMask
+from .geometry import BinaryMask, BoundingBox
 
 __all__ = [
     "FeatureMap",
@@ -102,26 +102,27 @@ def map_box_to_grid(boxes: Sequence[BoundingBox], fm: FeatureMap) -> np.ndarray:
 
 
 def masked_roi_pool(
-    fm: FeatureMap, boxes: Sequence[BoundingBox], sm: SoftMask,
+    fm: FeatureMap, boxes: Sequence[BoundingBox], weights: np.ndarray,
     names: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Weighted mean of feature columns over each box's grid range: row i of
-    the (len(boxes), channels) result pools box i under soft mask i.
+    the (len(boxes), channels) result pools box i under ``weights[i]``.
 
-    Cell weights come from the soft mask and the sums run only over the
+    ``weights`` is the (len(boxes), grid_h, grid_w) array of cell weights in
+    [0, 1] that ``mask_downsample`` returns, and the sums run only over the
     mapped cell range, so the result describes the object region rather
     than the whole rectangle.  If a mask contributes zero weight there,
     pooling falls back to a plain mean over the range, with a warning that
     names the box by ``names[i]`` (default ``box i``).
     """
-    if sm.weights.shape != (len(boxes), fm.grid_h, fm.grid_w):
+    if weights.shape != (len(boxes), fm.grid_h, fm.grid_w):
         raise ValueError(
-            f"soft masks of shape {sm.weights.shape} do not match {len(boxes)} boxes "
+            f"weights of shape {weights.shape} do not match {len(boxes)} boxes "
             f"on feature grid {fm.grid_w}x{fm.grid_h}"
         )
     out = np.empty((len(boxes), fm.channels))
     for i, (gx1, gy1, gx2, gy2) in enumerate(map_box_to_grid(boxes, fm).tolist()):
-        w = sm.weights[i, gy1 : gy2 + 1, gx1 : gx2 + 1]
+        w = weights[i, gy1 : gy2 + 1, gx1 : gx2 + 1]
         total = float(w.sum())
         if total == 0.0:
             log.warning(

@@ -181,7 +181,7 @@ def _planted_feature_map(
     g = cfg.grid_size
     data = rng.standard_normal((cfg.feature_dim, g, g)) * 0.1
     for mask, direction in planted:
-        inside = mask_downsample([mask], g, g).weights[0] > 0.0
+        inside = mask_downsample([mask], g, g)[0] > 0.0
         noise = rng.standard_normal((g, g, cfg.feature_dim)) * 0.02
         data[:, inside] = (direction[None, :] + noise[inside]).T
     return FeatureMap(data=data, image_w=cfg.image_size, image_h=cfg.image_size)

@@ -19,7 +19,6 @@ from .errors import DataFormatError
 __all__ = [
     "BoundingBox",
     "BinaryMask",
-    "SoftMask",
     "box_area",
     "box_iou",
     "box_iou_matrix",
@@ -147,23 +146,6 @@ class BinaryMask:
         return sum(self.runs[1::2])
 
 
-@dataclass(frozen=True, eq=False)
-class SoftMask:
-    """Fractional masks on a feature-map grid, one per box; weights lie in [0, 1]."""
-
-    weights: np.ndarray  # (count, height, width) float64
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 3:
-            raise ValueError(f"soft mask weights must be (count, height, width), got {w.shape}")
-        if w.size == 0:
-            raise ValueError("soft mask must be non-empty")
-        if not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("soft mask weights must be finite and within [0, 1]")
-        object.__setattr__(self, "weights", w)
-
-
 def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
     """|src AND dst| / |src| -- how much of ``src`` the mask ``dst`` covers."""
     if (src.width, src.height) != (dst.width, dst.height):
@@ -289,8 +271,9 @@ _SAMPLE_INDEX_LIMIT = 2**62
 _SAMPLES_PER_PASS = 2**13  # keeps each pass's temporaries at 64 KiB per array
 
 
-def mask_downsample(masks: Sequence[BinaryMask], target_w: int, target_h: int) -> SoftMask:
-    """Bilinear resample of each binary raster to (target_h, target_w).
+def mask_downsample(masks: Sequence[BinaryMask], target_w: int, target_h: int) -> np.ndarray:
+    """Bilinear resample of each binary raster to (target_h, target_w): a float64
+    array of shape (len(masks), target_h, target_w) with values in [0, 1].
 
     Pixel centers align (source coordinate of target cell i is
     (i + 0.5) * scale - 0.5), samples beyond the border clamp to the edge
@@ -331,7 +314,7 @@ def mask_downsample(masks: Sequence[BinaryMask], target_w: int, target_h: int) -
         src = (np.searchsorted(ends, at, side="right") & 1).reshape(-1, 2 * target_h, 2, target_w)
         rows = src[:, :, 0] * (1.0 - fx) + src[:, :, 1] * fx
         out[lo:lo + step] = rows[:, :target_h] * (1.0 - fy[:, None]) + rows[:, target_h:] * fy[:, None]
-    return SoftMask(weights=np.clip(out, 0.0, 1.0, out=out))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def box_to_full_mask(box: BoundingBox, width: int, height: int) -> tuple[BinaryMask, bool]:

@@ -445,6 +445,9 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     The inverse of ``load_dataset``.  Feature maps go to
     ``features/<image id>.fmap`` and proposals are written in image order.
     """
+    for im in dataset.images:
+        if _splits_a_tsv_row(im.image_id):
+            raise ValueError(f"image id {im.image_id!r} holds a tab or a line break")
     for image_id in dataset.feature_maps:
         name = f"{image_id}.fmap"
         if Path(name).name != name:

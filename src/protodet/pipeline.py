@@ -165,10 +165,9 @@ def run_query_stage(
                 for i, feature in zip(todo, _pool(fm, recs, todo, image_id, "proposal")):
                     features[i] = feature
             out[image_id] = QueryImage(tuple(
-                Proposal(box=rec.box, mask=rec.mask, upn_score=rec.upn_score, feature=feature,
+                Proposal(box=rec.box, mask=rec.mask, upn_score=rec.upn_score,
                          pred_class=pred_class, similarity=similarity)
-                for rec, feature, (pred_class, similarity)
-                in zip(recs, features, match_proposal(features, prototypes))
+                for rec, (pred_class, similarity) in zip(recs, match_proposal(features, prototypes))
             ))
         except ValueError as exc:
             raise PipelineError(f"query stage: image {image_id!r}: {exc}") from exc

@@ -52,7 +52,6 @@ def random_class_props(rng, n, class_id=0, size=24, scores=None):
                 box=BoundingBox(float(x1), float(y1), float(x2), float(y2)),
                 mask=mask,
                 upn_score=score,
-                feature=np.asarray(rng.standard_normal(8)),
                 pred_class=class_id,
                 similarity=float(rng.uniform(0.1, 1.0)),
             )

@@ -25,7 +25,7 @@ from protodet.diffusion import (
 )
 from protodet.evaluation import ap_101, evaluate
 from protodet.features import FeatureMap, map_box_to_grid, masked_roi_pool
-from protodet.geometry import BinaryMask, BoundingBox, SoftMask, box_iou
+from protodet.geometry import BinaryMask, BoundingBox, box_iou
 from protodet.pipeline import (
     PipelineConfig,
     run_end_to_end,
@@ -56,7 +56,6 @@ def _two_and_three_node_graphs():
             box=BoundingBox(0, 0, 8, 8),
             mask=BinaryMask.from_array(arr),
             upn_score=score,
-            feature=np.ones(2),
             pred_class=0,
             similarity=0.9,
         )
@@ -273,11 +272,10 @@ def test_criterion_7_pooling_oracle_and_lambda_zero_identity(acceptance_dataset)
         weights = rng.uniform(0.0, 1.0, size=(gh, gw))
         if rng.random() < 0.3:
             weights = (weights > 0.5).astype(float)
-        sm = SoftMask(weights=weights[None])
         x = np.sort(rng.uniform(0, iw, 2))
         y = np.sort(rng.uniform(0, ih, 2))
         box = BoundingBox(x[0], y[0], x[1] + 0.5, y[1] + 0.5)
-        (got,) = masked_roi_pool(fm, [box], sm)
+        (got,) = masked_roi_pool(fm, [box], weights[None])
         # dense brute-force weighted mean over the mapped cell range
         gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
         num = np.zeros(c)

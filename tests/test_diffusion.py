@@ -30,7 +30,6 @@ def _prop(score, arr, class_id=0, similarity=0.9):
         box=BoundingBox(0, 0, float(mask.width), float(mask.height)),
         mask=mask,
         upn_score=score,
-        feature=np.ones(4),
         pred_class=class_id,
         similarity=similarity,
     )
@@ -325,7 +324,7 @@ from protodet.geometry import BinaryMask, BoundingBox
 
 raised = []
 prop = Proposal(box=BoundingBox(0, 0, 2, 2), mask=BinaryMask(2, 2, (0, 4)),
-                upn_score=0.5, feature=np.ones(2), pred_class=0, similarity=0.5)
+                upn_score=0.5, pred_class=0, similarity=0.5)
 # tied nodes that each cover the other twice over: the derived prior is 2.0
 g = ClassGraph((0, 1), (prop, prop), np.full((2, 2), 2.0))
 try:

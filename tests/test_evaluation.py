@@ -306,6 +306,13 @@ def test_report_text_roundtrip_format():
     doc = report.to_json_dict()
     assert doc["nAP"] == report.nap
     assert set(doc["per_class_ap"]) == {"0", "1"}
+    # the format line by line: fields in to_json_dict order, classes by id
+    hand = EvalReport(nap=0.55, nap50=2 / 3, nap75=0.1, det_count=7, gt_count=5,
+                      per_class_ap={10: (1.0, 0.5, 1 / 3), 2: (0.25, 0.0, 1e-05)})
+    assert hand.to_text() == ("nAP=0.55\nnAP50=0.6666666666666666\nnAP75=0.1\n"
+                              "det_count=7\ngt_count=5\n"
+                              "class_2_ap=0.25,0.0,1e-05\n"
+                              "class_10_ap=1.0,0.5,0.3333333333333333\n")
 
 
 # ---------------------------------------------------------------------------

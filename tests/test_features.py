@@ -14,7 +14,7 @@ from protodet.features import (
     masked_roi_pool,
     match_proposal,
 )
-from protodet.geometry import BoundingBox, SoftMask
+from protodet.geometry import BoundingBox
 
 
 def _fm(data, image_w, image_h):
@@ -46,8 +46,7 @@ class TestMapBoxToGrid:
 class TestMaskedRoiPool:
     def test_constant_map_pools_to_constant(self):
         fm = _fm(np.full((3, 4, 4), 2.5), image_w=8, image_h=8)
-        sm = SoftMask(weights=np.eye(4)[None] * 0.5)
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 8, 8)], sm)
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 8, 8)], np.eye(4)[None] * 0.5)
         np.testing.assert_allclose(vec, [2.5, 2.5, 2.5])
 
     def test_single_cell_mask_selects_that_column(self):
@@ -55,7 +54,7 @@ class TestMaskedRoiPool:
         data = rng.standard_normal((5, 3, 3))
         fm = _fm(data, image_w=9, image_h=9)
         w = np.zeros((3, 3)); w[1, 2] = 1.0
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 9, 9)], SoftMask(weights=w[None]))
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 9, 9)], w[None])
         np.testing.assert_allclose(vec, data[:, 1, 2])
 
     def test_two_selected_cells_average(self):
@@ -64,7 +63,7 @@ class TestMaskedRoiPool:
         data[:, 0, 1] = [5.0, 7.0]
         fm = _fm(data, image_w=2, image_h=2)
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], SoftMask(weights=w[None]))
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], w[None])
         np.testing.assert_allclose(vec, [3.0, 5.0])
 
     def test_all_ones_mask_equals_unweighted_mean(self):
@@ -78,24 +77,24 @@ class TestMaskedRoiPool:
             x = np.sort(rng.uniform(0, gw * 10, size=2))
             y = np.sort(rng.uniform(0, gh * 10, size=2))
             box = BoundingBox(x[0], y[0], x[1] + 1e-3, y[1] + 1e-3)
-            sm = SoftMask(weights=np.ones((1, gh, gw)))
+            weights = np.ones((1, gh, gw))
             gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
             expected = data[:, gy1 : gy2 + 1, gx1 : gx2 + 1].mean(axis=(1, 2))
-            np.testing.assert_allclose(masked_roi_pool(fm, [box], sm)[0], expected, atol=1e-6)
+            np.testing.assert_allclose(masked_roi_pool(fm, [box], weights)[0], expected, atol=1e-6)
 
     def test_zero_weight_falls_back_to_plain_mean(self, caplog):
         data = np.arange(8, dtype=float).reshape(2, 2, 2)
         fm = _fm(data, image_w=2, image_h=2)
-        sm = SoftMask(weights=np.zeros((1, 2, 2)))
+        weights = np.zeros((1, 2, 2))
         with caplog.at_level("WARNING"):
-            (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], sm)
+            (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], weights)
         assert "falling back" in caplog.text
         np.testing.assert_allclose(vec, data.mean(axis=(1, 2)))
 
     def test_dimension_mismatch_rejected(self):
         fm = _fm(np.zeros((1, 3, 3)), image_w=3, image_h=3)
         with pytest.raises(ValueError):
-            masked_roi_pool(fm, [BoundingBox(0, 0, 3, 3)], SoftMask(weights=np.ones((1, 2, 2))))
+            masked_roi_pool(fm, [BoundingBox(0, 0, 3, 3)], np.ones((1, 2, 2)))
 
 
 class TestOnePassAgainstPerItem:
@@ -111,7 +110,7 @@ class TestOnePassAgainstPerItem:
             corners = rng.uniform(0.0, 1.2, size=(n, 4)) * ([gw * 7, gh * 5] * 2)  # some outside
             boxes = [BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2) + 0.5, max(y1, y2) + 0.5)
                      for x1, y1, x2, y2 in corners]
-            got = masked_roi_pool(fm, boxes, SoftMask(weights=weights))
+            got = masked_roi_pool(fm, boxes, weights)
             assert got.shape == (n, c)
             for row, box, w in zip(got, boxes, weights):
                 assert row.tobytes() == pool_one_box(fm, box, w).tobytes()
@@ -119,7 +118,7 @@ class TestOnePassAgainstPerItem:
     def test_box_and_mask_counts_must_agree(self):
         fm = _fm(np.zeros((1, 2, 2)), image_w=2, image_h=2)
         with pytest.raises(ValueError, match="do not match 2 boxes"):
-            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)] * 2, SoftMask(weights=np.ones((1, 2, 2))))
+            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)] * 2, np.ones((1, 2, 2)))
 
     def test_matching_equals_per_prototype_cosine(self):
         rng = np.random.default_rng(1414)

@@ -124,6 +124,21 @@ def _query_stage_per_proposal(dataset, prototypes):
     return out
 
 
+def _spy_on_matching(monkeypatch):
+    """The features handed to each ``match_proposal`` call the query stage makes,
+    one list per call (one call per image, in image order)."""
+    import protodet.pipeline
+
+    calls = []
+
+    def spy(features, prototypes, _original=protodet.pipeline.match_proposal):
+        calls.append(list(features))
+        return _original(calls[-1], prototypes)
+
+    monkeypatch.setattr(protodet.pipeline, "match_proposal", spy)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def mixed_fmap_dataset(tmp_path_factory):
     """Query features pooled from feature maps, except every other proposal of
@@ -153,16 +168,18 @@ def overlap_dataset(tmp_path_factory):
 
 class TestQueryStage:
     @pytest.mark.parametrize("corpus", ["acceptance_dataset", "mixed_fmap_dataset"])
-    def test_one_pass_per_image_equals_per_proposal_stage(self, corpus, request):
+    def test_one_pass_per_image_equals_per_proposal_stage(self, corpus, request, monkeypatch):
         ds = request.getfixturevalue(corpus)
         prototypes = run_support_stage(ds)
         want = build_prototypes((s.class_id, _pool_per_item(ds.feature_maps[s.image_id], s))
                                 for s in ds.supports)
         assert [(p.class_id, p.vector.tobytes()) for p in prototypes] == [
             (p.class_id, p.vector.tobytes()) for p in want]
+        matched = _spy_on_matching(monkeypatch)
         got = run_query_stage(ds, prototypes)
-        assert {image_id: [(p.feature.tobytes(), p.pred_class, p.similarity)
-                           for p in image.proposals] for image_id, image in got.items()
+        assert {image_id: [(f.tobytes(), p.pred_class, p.similarity)
+                           for f, p in zip(features, image.proposals, strict=True)]
+                for (image_id, image), features in zip(got.items(), matched, strict=True)
                 } == _query_stage_per_proposal(ds, prototypes)
 
     def test_each_layer_is_called_once_per_query_image(self, mixed_fmap_dataset, monkeypatch):
@@ -185,7 +202,7 @@ class TestQueryStage:
         assert sizes == {"mask_downsample": pooled, "masked_roi_pool": pooled,
                          "match_proposal": counts}
 
-    def test_zero_weight_warnings_name_the_image_and_proposal(self, caplog):
+    def test_zero_weight_warnings_name_the_image_and_proposal(self, caplog, monkeypatch):
         ds = _tiny_dataset(support_vec=(3.0, 4.0), with_query_fmap=True)
         # the mask's one pixel lies outside the box's grid cell
         corner, box = BinaryMask(8, 8, (63, 1)), BoundingBox(0, 0, 2, 2)
@@ -193,15 +210,36 @@ class TestQueryStage:
         ds.proposals["q0"] = [replace(rec, feature=np.array([1.0, 0.0])),
                               replace(rec, mask=corner, box=box)]
         ds.supports.append(replace(ds.supports[0], mask=corner, box=box))
+        matched = _spy_on_matching(monkeypatch)
         with caplog.at_level("WARNING", logger="protodet.features"):
             protos = run_support_stage(ds)
-            pooled = run_query_stage(ds, protos)["q0"].proposals[1]
+            run_query_stage(ds, protos)
+        ((_, pooled),) = matched  # q0's two features
         assert [r.getMessage().split(": mask contributes zero weight")[0] for r in caplog.records
                 ] == ["image 'sup0' support 1", "image 'q0' proposal 1"]
         assert all("falling back to unweighted mean" in r.getMessage() for r in caplog.records)
         # the fallback is the plain mean over the box's cell: the flat map's vector
         np.testing.assert_allclose(protos[0].vector, [0.6, 0.8], atol=1e-12)
-        np.testing.assert_allclose(pooled.feature, [3.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(pooled, [3.0, 4.0], atol=1e-12)
+
+    def test_matched_proposals_keep_no_feature_vectors(self, tmp_path):
+        # Refinement reads a proposal's box, mask, objectness, class and
+        # similarity only.  A pooled feature is a row of the image's (n, C)
+        # pooled array, which it would keep alive: 4 KiB per proposal at C = 512.
+        cfg = GeneratorConfig(seed=1, images=4, feature_dim=512, query_feature_maps=True)
+        ds = load_dataset(generate_dataset(cfg, tmp_path / "ds"))
+        prototypes = run_support_stage(ds)
+        run_query_stage(ds, prototypes)  # pays for lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            images = run_query_stage(ds, prototypes)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = sum(len(image.proposals) for image in images.values())
+        assert n == sum(len(recs) for recs in ds.proposals.values()) > 0
+        assert retained < 1024 * n
 
     def test_planted_feature_matches_its_class_exactly(self):
         ds = _tiny_dataset()
@@ -333,8 +371,7 @@ class TestRefineStage:
         image = QueryImage(tuple(  # nested: each mask is a prefix of the next one
             Proposal(box=BoundingBox(0, 0, side, side),
                      mask=BinaryMask(side, side, (0, k + 1, side * side - k - 1)),
-                     upn_score=0.1 + 0.005 * k, feature=np.ones(2), pred_class=0,
-                     similarity=0.5)
+                     upn_score=0.1 + 0.005 * k, pred_class=0, similarity=0.5)
             for k in range(n)
         ))
         tracemalloc.start()

@@ -31,8 +31,7 @@ def _soft_merge(dets, masks):
     """``soft_merge`` over the class graphs of proposals with these boxes,
     classes and masks, whose similarities are the detections' scores."""
     return soft_merge(build_class_graphs([
-        Proposal(box=d.box, mask=m, upn_score=0.5, feature=np.ones(1),
-                 pred_class=d.class_id, similarity=d.score)
+        Proposal(box=d.box, mask=m, upn_score=0.5, pred_class=d.class_id, similarity=d.score)
         for d, m in zip(dets, masks, strict=True)
     ]))
 
@@ -239,8 +238,8 @@ def _proposal(class_id, arr, upn_score, similarity):
     ys, xs = np.nonzero(arr)
     return Proposal(box=BoundingBox(float(xs.min()), float(ys.min()), float(xs.max() + 1),
                                     float(ys.max() + 1)),
-                    mask=_mask(arr), upn_score=upn_score, feature=np.ones(1),
-                    pred_class=class_id, similarity=similarity)
+                    mask=_mask(arr), upn_score=upn_score, pred_class=class_id,
+                    similarity=similarity)
 
 
 @st.composite

@@ -482,6 +482,17 @@ class TestWriteDataset:
         outside = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
         assert outside == []
 
+    @pytest.mark.parametrize("char", _ROW_BREAKERS)
+    def test_image_id_that_would_split_a_detections_row_rejected(self, tmp_path, char):
+        # load_dataset refuses such an id, so the writer must not write one
+        ds = Dataset(num_classes=1, shots=1, images=[ImageInfo(f"a{char}b", 8, 8)], supports=[],
+                     proposals={}, ground_truth=[], feature_maps={})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="tab or a line break"):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()  # raised before any file or directory was made
+
 
 class TestExport:
     def _detections(self):

@@ -123,6 +123,7 @@ def test_overlap_is_computed_once_per_image_class():
 
 
 @pytest.mark.parametrize("node_id", [
+    "tests/test_pipeline.py::TestQueryStage::test_matched_proposals_keep_no_feature_vectors",
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
     "tests/test_pipeline.py::TestDeclaredDimensions",
 ])
