@@ -3,12 +3,16 @@
 Files (see docs/FORMATS.md for byte-level examples):
 
 * ``manifest.json``      -- format_version, class/shot counts, image table,
-                            record-file paths, feature-map path table.
+                            record-file paths, feature-map and proposal-feature
+                            path tables.
 * ``*.jsonl`` records    -- one JSON object per line for supports, query
                             proposals, and ground truth.
 * ``*.fmap`` blobs       -- 16-byte header (magic ``FMAP``, version, C, h, w)
                             followed by little-endian float32 data in channel-
                             major, row-major order.
+* ``*.pfeat`` blobs      -- 16-byte header (magic ``PFEA``, version, rows, dim)
+                            followed by one little-endian float64 feature row
+                            per proposal of one query image.
 * ``detections.tsv``     -- exported detections, one row per box.
 
 ``write_dataset`` writes a dataset in this format and ``load_dataset`` reads
@@ -20,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +62,8 @@ FMAP_MAGIC = b"FMAP"
 _FMAP_HEADER = struct.Struct("<4sIIHH")  # magic, version, channels, grid_h, grid_w
 PROTO_MAGIC = b"PRTO"
 _PROTO_HEADER = struct.Struct("<4sIIHH")  # magic, version, count, dim, reserved
-_PROTO_RECORD = struct.Struct("<II")  # class_id, support_count
+PFEAT_MAGIC = b"PFEA"
+_PFEAT_HEADER = struct.Struct("<4sIII")  # magic, version, rows, dim
 
 SCORE_FLOOR = 0.01
 MAX_PROPOSALS_PER_IMAGE = 500
@@ -99,7 +105,7 @@ class Dataset:
 
 
 # --------------------------------------------------------------------------
-# feature-map blobs
+# binary blobs: feature maps, proposal features, prototypes
 # --------------------------------------------------------------------------
 
 def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
@@ -108,9 +114,12 @@ def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def _unpack_header(path: Path | str, raw: bytes, header: struct.Struct, magic: bytes,
-                   kind: str) -> tuple:
-    """The blob's header fields after magic and version, checked to be there."""
+def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
+               body: Callable) -> np.ndarray:
+    """The blob's body as one read-only array.  ``body`` maps the header's fields
+    after magic and version to the array's dtype and shape, which must account
+    for every byte of the file before any array is made."""
+    raw = Path(path).read_bytes()
     if len(raw) < header.size:
         raise DataFormatError(f"{path}: truncated {kind} header")
     found, version, *fields = header.unpack_from(raw)
@@ -118,63 +127,76 @@ def _unpack_header(path: Path | str, raw: bytes, header: struct.Struct, magic: b
         raise DataFormatError(f"{path}: bad magic {found!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported {kind} version {version}")
-    return tuple(fields)
+    dtype, shape = body(*fields)
+    if 0 in shape:
+        raise DataFormatError(f"{path}: {kind} blob of shape {shape} holds no values")
+    count = math.prod(shape)
+    expected = header.size + np.dtype(dtype).itemsize * count
+    if len(raw) != expected:
+        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    return np.frombuffer(raw, dtype, count=count, offset=header.size).reshape(shape)
 
 
 def read_feature_map(path: Path | str, image_w: int, image_h: int) -> FeatureMap:
-    raw = Path(path).read_bytes()
-    channels, grid_h, grid_w = _unpack_header(path, raw, _FMAP_HEADER, FMAP_MAGIC, "feature-map")
-    expected = _FMAP_HEADER.size + 4 * channels * grid_h * grid_w
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_FMAP_HEADER.size)
-    data = data.reshape(channels, grid_h, grid_w).astype(np.float64)
-    return FeatureMap(data=data, image_w=image_w, image_h=image_h)
+    data = _read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
+                      lambda channels, grid_h, grid_w: ("<f4", (channels, grid_h, grid_w)))
+    return FeatureMap(data=data.astype(np.float64), image_w=image_w, image_h=image_h)
+
+
+def _check_features(matrix: np.ndarray, where: Callable[[int], str]) -> None:
+    """Reject the first row of ``matrix`` that no cosine can use: its float64 L2
+    norm is nan (a non-finite value), inf (a non-finite value, or an overflow)
+    or 0 (all zeros, or an underflow)."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    bad = np.flatnonzero(~((norms > 0) & (norms < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        what = "all-zero feature vector" if not np.any(matrix[k]) else "feature vector"
+        raise DataFormatError(f"{where(k)}: {what} of L2 norm {norms[k]} (cosine undefined)")
+
+
+def _read_proposal_features(path: Path) -> np.ndarray:
+    """The ``(rows, dim)`` float64 matrix of a ``.pfeat`` blob, every row checked."""
+    matrix = _read_blob(path, _PFEAT_HEADER, PFEAT_MAGIC, "proposal-feature",
+                        lambda rows, dim: ("<f8", (rows, dim)))
+    _check_features(matrix, lambda k: f"{path}: row {k}")
+    return matrix
+
+
+def _proto_records(dim: int) -> np.dtype:
+    return np.dtype([("class_id", "<u4"), ("support_count", "<u4"), ("vector", "<f4", (dim,))])
 
 
 def save_prototypes(path: Path | str, prototypes: Sequence[ClassPrototype]) -> None:
     """Serialize class prototypes; vectors are stored as little-endian float32."""
     protos = sorted(prototypes, key=lambda p: p.class_id)
     dim = protos[0].vector.size if protos else 0
-    parts = [_PROTO_HEADER.pack(PROTO_MAGIC, FORMAT_VERSION, len(protos), dim, 0)]
-    for p in protos:
-        if p.vector.size != dim:
-            raise ValueError("all prototype vectors must share one dimensionality")
-        parts.append(_PROTO_RECORD.pack(p.class_id, p.support_count))
-        parts.append(np.ascontiguousarray(p.vector, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    if any(p.vector.size != dim for p in protos):
+        raise ValueError("all prototype vectors must share one dimensionality")
+    records = np.array([(p.class_id, p.support_count, p.vector) for p in protos],
+                       dtype=_proto_records(dim))
+    header = _PROTO_HEADER.pack(PROTO_MAGIC, FORMAT_VERSION, len(protos), dim, 0)
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def load_prototypes(path: Path | str) -> list[ClassPrototype]:
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"prototype file not found: {path}")
-    raw = path.read_bytes()
-    count, dim, _ = _unpack_header(path, raw, _PROTO_HEADER, PROTO_MAGIC, "prototype")
-    if count == 0:
-        raise DataFormatError(f"{path}: holds no prototypes")
-    record = _PROTO_RECORD.size + 4 * dim
-    if len(raw) != _PROTO_HEADER.size + count * record:
-        raise DataFormatError(f"{path}: expected {count} records of {record} bytes")
+    records = _read_blob(path, _PROTO_HEADER, PROTO_MAGIC, "prototype",
+                         lambda count, dim, _: (_proto_records(dim), (count,)))
     protos: list[ClassPrototype] = []
     seen: set[int] = set()
-    offset = _PROTO_HEADER.size
-    for _ in range(count):
-        class_id, support_count = _PROTO_RECORD.unpack_from(raw, offset)
+    for rec in records:
+        class_id, vec = int(rec["class_id"]), rec["vector"]
         if class_id in seen:
             raise DataFormatError(f"{path}: duplicate prototype for class {class_id}")
         seen.add(class_id)
-        vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset + _PROTO_RECORD.size)
         if not (np.all(np.isfinite(vec)) and np.any(vec)):
             raise DataFormatError(f"{path}: class {class_id} prototype is not finite and non-zero")
-        protos.append(
-            ClassPrototype(
-                class_id=class_id,
-                vector=vec.astype(np.float64),
-                support_count=support_count,
-            )
-        )
-        offset += record
+        protos.append(ClassPrototype(class_id=class_id, vector=vec.astype(np.float64),
+                                     support_count=int(rec["support_count"])))
     return protos
 
 
@@ -311,15 +333,20 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                                       f"{info.width}x{info.height} pixels, more than 2**53")
             by_id[info.image_id] = info
 
-        feature_maps: dict[str, FeatureMap] = {}
-        for image_id, rel in doc.get("feature_maps", {}).items():
-            if image_id not in by_id:
-                raise DataFormatError(f"{path}: feature map for unknown image {image_id!r}")
-            blob = base / rel
-            if not blob.is_file():
-                raise DataFormatError(f"{path}: missing feature-map file {blob}")
-            info = by_id[image_id]
-            feature_maps[image_id] = read_feature_map(blob, info.width, info.height)
+        def blobs(key: str):
+            """(image, blob path) for each entry of the manifest's ``key`` table."""
+            for image_id, rel in doc.get(key, {}).items():
+                if image_id not in by_id:
+                    raise DataFormatError(f"{path}: {key} entry for unknown image {image_id!r}")
+                blob = base / rel
+                if not blob.is_file():
+                    raise DataFormatError(f"{path}: missing {key} file {blob}")
+                yield by_id[image_id], blob
+
+        feature_maps = {info.image_id: read_feature_map(blob, info.width, info.height)
+                        for info, blob in blobs("feature_maps")}
+        proposal_features = {info.image_id: _read_proposal_features(blob)
+                             for info, blob in blobs("proposal_features")}
         supports_file, proposals_file, gt_file = (
             base / _require(doc, key, str(path))
             for key in ("supports", "proposals", "ground_truth")
@@ -356,7 +383,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             mask=mask,
         )
 
-    feature_dims: set[int] = {fm.channels for fm in feature_maps.values()}
+    feature_dims = ({fm.channels for fm in feature_maps.values()}
+                    | {m.shape[1] for m in proposal_features.values()})
+    rows_used: set[tuple[str, int]] = set()
     dropped = 0
     substituted = 0
 
@@ -378,13 +407,23 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                     f"{where}: empty mask and box covers no pixel, record unusable"
                 )
             substituted += 1
-        feature = None
-        if rec.get("feature") is not None:
-            feature = np.asarray(_json_numbers(rec["feature"], "feature value"), dtype=np.float64)
-            if feature.ndim != 1 or feature.size == 0 or not np.all(np.isfinite(feature)):
-                raise DataFormatError(f"{where}: invalid feature vector")
-            if not np.any(feature):
-                raise DataFormatError(f"{where}: all-zero feature vector (cosine undefined)")
+        feature = rec.get("feature")
+        if "feature_row" in rec:
+            row = _json_int(rec["feature_row"], "feature_row")
+            matrix = proposal_features.get(info.image_id)
+            if feature is not None:
+                raise DataFormatError(f"{where}: both feature and feature_row")
+            if matrix is None:
+                raise DataFormatError(f"{where}: feature_row, but its image has no .pfeat blob")
+            if not 0 <= row < len(matrix):
+                raise DataFormatError(f"{where}: feature_row {row} outside [0, {len(matrix)})")
+            if (info.image_id, row) in rows_used:
+                raise DataFormatError(f"{where}: feature_row {row} used twice in its image")
+            rows_used.add((info.image_id, row))
+            feature = matrix[row]
+        elif feature is not None:
+            feature = np.asarray(_json_numbers(feature, "feature value"), dtype=np.float64)
+            _check_features(feature[None], lambda _: where)
             feature_dims.add(feature.size)
         elif info.image_id not in feature_maps:
             raise DataFormatError(f"{where}: no feature, and its image has no feature map")
@@ -443,38 +482,53 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     """Write ``dataset`` in the interchange format; returns the manifest path.
 
     The inverse of ``load_dataset``.  Feature maps go to
-    ``features/<image id>.fmap`` and proposals are written in image order.
+    ``features/<image id>.fmap``, each query image's precomputed proposal
+    features to ``features/<image id>.pfeat`` in proposal order, and proposals
+    are written in image order.
     """
+    features: dict[str, list[np.ndarray]] = {}  # each image's precomputed proposal features
     for im in dataset.images:
         if _splits_a_tsv_row(im.image_id):
             raise ValueError(f"image id {im.image_id!r} holds a tab or a line break")
-    for image_id in dataset.feature_maps:
+        if im.image_id in features:
+            raise ValueError(f"duplicate image id {im.image_id!r}")
+        features[im.image_id] = [p.feature for p in dataset.proposals.get(im.image_id, ())
+                                 if p.feature is not None]
+    features = {image_id: vectors for image_id, vectors in features.items() if vectors}
+    for image_id in (*dataset.feature_maps, *features):
         name = f"{image_id}.fmap"
         if Path(name).name != name:
-            raise ValueError(f"feature-map image id {image_id!r} is not a plain file name")
+            raise ValueError(f"image id {image_id!r} of a blob is not a plain file name")
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
     fmap_paths: dict[str, str] = {}
     for image_id, fm in dataset.feature_maps.items():
         fmap_paths[image_id] = f"features/{image_id}.fmap"
         write_feature_map(out / fmap_paths[image_id], fm)
+    pfeat_paths: dict[str, str] = {}
+    for image_id, vectors in features.items():
+        pfeat_paths[image_id] = f"features/{image_id}.pfeat"
+        matrix = np.array(vectors, dtype="<f8")
+        header = _PFEAT_HEADER.pack(PFEAT_MAGIC, FORMAT_VERSION, *matrix.shape)
+        (out / pfeat_paths[image_id]).write_bytes(header + matrix.tobytes())
 
-    def proposal_json(p: ProposalRecord) -> dict:
-        rec = {"image_id": p.image_id, "box": _box_to_json(p.box), "score": p.upn_score,
-               "mask": _mask_to_json(p.mask)}
-        if p.feature is not None:
-            rec["feature"] = p.feature.tolist()
-        return rec
+    def proposal_lines():
+        for im in dataset.images:
+            row = 0
+            for p in dataset.proposals.get(im.image_id, ()):
+                rec = {"image_id": p.image_id, "box": _box_to_json(p.box),
+                       "score": p.upn_score, "mask": _mask_to_json(p.mask)}
+                if p.feature is not None:
+                    rec["feature_row"] = row
+                    row += 1
+                yield rec
 
     _write_jsonl(out / "supports.jsonl", (
         {"image_id": s.image_id, "class_id": s.class_id, "box": _box_to_json(s.box),
          "mask": _mask_to_json(s.mask)}
         for s in dataset.supports
     ))
-    _write_jsonl(out / "proposals.jsonl", (
-        proposal_json(p)
-        for im in dataset.images for p in dataset.proposals.get(im.image_id, ())
-    ))
+    _write_jsonl(out / "proposals.jsonl", proposal_lines())
     _write_jsonl(out / "ground_truth.jsonl", (
         {"image_id": g.image_id, "class_id": g.class_id, "box": _box_to_json(g.box)}
         for g in dataset.ground_truth
@@ -490,6 +544,8 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
         "ground_truth": "ground_truth.jsonl",
         "feature_maps": fmap_paths,
     }
+    if pfeat_paths:  # so that a corpus with no precomputed proposal features lacks the key
+        manifest["proposal_features"] = pfeat_paths
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path

@@ -30,6 +30,12 @@ def _read_tsv(path):
     return rows[0], rows[1:]
 
 
+def _inline_proposal(rec, feature=(1.0, 0.0, 0.0, 0.0)):
+    """``rec`` as a hand-made export writes it: the feature vector inline."""
+    return {"image_id": rec["image_id"], "box": rec["box"], "score": rec["score"],
+            "mask": rec["mask"], "feature": list(feature)}
+
+
 def _exit_code(argv):
     """main's return value, or the code of the SystemExit argparse raises."""
     try:
@@ -88,7 +94,7 @@ class TestExitCodes:
         props = ds / "proposals.jsonl"
         lines = props.read_text().splitlines()
         last = json.loads(lines[-1])
-        del last["feature"]
+        del last["feature_row"]
         props.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
         out = tmp_path / "o"
         assert main(["run", str(ds / "manifest.json"), "--out", str(out)]) == 3
@@ -145,13 +151,15 @@ class TestExitCodes:
         ("proposals.jsonl", ("score",), 10**400, "int too large to convert to float"),
         ("proposals.jsonl", ("box", 2), "40.0", 'box coordinate must be a JSON number'),
         ("ground_truth.jsonl", ("box", 0), False, "box coordinate must be a JSON number, got false"),
+        ("proposals.jsonl", ("feature_row",), True, "feature_row must be a JSON integer, got true"),
+        ("proposals.jsonl", ("feature_row",), 1.0, "feature_row must be a JSON integer, got 1.0"),
         ("proposals.jsonl", ("feature", 3), True, "feature value must be a JSON number, got true"),
         ("proposals.jsonl", ("mask", "counts", 0), float, "RLE run lengths must be integers"),
         ("supports.jsonl", ("mask", "counts"), lambda c: [*c[:-1], c[-1] - 1, 0, True],
          "RLE run lengths must be integers"),
     ], ids=["format-version", "num-classes", "shots", "width", "height", "mask-w", "mask-h", "support-class",
             "gt-class", "score-bool", "score-str", "score-overflow", "box-str", "box-bool",
-            "feature-bool", "counts-float", "counts-bool"])
+            "feature_row-bool", "feature_row-float", "feature-bool", "counts-float", "counts-bool"])
     def test_mistyped_json_value_is_data_error(self, cli_corpus, tmp_path, capsys, name, keys,
                                                value, message):
         ds = tmp_path / "ds"
@@ -159,6 +167,8 @@ class TestExitCodes:
         path = ds / name
         docs = ([json.loads(path.read_text())] if name == "manifest.json"
                 else [json.loads(line) for line in path.read_text().splitlines()])
+        if keys[0] == "feature":  # generated records name a blob row; a hand-made one is inline
+            docs[1] = _inline_proposal(docs[1])
         doc = docs[0 if name == "manifest.json" else 1]  # a record's is the file's line 2
         for key in keys[:-1]:
             doc = doc[key]

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CFG
 from protodet.errors import DataFormatError
+from protodet import generator
 from protodet.cli import main
 from protodet.evaluation import GroundTruthBox, evaluate
 from protodet.features import ClassPrototype, FeatureMap
@@ -73,6 +75,35 @@ def _proposal_row(score, image_id="q0", w=8, h=8, runs=None, feature=(1.0, 0.0))
         "mask": {"w": w, "h": h, "counts": runs if runs is not None else [0, w * h]},
         "feature": list(feature),
     }
+
+
+def _write_pfeat(path, matrix, magic=b"PFEA", version=1):
+    matrix = np.asarray(matrix, dtype="<f8")
+    path.write_bytes(struct.pack("<4sIII", magic, version, *matrix.shape) + matrix.tobytes())
+
+
+def _blob_row(k, score=0.5):
+    row = _proposal_row(score)
+    del row["feature"]
+    row["feature_row"] = k
+    return row
+
+
+def _blob_manifest(tmp_path, matrix=((1.0, 0.0), (0.0, 1.0)), rows=(0, 1), **blob):
+    """A one-image dataset whose proposals name rows of ``q0.pfeat``."""
+    _write_pfeat(tmp_path / "q0.pfeat", matrix, **blob)
+    return _write_manifest(tmp_path, manifest={"proposal_features": {"q0": "q0.pfeat"}},
+                           proposals=[_blob_row(k) for k in rows])
+
+
+def _assert_data_error(path, tmp_path, pattern):
+    """``load_dataset`` raises a DataFormatError matching ``pattern``, and ``run``
+    exits 3 on the dataset without writing anything."""
+    with pytest.raises(DataFormatError, match=pattern):
+        load_dataset(path)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # A tab splits a detections.tsv row into columns, and each of the others is a
@@ -201,10 +232,14 @@ class TestGenerate:
 
     def test_query_feature_map_mode_emits_maps_not_vectors(self, tmp_path):
         cfg = GeneratorConfig(seed=4, images=3, query_feature_maps=True)
-        ds = load_dataset(generate_dataset(cfg, tmp_path / "ds"))
+        manifest = generate_dataset(cfg, tmp_path / "ds")
+        ds = load_dataset(manifest)
         for image_id in ds.query_image_ids():
             assert image_id in ds.feature_maps
             assert all(r.feature is None for r in ds.proposals[image_id])
+        # the writer omits an empty proposal-feature table and writes no blob
+        assert "proposal_features" not in json.loads(manifest.read_text())
+        assert list((manifest.parent / "features").glob("*.pfeat")) == []
 
 
 class TestLoadValidation:
@@ -334,6 +369,11 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match=r"proposals\.jsonl:1: all-zero feature"):
             load_dataset(path)
 
+    def test_empty_inline_feature_rejected(self, tmp_path):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, feature=())])
+        with pytest.raises(DataFormatError, match=r"proposals\.jsonl:1: all-zero feature"):
+            load_dataset(path)
+
     def test_proposal_without_feature_or_map_rejected(self, tmp_path):
         row = _proposal_row(0.5)
         del row["feature"]
@@ -346,6 +386,169 @@ class TestLoadValidation:
         del row["feature"]
         path = _write_manifest(tmp_path, proposals=[row, _proposal_row(0.5)])
         assert len(load_dataset(path).proposals["q0"]) == 1
+
+
+class TestProposalFeatureBlob:
+    def test_rows_load_as_the_records_name_them(self, tmp_path):
+        ds = load_dataset(_blob_manifest(tmp_path, matrix=[[1.0, 2.0], [3.0, 4.0]], rows=(1, 0)))
+        got = [rec.feature.tolist() for rec in ds.proposals["q0"]]
+        assert got == [[3.0, 4.0], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("blob, pattern", [
+        (dict(magic=b"JUNK"), r"q0\.pfeat: bad magic b'JUNK'"),
+        (dict(version=2), r"q0\.pfeat: unsupported proposal-feature version 2"),
+    ], ids=["magic", "version"])
+    def test_bad_header_rejected(self, tmp_path, blob, pattern):
+        _assert_data_error(_blob_manifest(tmp_path, **blob), tmp_path, pattern)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = _blob_manifest(tmp_path, matrix=np.zeros((2, 0)), rows=())
+        _assert_data_error(path, tmp_path, r"q0\.pfeat: proposal-feature blob of shape \(2, 0\) "
+                                           "holds no values")
+
+    @pytest.mark.parametrize("edit, pattern", [
+        (lambda raw: raw[:8], "truncated proposal-feature header"),
+        (lambda raw: raw[:-8], "expected 48 bytes, found 40"),
+        (lambda raw: raw + bytes(8), "expected 48 bytes, found 56"),
+    ], ids=["header", "body-short", "body-long"])
+    def test_size_that_disagrees_with_header_rejected(self, tmp_path, edit, pattern):
+        path = _blob_manifest(tmp_path)  # 16 + 2 * 2 * 8 = 48 bytes
+        blob = tmp_path / "q0.pfeat"
+        blob.write_bytes(edit(blob.read_bytes()))
+        _assert_data_error(path, tmp_path, rf"q0\.pfeat: {pattern}")
+
+    @pytest.mark.parametrize("row, pattern", [
+        ((np.nan, 1.0), r"feature vector of L2 norm nan \(cosine undefined\)"),
+        ((1.0, np.inf), r"feature vector of L2 norm inf \(cosine undefined\)"),
+        ((0.0, 0.0), r"all-zero feature vector of L2 norm 0\.0 \(cosine undefined\)"),
+    ], ids=["nan", "inf", "zero"])
+    def test_unusable_row_rejected(self, tmp_path, row, pattern):
+        path = _blob_manifest(tmp_path, matrix=[(1.0, 0.0), row], rows=(0,))
+        _assert_data_error(path, tmp_path, rf"q0\.pfeat: row 1: {pattern}")
+
+    @pytest.mark.parametrize("rows, pattern", [
+        ((0, 2), r"proposals\.jsonl:2: feature_row 2 outside \[0, 2\)"),
+        ((0, -1), r"proposals\.jsonl:2: feature_row -1 outside \[0, 2\)"),
+        ((1, 1), r"proposals\.jsonl:2: feature_row 1 used twice in its image"),
+        ((1.0,), r"proposals\.jsonl:1: invalid proposal record \(feature_row must be a JSON "
+                 r"integer, got 1\.0\)"),
+        ((True,), r"proposals\.jsonl:1: .*feature_row must be a JSON integer, got true"),
+        (("0",), r'proposals\.jsonl:1: .*feature_row must be a JSON integer, got "0"'),
+        ((None,), r"proposals\.jsonl:1: .*feature_row must be a JSON integer, got null"),
+    ], ids=["past-end", "negative", "twice", "float", "bool", "str", "null"])
+    def test_bad_feature_row_rejected(self, tmp_path, rows, pattern):
+        _assert_data_error(_blob_manifest(tmp_path, rows=rows), tmp_path, pattern)
+
+    def test_feature_row_beside_inline_feature_rejected(self, tmp_path):
+        path = _blob_manifest(tmp_path)
+        rows = [_blob_row(0), {**_blob_row(1), "feature": [0.0, 1.0]}]
+        (tmp_path / "proposals.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        _assert_data_error(path, tmp_path, r"proposals\.jsonl:2: both feature and feature_row")
+
+    def test_feature_row_without_blob_rejected(self, tmp_path):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5), _blob_row(0)])
+        _assert_data_error(path, tmp_path,
+                           r"proposals\.jsonl:2: feature_row, but its image has no \.pfeat blob")
+
+    def test_blob_dimension_joins_the_consistency_check(self, tmp_path):
+        path = _blob_manifest(tmp_path)
+        rows = [_blob_row(0), _proposal_row(0.5, feature=(1.0, 0.0, 0.0))]
+        (tmp_path / "proposals.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        _assert_data_error(path, tmp_path, r"inconsistent feature dimensions .*\[2, 3\]")
+
+    @pytest.mark.parametrize("table, pattern", [
+        ({"nope": "q0.pfeat"}, r"manifest\.json: proposal_features entry for unknown image 'nope'"),
+        ({"q0": "gone.pfeat"}, r"manifest\.json: missing proposal_features file .*gone\.pfeat"),
+        (["q0.pfeat"], r"manifest\.json: invalid manifest"),
+    ], ids=["unknown-image", "missing-file", "not-a-table"])
+    def test_bad_manifest_table_rejected(self, tmp_path, table, pattern):
+        _write_pfeat(tmp_path / "q0.pfeat", [[1.0, 0.0]])
+        path = _write_manifest(tmp_path, manifest={"proposal_features": table},
+                               proposals=[_proposal_row(0.5)])
+        _assert_data_error(path, tmp_path, pattern)
+
+    def test_header_declaring_a_huge_matrix_allocates_nothing(self, tmp_path):
+        (tmp_path / "q0.pfeat").write_bytes(struct.pack("<4sIII", b"PFEA", 1, 2**32 - 1, 2**32 - 1))
+        path = _write_manifest(tmp_path, manifest={"proposal_features": {"q0": "q0.pfeat"}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"q0\.pfeat: expected \d+ bytes, found 16"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("value", [1e300, 1e308, 1e-200])
+    @pytest.mark.parametrize("form", ["inline", "blob"])
+    def test_feature_whose_norm_is_no_positive_float_rejected(self, tmp_path, form, value):
+        # 1e300 overflows the norm to inf and used to give similarity 0.0 and a
+        # changed nAP; 1e308 ended in a nan score (exit 4); 1e-200 underflows
+        # the norm to 0, which no cosine can divide by
+        if form == "inline":
+            path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, feature=(value, value))])
+            where = r"proposals\.jsonl:1"
+        else:
+            path = _blob_manifest(tmp_path, matrix=[(1.0, 0.0), (value, value)])
+            where = r"q0\.pfeat: row 1"
+        norm = "inf" if value > 1 else r"0\.0"
+        _assert_data_error(path, tmp_path, rf"{where}: feature vector of L2 norm {norm} \(cosine "
+                                           r"undefined\)")
+
+
+class TestGeneratedProposalFeatures:
+    def test_features_load_bit_for_bit(self, tmp_path, monkeypatch):
+        written = []
+
+        def spy(dataset, out_dir):
+            written.append(dataset)
+            return write_dataset(dataset, out_dir)
+
+        monkeypatch.setattr(generator, "write_dataset", spy)
+        manifest = generate_dataset(GeneratorConfig(seed=5, images=4, feature_dim=96),
+                                    tmp_path / "ds")
+        (expected,) = written
+        loaded = load_dataset(manifest)
+        assert loaded.query_image_ids() == expected.query_image_ids() != []
+        for image_id in expected.query_image_ids():
+            want = [rec.feature for rec in expected.proposals[image_id]]
+            got = [rec.feature for rec in loaded.proposals[image_id]]
+            assert [f.dtype for f in got] == [np.dtype(np.float64)] * len(want)
+            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+    def test_records_name_blob_rows_not_inline_vectors(self, tmp_path):
+        manifest = generate_dataset(GeneratorConfig(seed=5, images=3), tmp_path / "ds")
+        records = [json.loads(line) for line in
+                   (manifest.parent / "proposals.jsonl").read_text().splitlines()]
+        assert all("feature" not in rec for rec in records)
+        rows = {}
+        for rec in records:
+            rows.setdefault(rec["image_id"], []).append(rec["feature_row"])
+        assert all(got == list(range(len(got))) for got in rows.values())
+        table = json.loads(manifest.read_text())["proposal_features"]
+        assert table == {image_id: f"features/{image_id}.pfeat" for image_id in rows}
+
+    def test_inline_form_loads_equal_to_blob_form(self, tmp_path):
+        manifest = generate_dataset(GeneratorConfig(seed=5, images=3), tmp_path / "ds")
+        blob_form = load_dataset(manifest)
+        # rewrite as a hand-made export would: each vector inline, no blobs
+        props = manifest.parent / "proposals.jsonl"
+        records = [json.loads(line) for line in props.read_text().splitlines()]
+        vectors = [rec.feature for image_id in blob_form.query_image_ids()
+                   for rec in blob_form.proposals[image_id]]
+        for rec, vector in zip(records, vectors, strict=True):
+            del rec["feature_row"]
+            rec["feature"] = vector.tolist()
+        props.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        doc = json.loads(manifest.read_text())
+        del doc["proposal_features"]
+        manifest.write_text(json.dumps(doc))
+        for blob in (manifest.parent / "features").glob("*.pfeat"):
+            blob.unlink()
+        inline_form = load_dataset(manifest)
+        for image_id in blob_form.query_image_ids():
+            assert ([rec.feature.tobytes() for rec in inline_form.proposals[image_id]]
+                    == [rec.feature.tobytes() for rec in blob_form.proposals[image_id]])
 
 
 class TestPrototypeFile:
@@ -421,7 +624,8 @@ class TestMutationFuzz:
         save_prototypes(protos, run_support_stage(load_dataset(manifest)))
         ds = manifest.parent
         targets = [manifest, ds / "supports.jsonl", ds / "proposals.jsonl",
-                   ds / "ground_truth.jsonl", sorted((ds / "features").iterdir())[0], protos]
+                   ds / "ground_truth.jsonl", ds / "features" / "support_c0_s0.fmap",
+                   ds / "features" / "img_0000.pfeat", protos]
         originals = {path: path.read_bytes() for path in targets}
         rng = np.random.default_rng(2026)
         codes = set()
@@ -481,6 +685,16 @@ class TestWriteDataset:
             write_dataset(ds, out)
         outside = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
         assert outside == []
+
+    def test_duplicate_image_id_rejected(self, tmp_path):
+        # load_dataset refuses a manifest that lists an id twice
+        ds = Dataset(num_classes=1, shots=1, images=[ImageInfo("a", 8, 8), ImageInfo("a", 8, 8)],
+                     supports=[], proposals={}, ground_truth=[], feature_maps={})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="duplicate image id 'a'"):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("char", _ROW_BREAKERS)
     def test_image_id_that_would_split_a_detections_row_rejected(self, tmp_path, char):

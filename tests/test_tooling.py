@@ -126,6 +126,8 @@ def test_overlap_is_computed_once_per_image_class():
     "tests/test_pipeline.py::TestQueryStage::test_matched_proposals_keep_no_feature_vectors",
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
     "tests/test_pipeline.py::TestDeclaredDimensions",
+    "tests/test_synthio.py::TestProposalFeatureBlob::"
+    "test_header_declaring_a_huge_matrix_allocates_nothing",
 ])
 def test_memory_bound_tests_pass_in_a_fresh_interpreter(node_id):
     # These tests measure allocations with tracemalloc, so a lazy import that
