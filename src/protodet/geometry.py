@@ -159,31 +159,25 @@ def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
     return inter / area
 
 
-_SEGMENT_CHUNK = 4096  # segment columns per product block: O(N**2 + N * chunk) floats
-# Fewer masks skip the component split, whose fixed cost exceeds its saving: per graph of
-# the benchmark corpora, it slowed 124 of 125 of 1-39 masks and sped up 13 of 15 of 40 or more.
-_COMPONENT_MIN_NODES = 40
+_PAIRS_PER_PASS = 2**14  # overlapping interval pairs summed per bincount: 128 KiB per array
 
 
 def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     """All pairwise coverages: ``out[i, j] == mask_coverage(masks[i], masks[j])``.
 
     Works on the run lengths and never decodes a raster.  Each mask's 1-runs
-    become flat ``[start, end)`` intervals.  Masks whose row or column extents
-    are disjoint share no pixel, so from ``_COMPONENT_MIN_NODES`` (40) masks on
-    they are split into the connected components of the "extents overlap"
-    graph, and only pairs within a component are counted; fewer masks form one
-    component.  In a component of n masks, their starts and ends cut the raster
-    into K segments, each lying wholly inside or wholly outside every mask, so
-    a 0/1 (n, K) membership matrix weighted by segment length gives the
-    intersection counts in one matrix product.  Every partial sum is an
-    integer below 2**53, hence exact in float64, and the final division is the
-    same correctly rounded quotient of two integers that ``mask_coverage``
-    computes: the values agree bit for bit.
+    become flat ``[start, end)`` intervals, touching ones merged, so two
+    intervals of one mask never overlap.  Sorted by start, the intervals after
+    interval i that overlap it are exactly those that start before it ends, so
+    every overlapping pair (a, b) is met once, and it adds
+    ``min(end[a], end[b]) - start[b]`` shared pixels to its two masks' entry.
+    Every partial sum is an integer of at most W*H <= 2**53, hence exact in
+    float64, and the final division is the same correctly rounded quotient of
+    two integers that ``mask_coverage`` computes: the values agree bit for bit.
 
-    Cost: O(runs*log(runs) + N**2) time for the intervals and the extent test,
-    plus the sum over components of O(n*K + n**2*K), K <= min(2*runs, W*H);
-    memory O(runs + N**2 + n*K), whatever the declared W*H.
+    Cost: O(R*log(R) + P + N**2) time and O(R + N**2 + _PAIRS_PER_PASS) memory
+    for R intervals and P overlapping interval pairs, whatever the declared
+    W*H.  Disjoint masks add no pair.
 
     Raises ValueError when the masks differ in dimensions or one is empty.
     """
@@ -215,54 +209,27 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     first = np.concatenate(([True], apart))
     row, start, end = row[first], start[first], end[np.concatenate((apart, [True]))]
 
-    if n < _COMPONENT_MIN_NODES:
-        return _intersections(row, start, end, n) / areas[:, None]
-    label = _overlap_components(row, start, end, width)
-    inter = np.zeros((n, n))
-    for c in np.flatnonzero(label == np.arange(n)):  # each component's root, ascending
-        part = label == c
-        idx, keep = np.flatnonzero(part), part[row]
-        rank = np.cumsum(part) - 1  # a member's index within its component
-        inter[np.ix_(idx, idx)] = _intersections(rank[row[keep]], start[keep], end[keep], idx.size)
+    order = np.argsort(start, kind="stable")
+    row, start, end = row[order], start[order], end[order]
+    # interval i overlaps the count[i] intervals after it; its pairs are numbered
+    # offset[i] .. offset[i + 1] - 1
+    count = np.searchsorted(start, end) - np.arange(1, start.size + 1)
+    offset = np.concatenate(([0], np.cumsum(count)))
+    inter = np.zeros(n * n)
+    lo = 0
+    while lo < start.size:
+        # as many intervals as fit in one pass, and at least one
+        hi = int(np.searchsorted(offset, offset[lo] + _PAIRS_PER_PASS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        a = np.repeat(np.arange(lo, hi), count[lo:hi])
+        b = np.arange(offset[lo], offset[hi]) - offset[a] + a + 1
+        shared = np.minimum(end[a], end[b]) - start[b]
+        inter += np.bincount(row[a] * n + row[b], weights=shared, minlength=n * n)
+        lo = hi
+    inter = inter.reshape(n, n)
+    inter += inter.T
+    np.fill_diagonal(inter, areas)
     return inter / areas[:, None]
-
-
-def _overlap_components(row, start, end, width):
-    """Each mask's label: the least mask index in its component of the graph that joins
-    masks whose row and column extents both overlap.  ``row`` names each interval's mask."""
-    first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-    top, bottom = start // width, (end - 1) // width
-    wraps = top != bottom  # an interval over a row break spans every column
-    left = np.minimum.reduceat(np.where(wraps, 0, start % width), first)
-    right = np.maximum.reduceat(np.where(wraps, width - 1, (end - 1) % width), first)
-    top, bottom = top[first], np.maximum.reduceat(bottom, first)
-    touch = ((left[:, None] <= right) & (left <= right[:, None])
-             & (top[:, None] <= bottom) & (top <= bottom[:, None]))
-    # each mask takes the least label among its neighbours (itself included),
-    # then that label's own label, until nothing moves
-    label = np.arange(first.size)
-    while not np.array_equal(nxt := np.where(touch, label, first.size).min(axis=1), label):
-        label = nxt[nxt]
-    return label
-
-
-def _intersections(row, start, end, n):
-    """(n, n) shared pixel counts of n masks; ``row`` names each 1-interval's mask."""
-    cuts = np.sort(np.concatenate((start, end)))
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    k = cuts.size - 1
-    delta = np.zeros((n, k + 1), dtype=np.int8)
-    # a row's intervals are disjoint and apart: no index repeats
-    delta[row, np.searchsorted(cuts, start)] = 1
-    delta[row, np.searchsorted(cuts, end)] = -1
-    member = np.cumsum(delta, axis=1, dtype=np.int8)[:, :k]
-    seglen = np.diff(cuts).astype(np.float64)
-
-    inter = np.zeros((n, n))
-    for lo in range(0, k, _SEGMENT_CHUNK):
-        block = member[:, lo:lo + _SEGMENT_CHUNK].astype(np.float64)
-        inter += (block * seglen[lo:lo + _SEGMENT_CHUNK]) @ block.T
-    return inter
 
 
 # 2**62 // (W*H) masks per searchsorted pass keep the offset indices i*W*H + p below

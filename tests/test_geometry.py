@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,56 +241,71 @@ class TestCoverageMatrix:
         _mask_of(6, 6, [(3, 0, 6, 3)]), _mask_of(6, 6, [(3, 3, 6, 6)]),
         _mask_of(6, 6, [(2, 2, 3, 3)]),  # shares one column and one row with the first
     ])
-    @example([  # a chain 0-2-3-1 of column overlaps: labels must travel the whole chain
+    @example([  # a chain 0-2-3-1 of column overlaps
         _mask_of(8, 1, [(0, 0, 1, 2)]), _mask_of(8, 1, [(0, 5, 1, 7)]),
         _mask_of(8, 1, [(0, 1, 1, 4)]), _mask_of(8, 1, [(0, 3, 1, 6)]),
     ])
-    @example([  # six singleton components
+    @example([  # six masks, pairwise disjoint
         _mask_of(9, 9, [(y, x, y + 2, x + 2)]) for y in (0, 7) for x in (0, 4, 7)
     ])
-    def test_partitioned_equals_scalar_oracle_exactly(self, masks):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "_COMPONENT_MIN_NODES", 0)
-            got = coverage_matrix(masks)
+    def test_equals_scalar_oracle_where_extents_meet(self, masks):
+        got = coverage_matrix(masks)
         want = np.array([[mask_coverage(a, b) for b in masks] for a in masks])
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tolist() == want.tolist()
 
-    @settings(deadline=None, max_examples=50)
+    @pytest.mark.parametrize("pairs_per_pass", [1, 3])
+    @settings(deadline=None)
     @given(_same_size_masks())
-    def test_partitioned_exact_at_2_53_pixels(self, masks):
-        # the masks moved to the far corner of a 2**27 x 2**26 raster keep
-        # their coverages; extents there lie just below 2**53
-        side_w, side_h = 2**27, 2**26
-        big = [_embed_far(m, side_w, side_h) for m in masks]
+    @example([  # the full mask's one interval overlaps every other interval
+        BinaryMask(4, 4, (0, 16)), BinaryMask(4, 4, (1, 2, 3, 2, 8)),
+        BinaryMask(4, 4, (0, 1, 5, 3, 7)), BinaryMask(4, 4, (6, 10)),
+    ])
+    def test_equals_scalar_oracle_over_many_passes(self, pairs_per_pass, masks):
+        # a pass holds at most pairs_per_pass interval pairs, or one interval
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "_COMPONENT_MIN_NODES", 0)
-            got = coverage_matrix(big)
+            mp.setattr(geometry, "_PAIRS_PER_PASS", pairs_per_pass)
+            got = coverage_matrix(masks)
         assert got.tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
 
-    def test_disjoint_groups_never_share_a_product(self, monkeypatch):
+    @settings(deadline=None, max_examples=50)
+    @given(_same_size_masks())
+    def test_exact_at_2_53_pixels(self, masks):
+        # the masks moved to the far corner of a 2**27 x 2**26 raster keep
+        # their coverages; intervals there end just below 2**53
+        side_w, side_h = 2**27, 2**26
+        big = [_embed_far(m, side_w, side_h) for m in masks]
+        assert coverage_matrix(big).tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
+
+    def test_disjoint_groups_equal_scalar_oracle(self):
         # two groups of overlapping rectangles, left and right of column 16:
         # every row is shared, no column is
         rng = np.random.default_rng(12)
-        groups = {"left": (0, 15), "right": (17, 32)}
         masks = []
-        for lo, hi in groups.values():
+        for lo, hi in ((0, 15), (17, 32)):
             for _ in range(24):
                 x1 = int(rng.integers(lo, hi - 4))
                 y1 = int(rng.integers(0, 12))
                 masks.append(_mask_of(32, 16, [(y1, x1, y1 + 4, x1 + 4)]))
-        calls = []
-        kernel = geometry._intersections
-
-        def spy(row, start, end, n):
-            calls.append({"left" if s % 32 < 16 else "right" for s in start})
-            return kernel(row, start, end, n)
-
-        monkeypatch.setattr(geometry, "_intersections", spy)
         got = coverage_matrix(masks)
-        assert len(masks) >= geometry._COMPONENT_MIN_NODES
-        assert len(calls) >= 2 and all(len(groups_seen) == 1 for groups_seen in calls)
         assert got.tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
+
+    def test_memory_of_heavily_overlapping_masks(self):
+        # 120 rectangles that each span the middle of a 256 x 256 raster: 22,835
+        # intervals in 1.2 million overlapping pairs, summed a pass at a time,
+        # so memory is O(intervals + masks**2 + pass), not O(masks * intervals)
+        rng = np.random.default_rng(18)
+        lo, hi = rng.integers(0, 64, size=(120, 2)), rng.integers(192, 256, size=(120, 2))
+        masks = [_mask_of(256, 256, [(y1, x1, y2, x2)]) for (y1, x1), (y2, x2) in zip(lo, hi)]
+        tracemalloc.start()
+        try:
+            got = coverage_matrix(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        for i, j in rng.integers(0, len(masks), size=(200, 2)):
+            assert got[i, j] == mask_coverage(masks[i], masks[j])
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -297,7 +313,7 @@ class TestCoverageMatrix:
         with pytest.raises(ValueError, match="dimension"):  # checked before emptiness
             coverage_matrix([BinaryMask(4, 4, (16,)), BinaryMask(4, 5, (0, 20))])
 
-    # 46 masks exceed the component cutover: the caller's index is still named
+    # the caller's index is named, among one, two or 46 masks
     @pytest.mark.parametrize("others,position", [(1, 0), (1, 1), (0, 0), (45, 41)])
     def test_empty_mask_rejected(self, others, position):
         masks = [BinaryMask(4, 4, (0, 16))] * others

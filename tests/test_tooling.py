@@ -126,6 +126,7 @@ def test_overlap_is_computed_once_per_image_class():
     "tests/test_pipeline.py::TestQueryStage::test_matched_proposals_keep_no_feature_vectors",
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
     "tests/test_pipeline.py::TestDeclaredDimensions",
+    "tests/test_geometry.py::TestCoverageMatrix::test_memory_of_heavily_overlapping_masks",
     "tests/test_synthio.py::TestProposalFeatureBlob::"
     "test_header_declaring_a_huge_matrix_allocates_nothing",
 ])
