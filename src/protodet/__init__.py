@@ -36,6 +36,7 @@ from .geometry import (
     box_area,
     box_iou,
     box_iou_matrix,
+    box_iou_pairs,
     box_to_full_mask,
     coverage_matrix,
     mask_coverage,

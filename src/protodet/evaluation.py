@@ -1,8 +1,9 @@
 """COCO-convention average precision over novel classes.
 
 AP per (class, IoU threshold) uses greedy highest-IoU matching and 101-point
-interpolated precision/recall.  Each (detection, ground truth) IoU is computed
-once and read at every threshold; the headline number averages the thresholds
+interpolated precision/recall.  The IoUs of all same-image, same-class
+(detection, ground truth) pairs come from one array call per match, and every
+threshold reads them; the headline number averages the thresholds
 0.50:0.05:0.95 over every class that has at least one ground-truth box.
 All tie-breaks are by input position, so reports are bit-identical across
 runs for fixed inputs.
@@ -10,13 +11,16 @@ runs for fixed inputs.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, box_iou
+from .geometry import BoundingBox, box_iou_pairs
+# unused here, but benchmark tracing counts calls through this module's binding
+from .geometry import box_iou  # noqa: F401
 from .postproc import ScoredDetection, topk_by_score
 
 __all__ = [
@@ -75,19 +79,34 @@ class EvalReport:
 def _match(dets: Sequence[tuple[str, ScoredDetection]], gts: Sequence[GroundTruthBox],
            thresholds: Sequence[float]) -> np.ndarray:
     """``match_detections`` flags at each threshold, shape (thresholds, dets).
-    Each detection's IoU with every ground truth of its image and class is
-    computed once, as one row in ground-truth index order, and every
-    threshold's greedy match reads the rows."""
+    The IoUs of all same-image, same-class (detection, ground truth) pairs come
+    from one ``box_iou_pairs`` call, each detection's in ground-truth index
+    order.  The greedy pick ignores the threshold, and a pick below it claims
+    nothing, so a threshold skips every detection whose best IoU is below it."""
     gt_index: dict[tuple[str, int], list[int]] = {}
     for g_idx, g in enumerate(gts):
         gt_index.setdefault((g.image_id, g.class_id), []).append(g_idx)
-    rows = [[(g_idx, box_iou(det.box, gts[g_idx].box))
-             for g_idx in gt_index.get((image_id, det.class_id), ())]
-            for image_id, det in dets]
+    groups = [gt_index.get((image_id, det.class_id), []) for image_id, det in dets]
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    pair_gt = np.array([g_idx for group in groups for g_idx in group], dtype=np.int64)
     flags = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    if not pair_gt.size:
+        return flags
+    det_boxes = np.repeat([det.box.as_tuple() for _, det in dets], sizes, axis=0)
+    ious = box_iou_pairs(det_boxes, np.array([g.box.as_tuple() for g in gts])[pair_gt])
+    best = np.zeros(len(dets))
+    best[sizes > 0] = np.maximum.reduceat(ious, (np.cumsum(sizes) - sizes)[sizes > 0])
+    # only the detections that reach the lowest threshold become Python lists
+    live = best >= min(thresholds)
+    keep = np.repeat(live, sizes)
+    pairs = zip(pair_gt[keep].tolist(), ious[keep].tolist())
+    rows = [(d, top, list(itertools.islice(pairs, size))) for d, top, size in
+            zip(np.flatnonzero(live).tolist(), best[live].tolist(), sizes[live].tolist())]
     for t, thr in enumerate(thresholds):
         matched: set[int] = set()
-        for d, row in enumerate(rows):
+        for d, top, row in rows:
+            if top < thr:
+                continue
             best_idx, best_iou = -1, 0.0
             for g_idx, iou in row:
                 # strict ">" keeps the lowest gt index on ties, and IoU 0 never matches
@@ -114,21 +133,31 @@ def match_detections(
     return _match(dets, gts, (iou_thr,))[0].tolist()
 
 
-def ap_101(tp_flags: Sequence[bool], total_gt: int) -> float:
-    """101-point interpolated AP from score-ordered TP/FP flags."""
+def _ap_101_rows(flags: np.ndarray, total_gt: int) -> list[float]:
+    """``ap_101`` of each row of a (rows, ranks) flag array, all rows at once."""
     if total_gt < 0:
         raise ValueError(f"total_gt must be >= 0, got {total_gt}")
+    rows, n = flags.shape
     if total_gt == 0:
-        return 0.0
-    tp = np.cumsum(np.asarray(tp_flags, dtype=bool), dtype=np.int64)
-    recalls = tp / total_gt
-    # precision envelope: running max from the right
-    precisions = np.maximum.accumulate((tp / np.arange(1, tp.size + 1))[::-1])[::-1]
-    # each grid recall reads the first rank that reaches it, 0.0 past the last
-    first = np.searchsorted(recalls, RECALL_GRID, side="left")
-    interpolated = np.append(precisions, 0.0)[first]
+        return [0.0] * rows
+    tp = np.cumsum(flags, axis=1, dtype=np.int64)
+    # precision envelope: running max from the right, then 0.0 past the last rank
+    precisions = np.zeros((rows, n + 1))
+    precisions[:, :n] = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+    # each grid recall reads the first rank that reaches it: recall tp / total_gt
+    # reaches r exactly when tp reaches need[r], and offsetting row t by t * (n + 1)
+    # keeps every row's tp in one sorted array
+    need = np.searchsorted(np.arange(total_gt + 1) / total_gt, RECALL_GRID, side="left")
+    offset = np.arange(rows)[:, None] * (n + 1)
+    first = np.searchsorted((tp + offset).ravel(), np.minimum(need, n + 1) + offset, side="left")
+    interpolated = precisions.ravel()[first + np.arange(rows)[:, None]]
     # Python's sequential sum: np.sum's pairwise order can move the last bit
-    return sum(interpolated.tolist()) / len(RECALL_GRID)
+    return [sum(row) / len(RECALL_GRID) for row in interpolated.tolist()]
+
+
+def ap_101(tp_flags: Sequence[bool], total_gt: int) -> float:
+    """101-point interpolated AP from score-ordered TP/FP flags."""
+    return _ap_101_rows(np.asarray(tp_flags, dtype=bool).reshape(1, -1), total_gt)[0]
 
 
 def evaluate(
@@ -156,7 +185,7 @@ def evaluate(
     det_classes = np.array([det.class_id for _, det in ranked])
     gt_counts = Counter(g.class_id for g in gts)
     per_class_ap = {
-        class_id: tuple(ap_101(f, gt_counts[class_id]) for f in flags[:, det_classes == class_id])
+        class_id: tuple(_ap_101_rows(flags[:, det_classes == class_id], gt_counts[class_id]))
         for class_id in sorted(gt_counts)
     }
 

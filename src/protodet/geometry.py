@@ -22,6 +22,7 @@ __all__ = [
     "box_area",
     "box_iou",
     "box_iou_matrix",
+    "box_iou_pairs",
     "mask_coverage",
     "coverage_matrix",
     "mask_downsample",
@@ -70,16 +71,13 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    union = box_area(a) + box_area(b) - inter
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
     return inter / union
 
 
-def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise IoUs of (n, 4) and (m, 4) ``x1, y1, x2, y2`` rows:
-    ``out[i, j] == box_iou(a[i], b[j])`` bit for bit, by the same operations in
-    the same order, with 0.0 where the intersection is empty."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)[:, None, :]
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)[None, :, :]
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of broadcast ``x1, y1, x2, y2`` rows: the operations of ``box_iou`` in
+    its order, with 0.0 where the intersection is empty."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
@@ -87,6 +85,25 @@ def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     overlap = (iw > 0) & (ih > 0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+
+
+def _box_rows(boxes: np.ndarray) -> np.ndarray:
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All pairwise IoUs of (n, 4) and (m, 4) ``x1, y1, x2, y2`` rows:
+    ``out[i, j] == box_iou(a[i], b[j])`` bit for bit."""
+    return _iou(_box_rows(a)[:, None, :], _box_rows(b)[None, :, :])
+
+
+def box_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row of an (n, 4) array with the same row of another:
+    ``out[k] == box_iou(a[k], b[k])`` bit for bit."""
+    a, b = _box_rows(a), _box_rows(b)
+    if a.shape != b.shape:
+        raise ValueError(f"need as many boxes on each side, got {len(a)} and {len(b)}")
+    return _iou(a, b)
 
 
 @dataclass(frozen=True)

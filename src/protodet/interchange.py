@@ -241,14 +241,17 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+_decode_json = json.JSONDecoder().decode  # json.loads's decoder, without its per-call checks
+
+
 def _iter_jsonl(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                yield lineno, json.loads(line)
+            try:  # only json.loads's message names a leading BOM
+                yield lineno, (json.loads if line[0] == "\ufeff" else _decode_json)(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
@@ -263,6 +266,9 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+_PARSE_ERRORS = (DataFormatError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
+
+
 @contextlib.contextmanager
 def _invalid_as_format_error(where: str, what: str):
     """Turn any error raised while parsing ``what`` into a DataFormatError that
@@ -273,7 +279,7 @@ def _invalid_as_format_error(where: str, what: str):
         if str(exc).startswith(where):
             raise
         raise DataFormatError(f"{where}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except _PARSE_ERRORS as exc:
         raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
 
 
@@ -288,8 +294,11 @@ def _load_records(manifest: Path, file: Path, kind: str, parse: Callable) -> lis
     with _invalid_as_format_error(str(file), f"{kind} file"):
         for lineno, rec in _iter_jsonl(file):
             where = f"{file}:{lineno}"
-            with _invalid_as_format_error(where, f"{kind.removesuffix('s')} record"):
+            try:
                 item = parse(rec, where)
+            except _PARSE_ERRORS:  # the record guard, entered only on an error
+                with _invalid_as_format_error(where, f"{kind.removesuffix('s')} record"):
+                    raise
             if item is not None:
                 out.append(item)
     return out
@@ -392,7 +401,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     def parse_proposal(rec: dict, where: str) -> ProposalRecord | None:
         nonlocal dropped, substituted
         info = image_of(rec, where)
-        (score,) = _json_numbers([_require(rec, "score", where)], "score")
+        score = _require(rec, "score", where)
+        if type(score) is not float:
+            (score,) = _json_numbers([score], "score")
         if not 0.0 <= score <= 1.0:
             raise DataFormatError(f"{where}: score {score} outside [0, 1]")
         if score < SCORE_FLOOR:

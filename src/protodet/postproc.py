@@ -9,7 +9,7 @@ alone, and a proposal's position is its node id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -47,16 +47,17 @@ def _by_score(dets: list[ScoredDetection]) -> list[ScoredDetection]:
 
 def _ranked_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
     """Each class's indices into ``dets``, in ``_by_score`` order."""
+    negated = [-d.score for d in dets]
     by_class: dict[int, list[int]] = {}
-    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+    for i in sorted(range(len(dets)), key=negated.__getitem__):
         by_class.setdefault(dets[i].class_id, []).append(i)
     return by_class
 
 
-def _iou_matrix(dets: list[ScoredDetection], idx: list[int]) -> list[list[float]]:
+def _iou_matrix(dets: list[ScoredDetection], idx: list[int]) -> np.ndarray:
     """IoU of every pair of ``dets[idx]``, rows and columns in ``idx`` order."""
     boxes = np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
-    return box_iou_matrix(boxes, boxes).tolist()
+    return box_iou_matrix(boxes, boxes)
 
 
 def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
@@ -66,12 +67,14 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     kept: list[int] = []
     for idx in _ranked_by_class(dets).values():
-        iou = _iou_matrix(dets, idx)
-        kept_here: list[int] = []
-        for r in range(len(idx)):
-            if all(iou[r][k] <= iou_thr for k in kept_here):
-                kept_here.append(r)
-        kept += [idx[r] for r in kept_here]
+        # row-major over the pairs above the threshold: every pair (q, r), q < r,
+        # comes before row r, so r's own fate is settled when its row is read
+        rows, cols = np.nonzero(np.triu(_iou_matrix(dets, idx) > iou_thr, 1))
+        suppressed: set[int] = set()
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            if r not in suppressed:
+                suppressed.add(c)
+        kept += [i for r, i in enumerate(idx) if r not in suppressed]
     return _by_score([dets[i] for i in sorted(kept)])
 
 
@@ -83,15 +86,23 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
     for idx in _ranked_by_class(dets).values():
+        # only overlapping pairs decay: at IoU 0 the factor is exp(-0.0) == 1.0
         iou = _iou_matrix(dets, idx)
-        current = {r: dets[i].score for r, i in enumerate(idx)}  # keyed by position in idx
-        while current:
-            top = min(current, key=lambda r: (-current[r], idx[r]))
-            final[idx[top]] = current.pop(top)
-            row = iou[top]
-            for r in current:
-                current[r] *= math.exp(-(row[r] * row[r]) / sigma)
-    return _by_score([replace(d, score=final[i]) for i, d in enumerate(dets)])
+        rows, cols = np.nonzero(iou)
+        bounds = np.searchsorted(rows, np.arange(len(idx) + 1)).tolist()
+        pairs = list(zip(cols.tolist(), iou[rows, cols].tolist()))
+        current = [dets[i].score for i in idx]  # by position in idx; -inf once selected
+        for _ in idx:
+            best = max(current)
+            top = current.index(best)
+            if current.count(best) > 1:
+                top = min((r for r, s in enumerate(current) if s == best), key=idx.__getitem__)
+            final[idx[top]] = current[top]
+            current[top] = -math.inf
+            for r, v in pairs[bounds[top]:bounds[top + 1]]:
+                if current[r] != -math.inf:
+                    current[r] *= math.exp(-(v * v) / sigma)
+    return _by_score([ScoredDetection(d.box, d.class_id, final[i]) for i, d in enumerate(dets)])
 
 
 def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
@@ -120,8 +131,10 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
                 x1, y1, x2, y2 = (coords * weights[:, None]).sum(axis=0) / weights.sum()
                 home["fused"] = BoundingBox(x1, y1, x2, y2)
         for c in clusters:
-            score = float(np.mean([m.score for m in c["members"]]))
-            fused_out.append(ScoredDetection(box=c["fused"], class_id=class_id, score=score))
+            members = c["members"]
+            # np.mean of one score is that score
+            score = members[0].score if len(members) == 1 else np.mean([m.score for m in members])
+            fused_out.append(ScoredDetection(box=c["fused"], class_id=class_id, score=float(score)))
     # ties keep (class, cluster-creation) order
     return _by_score(fused_out)
 

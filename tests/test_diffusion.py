@@ -220,6 +220,39 @@ class TestDiffuse:
             assert reads == [g]
             assert (res.pi.tolist(), res.steps_taken, res.converged) == want
 
+    def test_settings_that_differ_only_in_lambda_share_one_walk(self, monkeypatch):
+        g = build_class_graph(random_class_props(np.random.default_rng(9), 12))
+        reads = []
+        derive = ClassGraph.edges.fget
+        monkeypatch.setattr(ClassGraph, "edges", property(lambda g: reads.append(g) or derive(g)))
+        first = diffuse(g, DiffusionParams(alpha=0.3, lam=0.5))
+        assert diffuse(g, DiffusionParams(alpha=0.3, lam=2.0)) is first
+        assert reads == [g]
+        # alpha, tau and max_steps each make another walk
+        for params in (DiffusionParams(alpha=0.5), DiffusionParams(tau=1e-3),
+                       DiffusionParams(max_steps=5)):
+            assert diffuse(g, params) is not first
+        assert len(reads) == 4 and len(g.walks) == 4
+
+    def test_init_bypasses_the_stored_walk(self, monkeypatch):
+        g = build_class_graph(random_class_props(np.random.default_rng(10), 8))
+        params = DiffusionParams(tau=1e-12, max_steps=200)
+        stored = diffuse(g, params)
+        reads = []
+        derive = ClassGraph.edges.fget
+        monkeypatch.setattr(ClassGraph, "edges", property(lambda g: reads.append(g) or derive(g)))
+        from_zero = diffuse(g, params, init=np.zeros(8))
+        assert reads == [g] and from_zero is not stored
+        assert g.walks == {(params.alpha, params.tau, params.max_steps): stored}
+        assert diffuse(g, params) is stored
+
+    def test_result_weights_are_read_only(self):
+        g = build_class_graph([_prop(0.9, _full()), _prop(0.5, _half())])
+        res = diffuse(g, DiffusionParams())
+        with pytest.raises(ValueError, match="read-only"):
+            res.pi[0] = 0.5
+        assert diffuse(g, DiffusionParams()).pi.tolist() == res.pi.tolist()
+
     def test_boundedness_on_random_graphs(self):
         rng = np.random.default_rng(77)
         for _ in range(50):

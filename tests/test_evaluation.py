@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from protodet import evaluation
 from protodet.evaluation import (
     IOU_THRESHOLDS,
@@ -351,6 +352,77 @@ def test_ap_101_is_bit_identical_to_the_loop_version(flags, total_gt):
     assert ap_101(flags, total_gt) == _loop_ap_101(flags, total_gt)
 
 
+@settings(deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=8, max_size=8), min_size=1, max_size=10),
+       st.integers(0, 8), st.integers(0, 12))
+@example([[True] * 8, [False] * 8, [False, True] * 4], 8, 3)
+@example([[True] * 8] * 3, 0, 2)  # no ranks: every grid recall reads 0.0
+@example([[True] * 8, [False, True] * 4], 2, 12)  # most grid recalls are never reached
+def test_ap_rows_equal_the_loop_version_row_by_row(rows, width, total_gt):
+    flags = np.array(rows, dtype=bool)[:, :width]
+    assert evaluation._ap_101_rows(flags, total_gt) == [
+        _loop_ap_101(row, total_gt) for row in flags.tolist()]
+
+
+def _gt(image_id, box, class_id=0):
+    return GroundTruthBox(image_id=image_id, box=BoundingBox(*box), class_id=class_id)
+
+
+def _scored(box, score, class_id=0):
+    return ScoredDetection(box=BoundingBox(*box), class_id=class_id, score=score)
+
+
+@st.composite
+def _half_pixel_box(draw):
+    x1, x2 = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=2, unique=True)))
+    return (x1 / 2, y1 / 2, x2 / 2, y2 / 2)
+
+
+@st.composite
+def _ranked_instance(draw):
+    """Detections in score order and ground truths on a small half-pixel grid, so
+    boxes repeat and IoUs tie, are 0, or sit exactly on a threshold; image "c"
+    and class 2 never have a ground truth."""
+    gts = [_gt(draw(st.sampled_from("ab")), draw(_half_pixel_box()), draw(st.integers(0, 1)))
+           for _ in range(draw(st.integers(0, 8)))]
+    dets = [(draw(st.sampled_from("abc")),
+             _scored(draw(_half_pixel_box()), draw(st.sampled_from([0.3, 0.6, 0.6, 0.9])),
+                     draw(st.integers(0, 2))))
+            for _ in range(draw(st.integers(0, 12)))]
+    return sorted(dets, key=lambda pair: -pair[1].score), gts
+
+
+# IoUs exactly 0.5 and 0.75, tied ground truths (the lower index wins), a box
+# twice, a detection whose image has no ground truth and one at IoU 0
+_EDGE_INSTANCE = (
+    [("a", _scored((0, 0, 2, 1), 0.9)), ("a", _scored((0, 0, 4, 1), 0.9)),
+     ("a", _scored((0, 0, 4, 1), 0.6)), ("c", _scored((0, 0, 1, 1), 0.6)),
+     ("a", _scored((0, 0, 2, 1), 0.3)), ("a", _scored((5, 5, 6, 6), 0.3))],
+    [_gt("a", (0, 0, 1, 1)), _gt("a", (0, 0, 3, 1)), _gt("a", (0, 0, 3, 1))],
+)
+
+
+@settings(deadline=None)
+@given(_ranked_instance())
+@example(_EDGE_INSTANCE)
+def test_match_equals_the_per_pair_loop(instance):
+    dets, gts = instance
+    assert np.array_equal(evaluation._match(dets, gts, IOU_THRESHOLDS),
+                          oracles.match(dets, gts, IOU_THRESHOLDS))
+    for thr in (0.5, 0.75):
+        assert match_detections(dets, gts, thr) == oracles.match(dets, gts, (thr,))[0].tolist()
+
+
+def test_edge_instance_matches_on_the_threshold():
+    # the last (0, 0, 2, 1) claims the (0, 0, 1, 1) truth at IoU exactly 0.5, and
+    # the (0, 0, 4, 1) pair the (0, 0, 3, 1) ones at exactly 0.75
+    dets, gts = _EDGE_INSTANCE
+    assert match_detections(dets, gts, 0.5) == [True, True, False, False, True, False]
+    assert match_detections(dets, gts, 0.75) == [False, True, True, False, False, False]
+    assert match_detections(dets, gts, 0.8) == [False] * 6
+
+
 def test_evaluate_computes_each_same_class_pair_at_most_once(monkeypatch):
     rng = np.random.default_rng(8)
     gts, dets = [], []
@@ -366,16 +438,18 @@ def test_evaluate_computes_each_same_class_pair_at_most_once(monkeypatch):
     by_image, gt_list = _to_library_inputs(dets, gts)
     expected = evaluate(by_image, gt_list)
 
-    key_of = {id(g.box): (g.image_id, g.class_id) for g in gt_list}
-    key_of.update({id(d.box): (img, d.class_id) for img, ds in by_image.items() for d in ds})
-    calls = Counter()
-    real = evaluation.box_iou
+    pairs = Counter(
+        (d.box.as_tuple(), g.box.as_tuple())
+        for img, ds in by_image.items() for d in ds
+        for g in gt_list if (g.image_id, g.class_id) == (img, d.class_id))
+    calls = []
+    real = evaluation.box_iou_pairs
 
-    def counting(a, b):
-        calls[id(a), id(b)] += 1
+    def spy(a, b):
+        calls.append(Counter(zip(map(tuple, a.tolist()), map(tuple, b.tolist()))))
         return real(a, b)
 
-    monkeypatch.setattr(evaluation, "box_iou", counting)
+    monkeypatch.setattr(evaluation, "box_iou_pairs", spy)
     assert evaluate(by_image, gt_list) == expected
-    assert calls and max(calls.values()) == 1
-    assert all(key_of[a] == key_of[b] for a, b in calls)
+    # one call, holding every same-image, same-class pair once and no other pair
+    assert calls == [pairs]

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_mask, soft_merge_of_detections
 from protodet.diffusion import Proposal, build_class_graphs
 from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
@@ -36,40 +36,6 @@ def _soft_merge(dets, masks):
     ]))
 
 
-def _ranked_by_class_reference(dets):
-    by_class = {}
-    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
-        by_class.setdefault(dets[i].class_id, []).append(i)
-    return by_class
-
-
-def _nms_reference(dets, iou_thr):
-    """Greedy NMS with one box_iou call per pair: the loop nms replaced."""
-    kept = []
-    for idx in _ranked_by_class_reference(dets).values():
-        kept_here = []
-        for i in idx:
-            if all(box_iou(dets[i].box, dets[j].box) <= iou_thr for j in kept_here):
-                kept_here.append(i)
-        kept += kept_here
-    return sorted((dets[i] for i in sorted(kept)), key=lambda d: -d.score)
-
-
-def _soft_nms_reference(dets, sigma):
-    """Gaussian Soft-NMS with one box_iou call per pair: the loop soft_nms replaced."""
-    final = {}
-    for idx in _ranked_by_class_reference(dets).values():
-        current = {i: dets[i].score for i in idx}
-        while current:
-            top = min(current, key=lambda i: (-current[i], i))
-            final[top] = current.pop(top)
-            for i in current:
-                iou = box_iou(dets[top].box, dets[i].box)
-                current[i] *= math.exp(-(iou * iou) / sigma)
-    return sorted((replace(d, score=final[i]) for i, d in enumerate(dets)),
-                  key=lambda d: -d.score)
-
-
 @st.composite
 def _detections(draw):
     """Multi-class detections on a half-pixel grid, so boxes touch, nest and
@@ -83,17 +49,26 @@ def _detections(draw):
     return dets
 
 
+_SAME = (0, 0, 1, 1)
+
+
 class TestNmsFamilyAgainstPerPairLoops:
     @settings(deadline=None)
     @given(_detections(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    # IoU exactly at the threshold keeps the box; identical tied boxes; disjoint pairs
+    @example([_det((0, 0, 2, 1), 0.5), _det((0, 0, 1, 1), 0.5), _det((0, 0, 1, 1), 0.9)], 0.5)
+    @example([_det(_SAME, 0.5), _det(_SAME, 0.5), _det((1, 0, 2, 1), 0.5)], 0.1)
     def test_nms_equals_reference(self, dets, iou_thr):
-        assert nms(dets, iou_thr) == _nms_reference(dets, iou_thr)
+        assert nms(dets, iou_thr) == oracles.nms(dets, iou_thr)
 
     @settings(deadline=None)
     @given(_detections(), st.sampled_from([0.1, 0.5, 2.0]))
+    # identical boxes decay to exactly 0.0, so every later pick is a tie
+    @example([_det(_SAME, 0.5), _det(_SAME, 0.9), _det(_SAME, 0.5), _det((1, 0, 2, 1), 0.5)], 1e-3)
+    @example([_det((0, 0, 2, 1), 0.5), _det((0, 0, 1, 1), 0.5, class_id=1)], 0.5)
     def test_soft_nms_equals_reference(self, dets, sigma):
         got = soft_nms(dets, sigma)
-        assert got == _soft_nms_reference(dets, sigma)
+        assert got == oracles.soft_nms(dets, sigma)
         assert all(type(d.score) is float for d in got)
 
     def test_equal_decayed_scores_select_the_lowest_input_position(self):
@@ -105,7 +80,7 @@ class TestNmsFamilyAgainstPerPairLoops:
         c = _det((12, 0, 22, 10), 0.8 * decay)  # disjoint from a, overlaps b
         dets = [a, c, b]
         got = soft_nms(dets, 0.5)
-        assert got == _soft_nms_reference(dets, 0.5)
+        assert got == oracles.soft_nms(dets, 0.5)
         later = 0.8 * decay * math.exp(-(box_iou(c.box, b.box) ** 2) / 0.5)
         assert [(d.box, d.score) for d in got] == [
             (a.box, 0.9), (c.box, 0.8 * decay), (b.box, later)]

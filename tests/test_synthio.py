@@ -281,6 +281,22 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match=r"proposals\.jsonl:2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line, message", [
+        (json.dumps(_proposal_row("high")),
+         'invalid proposal record (score must be a JSON number, got "high")'),
+        (json.dumps(_proposal_row(0.5, runs=[3, 3])),
+         "RLE runs sum to 6, expected 64 for a 8x8 mask"),
+        ("\ufeff" + json.dumps(_proposal_row(0.5)),
+         "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))"),
+    ])
+    def test_bad_twelfth_record_is_named_by_its_line(self, tmp_path, line, message):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5)] * 11)
+        with open(tmp_path / "proposals.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{tmp_path / 'proposals.jsonl'}:12: {message}"
+
     def test_empty_mask_substituted_with_box_raster(self, tmp_path, caplog):
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, runs=[64])])
         with caplog.at_level("WARNING"):

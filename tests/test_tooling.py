@@ -115,11 +115,13 @@ def test_no_stage_decodes_or_encodes_a_raster():
 
 def test_overlap_is_computed_once_per_image_class():
     # Mask coverage comes only from the class graph, which every method that
-    # needs it shares; box IoU pair by pair only where no matrix fits: wbf's
-    # fused box moves as it grows, and the evaluator reads each IoU once.
-    calls = _calls("coverage_matrix", "box_iou")
+    # needs it shares.  Box IoU comes pair by pair only where no array fits,
+    # in wbf, whose fused box moves as it grows; the evaluator computes all its
+    # (detection, ground truth) pairs in one box_iou_pairs call.
+    calls = _calls("coverage_matrix", "box_iou", "box_iou_pairs")
     assert calls["coverage_matrix"] == {("diffusion", "build_class_graph")}
-    assert {call for call in calls["box_iou"] if call[0] != "evaluation"} == {("postproc", "wbf")}
+    assert calls["box_iou"] == {("postproc", "wbf")}
+    assert {module for module, _ in calls["box_iou_pairs"]} == {"evaluation"}
 
 
 @pytest.mark.parametrize("node_id", [
