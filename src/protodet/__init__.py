@@ -23,7 +23,6 @@ from .features import (
     FeatureMap,
     SupportAnnotation,
     build_prototypes,
-    cosine,
     l2_normalize,
     map_box_to_grid,
     masked_roi_pool,
@@ -33,7 +32,6 @@ from .generator import GeneratorConfig, generate_dataset, planted_prototypes
 from .geometry import (
     BinaryMask,
     BoundingBox,
-    box_area,
     box_iou,
     box_iou_matrix,
     box_iou_pairs,

@@ -2,16 +2,16 @@
 
 AP per (class, IoU threshold) uses greedy highest-IoU matching and 101-point
 interpolated precision/recall.  The IoUs of all same-image, same-class
-(detection, ground truth) pairs come from one array call per match, and every
-threshold reads them; the headline number averages the thresholds
-0.50:0.05:0.95 over every class that has at least one ground-truth box.
+(detection, ground truth) pairs come from one array call per match; each
+detection lists its candidates by descending IoU, ties in ground-truth order,
+and every threshold reads those lists.  The headline number averages the
+thresholds 0.50:0.05:0.95 over every class that has at least one ground-truth box.
 All tie-breaks are by input position, so reports are bit-identical across
 runs for fixed inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -80,41 +80,40 @@ def _match(dets: Sequence[tuple[str, ScoredDetection]], gts: Sequence[GroundTrut
            thresholds: Sequence[float]) -> np.ndarray:
     """``match_detections`` flags at each threshold, shape (thresholds, dets).
     The IoUs of all same-image, same-class (detection, ground truth) pairs come
-    from one ``box_iou_pairs`` call, each detection's in ground-truth index
-    order.  The greedy pick ignores the threshold, and a pick below it claims
-    nothing, so a threshold skips every detection whose best IoU is below it."""
+    from one ``box_iou_pairs`` call.  A detection's candidates are its pairs of
+    IoU > 0 and >= the lowest threshold, by descending IoU, ties in ground-truth
+    order; at each threshold it claims its first unmatched candidate, and a
+    candidate below the threshold ends its search."""
     gt_index: dict[tuple[str, int], list[int]] = {}
     for g_idx, g in enumerate(gts):
         gt_index.setdefault((g.image_id, g.class_id), []).append(g_idx)
     groups = [gt_index.get((image_id, det.class_id), []) for image_id, det in dets]
-    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    pair_det = np.repeat(np.arange(len(dets)), [len(group) for group in groups])
     pair_gt = np.array([g_idx for group in groups for g_idx in group], dtype=np.int64)
     flags = np.zeros((len(thresholds), len(dets)), dtype=bool)
     if not pair_gt.size:
         return flags
-    det_boxes = np.repeat([det.box.as_tuple() for _, det in dets], sizes, axis=0)
-    ious = box_iou_pairs(det_boxes, np.array([g.box.as_tuple() for g in gts])[pair_gt])
-    best = np.zeros(len(dets))
-    best[sizes > 0] = np.maximum.reduceat(ious, (np.cumsum(sizes) - sizes)[sizes > 0])
-    # only the detections that reach the lowest threshold become Python lists
-    live = best >= min(thresholds)
-    keep = np.repeat(live, sizes)
-    pairs = zip(pair_gt[keep].tolist(), ious[keep].tolist())
-    rows = [(d, top, list(itertools.islice(pairs, size))) for d, top, size in
-            zip(np.flatnonzero(live).tolist(), best[live].tolist(), sizes[live].tolist())]
+    det_boxes = np.array([det.box.as_tuple() for _, det in dets])
+    ious = box_iou_pairs(det_boxes[pair_det], np.array([g.box.as_tuple() for g in gts])[pair_gt])
+    cand = (ious > 0.0) & (ious >= min(thresholds))
+    pair_det, pair_gt, ious = pair_det[cand], pair_gt[cand], ious[cand]
+    # by detection, the greedy order, then by descending IoU; lexsort is stable,
+    # so equal IoUs of one detection keep their ground-truth order
+    order = np.lexsort((-ious, pair_det))
+    candidates: dict[int, list[tuple[int, float]]] = {}
+    for d, g_idx, iou in zip(pair_det[order].tolist(), pair_gt[order].tolist(),
+                             ious[order].tolist()):
+        candidates.setdefault(d, []).append((g_idx, iou))
     for t, thr in enumerate(thresholds):
         matched: set[int] = set()
-        for d, top, row in rows:
-            if top < thr:
-                continue
-            best_idx, best_iou = -1, 0.0
+        for d, row in candidates.items():
             for g_idx, iou in row:
-                # strict ">" keeps the lowest gt index on ties, and IoU 0 never matches
-                if iou > best_iou and g_idx not in matched:
-                    best_idx, best_iou = g_idx, iou
-            if best_idx >= 0 and best_iou >= thr:
-                matched.add(best_idx)
-                flags[t, d] = True
+                if iou < thr:
+                    break
+                if g_idx not in matched:
+                    matched.add(g_idx)
+                    flags[t, d] = True
+                    break
     return flags
 
 
@@ -134,7 +133,7 @@ def match_detections(
 
 
 def _ap_101_rows(flags: np.ndarray, total_gt: int) -> list[float]:
-    """``ap_101`` of each row of a (rows, ranks) flag array, all rows at once."""
+    """``ap_101`` of each row of a (rows, ranks) flag array."""
     if total_gt < 0:
         raise ValueError(f"total_gt must be >= 0, got {total_gt}")
     rows, n = flags.shape
@@ -145,14 +144,11 @@ def _ap_101_rows(flags: np.ndarray, total_gt: int) -> list[float]:
     precisions = np.zeros((rows, n + 1))
     precisions[:, :n] = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
     # each grid recall reads the first rank that reaches it: recall tp / total_gt
-    # reaches r exactly when tp reaches need[r], and offsetting row t by t * (n + 1)
-    # keeps every row's tp in one sorted array
+    # reaches r exactly when tp reaches need[r]
     need = np.searchsorted(np.arange(total_gt + 1) / total_gt, RECALL_GRID, side="left")
-    offset = np.arange(rows)[:, None] * (n + 1)
-    first = np.searchsorted((tp + offset).ravel(), np.minimum(need, n + 1) + offset, side="left")
-    interpolated = precisions.ravel()[first + np.arange(rows)[:, None]]
     # Python's sequential sum: np.sum's pairwise order can move the last bit
-    return [sum(row) / len(RECALL_GRID) for row in interpolated.tolist()]
+    return [sum(row_precisions[np.searchsorted(row_tp, need, side="left")].tolist())
+            / len(RECALL_GRID) for row_precisions, row_tp in zip(precisions, tp)]
 
 
 def ap_101(tp_flags: Sequence[bool], total_gt: int) -> float:

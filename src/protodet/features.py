@@ -17,7 +17,6 @@ __all__ = [
     "map_box_to_grid",
     "masked_roi_pool",
     "l2_normalize",
-    "cosine",
     "build_prototypes",
     "match_proposal",
 ]
@@ -146,17 +145,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; both vectors must be nonzero."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
-
-
 def build_prototypes(features_by_class: Iterable[tuple[int, np.ndarray]]) -> list[ClassPrototype]:
     """Mean each class's support features, then normalize to unit length.
 
@@ -179,8 +167,8 @@ def match_proposal(
     features: Iterable[np.ndarray], prototypes: Sequence[ClassPrototype]
 ) -> list[tuple[int, float]]:
     """Each feature's best (class_id, cosine similarity); ties break toward the
-    lowest class_id.  Each similarity is the float ``cosine`` returns: one
-    ``np.dot`` per pair over the product of the two norms, each norm taken once."""
+    lowest class_id.  Each similarity is one ``np.dot`` per pair over the
+    product of the two norms, each norm taken once."""
     if not prototypes:
         raise ValueError("cannot match against an empty prototype list")
     protos = sorted(prototypes, key=lambda p: p.class_id)

@@ -19,7 +19,6 @@ from .errors import DataFormatError
 __all__ = [
     "BoundingBox",
     "BinaryMask",
-    "box_area",
     "box_iou",
     "box_iou_matrix",
     "box_iou_pairs",
@@ -53,11 +52,6 @@ class BoundingBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-
-def box_area(box: BoundingBox) -> float:
-    """Area in pixels squared."""
-    return (box.x2 - box.x1) * (box.y2 - box.y1)
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -183,14 +177,15 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     """All pairwise coverages: ``out[i, j] == mask_coverage(masks[i], masks[j])``.
 
     Works on the run lengths and never decodes a raster.  Each mask's 1-runs
-    become flat ``[start, end)`` intervals, touching ones merged, so two
-    intervals of one mask never overlap.  Sorted by start, the intervals after
-    interval i that overlap it are exactly those that start before it ends, so
-    every overlapping pair (a, b) is met once, and it adds
+    become flat ``[start, end)`` intervals; two of one mask at most touch.
+    Sorted by start, the intervals after interval i that overlap it are exactly
+    those that start strictly before it ends, so every overlapping pair (a, b)
+    is met once, no two intervals of one mask pair, and the pair adds
     ``min(end[a], end[b]) - start[b]`` shared pixels to its two masks' entry.
     Every partial sum is an integer of at most W*H <= 2**53, hence exact in
-    float64, and the final division is the same correctly rounded quotient of
-    two integers that ``mask_coverage`` computes: the values agree bit for bit.
+    float64 in any grouping, and the final division is the same correctly
+    rounded quotient of two integers that ``mask_coverage`` computes: the
+    values agree bit for bit.
 
     Cost: O(R*log(R) + P + N**2) time and O(R + N**2 + _PAIRS_PER_PASS) memory
     for R intervals and P overlapping interval pairs, whatever the declared
@@ -221,10 +216,6 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
         raise ValueError(f"coverage undefined for an empty source mask (index {empty})")
     row, end = row[ones > 0], end[ones > 0]
     start = end - ones[ones > 0]
-    # a zero-length 0-run between two 1-runs joins them into one interval
-    apart = ~((row[1:] == row[:-1]) & (start[1:] == end[:-1]))
-    first = np.concatenate(([True], apart))
-    row, start, end = row[first], start[first], end[np.concatenate((apart, [True]))]
 
     order = np.argsort(start, kind="stable")
     row, start, end = row[order], start[order], end[order]

@@ -128,8 +128,9 @@ def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
                 home["members"].append(d)
                 coords = np.array([m.box.as_tuple() for m in home["members"]])
                 weights = np.array([m.score for m in home["members"]])
-                x1, y1, x2, y2 = (coords * weights[:, None]).sum(axis=0) / weights.sum()
-                home["fused"] = BoundingBox(x1, y1, x2, y2)
+                fused = (coords * weights[:, None]).sum(axis=0) / weights.sum()
+                # Python floats: a numpy scalar's repr does not read back as a float
+                home["fused"] = BoundingBox(*fused.tolist())
         for c in clusters:
             members = c["members"]
             # np.mean of one score is that score

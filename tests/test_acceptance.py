@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_time_graph, random_class_props
+from conftest import random_class_props
+from oracles import build_time_graph
 from test_evaluation import _oracle_evaluate, _to_library_inputs
 
 from protodet.cli import main as cli_main

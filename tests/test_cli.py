@@ -13,8 +13,8 @@ from protodet.cli import build_parser, main
 from protodet.diffusion import DiffusionParams
 from protodet.features import ClassPrototype
 from protodet.generator import GeneratorConfig
-from protodet.interchange import load_dataset, save_prototypes
-from protodet.pipeline import PipelineConfig, run_query_stage, run_support_stage
+from protodet.interchange import export_run, load_dataset, load_detections, save_prototypes
+from protodet.pipeline import METHODS, PipelineConfig, run_query_stage, run_support_stage
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,27 @@ class TestRun:
         assert main(["run", str(cli_corpus), "--out", str(out2)]) == 0
         diff_nap50 = json.loads((out2 / "report.json").read_text())["nAP50"]
         assert diff_nap50 > none_nap50
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_detections_reload_to_the_values_in_memory(self, cli_corpus, tmp_path,
+                                                       monkeypatch, method):
+        # floats are written by repr, which reads back bit for bit only from a
+        # Python float; a numpy scalar's repr is no float literal
+        written = []
+
+        def export(detections, report, out_dir):
+            written.append(detections)
+            return export_run(detections, report, out_dir)
+
+        monkeypatch.setattr("protodet.cli.export_run", export)
+        out = tmp_path / method
+        assert main(["run", str(cli_corpus), "--method", method, "--out", str(out)]) == 0
+        [detections] = written
+        assert load_detections(out / "detections.tsv") == {
+            image_id: dets for image_id, dets in detections.items() if dets}
+        values = [v for dets in detections.values() for d in dets
+                  for v in (*d.box.as_tuple(), d.score)]
+        assert values and {type(v) for v in values} == {float}
 
     def test_one_step_close_to_thirty_steps(self, cli_corpus, tmp_path):
         naps = {}

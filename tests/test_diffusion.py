@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protodet
-from conftest import build_time_graph, random_class_props
+from conftest import random_class_props
+from oracles import build_time_graph
 from protodet.diffusion import (
     ClassGraph,
     DiffusionParams,

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import match_one, pool_one_box
+from oracles import cosine, match_one, pool_one_box
 from protodet.features import (
     ClassPrototype,
     FeatureMap,
     build_prototypes,
-    cosine,
     l2_normalize,
     map_box_to_grid,
     masked_roi_pool,

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import downsample_by_decoding
+from oracles import downsample_by_decoding
 from protodet import geometry
 from protodet.errors import DataFormatError
 from protodet.geometry import (
     BinaryMask,
     BoundingBox,
-    box_area,
     box_iou,
     box_iou_matrix,
     box_to_full_mask,
@@ -20,12 +19,6 @@ from protodet.geometry import (
     mask_coverage,
     mask_downsample,
 )
-
-
-def test_box_area_examples():
-    assert box_area(BoundingBox(0, 0, 2, 2)) == 4
-    assert box_area(BoundingBox(1, 1, 1.5, 3)) == pytest.approx(1.0)
-    assert box_area(BoundingBox(0, 0, 10, 10)) == 100
 
 
 def test_box_validation():

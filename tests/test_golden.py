@@ -5,8 +5,9 @@ must keep these digests; one that changes a figure must change the digest it
 moves and say why.  The corpora are the benchmark's three workloads at seeds 1
 and 1009, with their generator settings restated here, plus the acceptance
 corpus.  Each corpus runs ``run``, ``run --method softmerge``, ``compare`` and a
-2x2 ``sweep`` through ``cli.main``.  ``sweep.tsv`` loses its ``sec_per_image``
-column, the one timing in any output.
+2x2 ``sweep`` through ``cli.main``; on compare-overlap at seed 1, ``run`` also
+runs each other method.  ``sweep.tsv`` loses its ``sec_per_image`` column, the
+one timing in any output.
 
 The digests are the same with ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 """
@@ -112,6 +113,30 @@ def _output_digests(corpus: str, seed: int, tmp) -> dict:
         assert main([argv[0], manifest, *argv[1:], "--out", str(out)]) == 0
         got[name] = tuple(_digest(out / f)[:16] for f in files)
     return got
+
+
+# detections.tsv of ``run --method M`` on compare-overlap at seed 1, for the methods
+# that GOLDEN runs only inside ``compare``, whose table keeps nothing but nAP
+METHOD_GOLDEN = {
+    "none": "a691f606ae969031",
+    "nms": "50d1ed0f4ae9e9bc",
+    "softnms": "97cfac2e0db18fdd",
+    "wbf": "8cdd7177b7352057",
+    "diffusion+nms": "a4c5fc6654e00916",
+}
+
+
+@pytest.fixture(scope="module")
+def compare_overlap_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("compare_overlap")
+    return str(generate_dataset(_config("compare-overlap", 1), out / "ds"))
+
+
+@pytest.mark.parametrize("method", list(METHOD_GOLDEN))
+def test_method_detections_are_golden(tmp_path, compare_overlap_manifest, method):
+    assert main(["run", compare_overlap_manifest, "--method", method,
+                 "--out", str(tmp_path)]) == 0
+    assert _digest(tmp_path / "detections.tsv")[:16] == METHOD_GOLDEN[method]
 
 
 @pytest.mark.parametrize("corpus,seed", [

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_CFG, downsample_by_decoding, match_one, pool_one_box,
-                      soft_merge_of_detections)
+from conftest import ACCEPTANCE_CFG
+from oracles import (cosine, downsample_by_decoding, match_one, pool_one_box,
+                     soft_merge_of_detections)
 from protodet.cli import main
 from protodet.diffusion import DiffusionParams, Proposal
 from protodet.errors import PipelineError
-from protodet.features import (ClassPrototype, FeatureMap, SupportAnnotation, build_prototypes,
-                               cosine)
+from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation, build_prototypes
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox
 from protodet.interchange import Dataset, ImageInfo, ProposalRecord, load_dataset, write_dataset

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_mask, soft_merge_of_detections
+from conftest import random_mask
+from oracles import soft_merge_of_detections
 from protodet.diffusion import Proposal, build_class_graphs
 from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
 from protodet.postproc import (

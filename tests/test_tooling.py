@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,31 @@ def test_every_all_name_resolves():
             assert missing == [], f"{info.name}.__all__ names missing attributes: {missing}"
             checked.append(info.name)
     assert {"protodet.interchange", "protodet.generator"} <= set(checked)
+
+
+# functions a user calls that no stage calls
+USER_ENTRY_POINTS = ("ap_101", "save_prototypes")
+
+
+def test_every_module_function_pays_for_itself():
+    # A module-level function must be referred to by code in the package (its
+    # re-export from __init__ aside), be named by the benchmark, or be a user
+    # entry point; a function only tests call is a reference and belongs in
+    # tests/oracles.py.
+    package = ROOT / "src" / "protodet"
+    defined, referenced = [], set(USER_ENTRY_POINTS)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if path.name != "__init__.py":
+            referenced.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+            referenced.update(node.attr for node in ast.walk(tree)
+                              if isinstance(node, ast.Attribute))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        referenced.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = [f"{module}.{name}" for module, name in defined if name not in referenced]
+    assert unused == []
 
 
 def _calls(*names):
