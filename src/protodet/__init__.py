@@ -33,7 +33,6 @@ from .geometry import (
     BinaryMask,
     BoundingBox,
     box_iou,
-    box_iou_matrix,
     box_iou_pairs,
     box_to_full_mask,
     coverage_matrix,

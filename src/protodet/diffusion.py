@@ -146,18 +146,15 @@ def build_class_graphs(props: Sequence[Proposal]) -> dict[int, ClassGraph]:
             for class_id, idx in sorted(by_class.items())}
 
 
-def diffuse(
-    g: ClassGraph, params: DiffusionParams, init: np.ndarray | None = None
-) -> DiffusionResult:
+def diffuse(g: ClassGraph, params: DiffusionParams) -> DiffusionResult:
     """Run the fixed-point iteration from a uniform start.
 
     Stops once the L2 norm of the iterate difference drops below tau, or after
-    max_steps updates.  ``init`` overrides the uniform start (the fixed point
-    is unique, so this only matters for verification).  Without ``init`` a
-    graph's result is computed once per walk setting; its ``pi`` is read-only.
+    max_steps updates.  A graph's result is computed once per walk setting and
+    stored in ``g.walks``; its ``pi`` is read-only.
     """
     key = (params.alpha, params.tau, params.max_steps)
-    if init is None and key in g.walks:
+    if key in g.walks:
         return g.walks[key]
     edges = g.edges  # derived on each read: read once
     prior = edges.max(axis=1)  # each node's strongest outgoing edge
@@ -165,13 +162,7 @@ def diffuse(
     transition = np.zeros_like(edges)  # each row scaled to sum 1; all-zero rows stay zero
     nonzero = row_sums > 0.0
     transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    n = len(prior)
-    if init is None:
-        pi = np.full(n, 1.0 / n)
-    else:
-        pi = np.asarray(init, dtype=np.float64).copy()
-        if pi.shape != (n,):
-            raise ValueError(f"init must have shape ({n},), got {pi.shape}")
+    pi = np.full(len(prior), 1.0 / len(prior))
     restart = (1.0 - params.alpha) * prior
     steps = 0
     converged = False
@@ -188,10 +179,8 @@ def diffuse(
             converged = True
             break
     pi.flags.writeable = False
-    result = DiffusionResult(pi=pi, steps_taken=steps, converged=converged)
-    if init is None:
-        g.walks[key] = result
-    return result
+    g.walks[key] = DiffusionResult(pi=pi, steps_taken=steps, converged=converged)
+    return g.walks[key]
 
 
 def refine_scores(

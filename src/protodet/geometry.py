@@ -20,7 +20,6 @@ __all__ = [
     "BoundingBox",
     "BinaryMask",
     "box_iou",
-    "box_iou_matrix",
     "box_iou_pairs",
     "mask_coverage",
     "coverage_matrix",
@@ -69,9 +68,13 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of broadcast ``x1, y1, x2, y2`` rows: the operations of ``box_iou`` in
-    its order, with 0.0 where the intersection is empty."""
+def box_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of broadcast ``(..., 4)`` arrays of ``x1, y1, x2, y2`` rows, with the
+    operations of ``box_iou`` in its order and 0.0 where the intersection is
+    empty: ``out[k] == box_iou(a[k], b[k])`` bit for bit, and
+    ``box_iou_pairs(a[:, None], b[None])`` is the all-pairs matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
@@ -79,25 +82,6 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     overlap = (iw > 0) & (ih > 0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
-
-
-def _box_rows(boxes: np.ndarray) -> np.ndarray:
-    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-
-
-def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise IoUs of (n, 4) and (m, 4) ``x1, y1, x2, y2`` rows:
-    ``out[i, j] == box_iou(a[i], b[j])`` bit for bit."""
-    return _iou(_box_rows(a)[:, None, :], _box_rows(b)[None, :, :])
-
-
-def box_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each row of an (n, 4) array with the same row of another:
-    ``out[k] == box_iou(a[k], b[k])`` bit for bit."""
-    a, b = _box_rows(a), _box_rows(b)
-    if a.shape != b.shape:
-        raise ValueError(f"need as many boxes on each side, got {len(a)} and {len(b)}")
-    return _iou(a, b)
 
 
 @dataclass(frozen=True)

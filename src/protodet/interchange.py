@@ -171,9 +171,16 @@ def _proto_records(dim: int) -> np.dtype:
 def save_prototypes(path: Path | str, prototypes: Sequence[ClassPrototype]) -> None:
     """Serialize class prototypes; vectors are stored as little-endian float32."""
     protos = sorted(prototypes, key=lambda p: p.class_id)
-    dim = protos[0].vector.size if protos else 0
+    if not protos:
+        raise ValueError("a prototype file holds at least one prototype")
+    repeated = [a.class_id for a, b in zip(protos, protos[1:]) if a.class_id == b.class_id]
+    if repeated:
+        raise ValueError(f"duplicate prototype for class {repeated[0]}")
+    dim = protos[0].vector.size
     if any(p.vector.size != dim for p in protos):
         raise ValueError("all prototype vectors must share one dimensionality")
+    if dim > 0xFFFF:
+        raise ValueError(f"prototype dimension {dim} does not fit the header's uint16")
     records = np.array([(p.class_id, p.support_count, p.vector) for p in protos],
                        dtype=_proto_records(dim))
     header = _PROTO_HEADER.pack(PROTO_MAGIC, FORMAT_VERSION, len(protos), dim, 0)
@@ -475,6 +482,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                 range(len(recs)), key=lambda i: (-recs[i].upn_score, i)
             )[:MAX_PROPOSALS_PER_IMAGE]
             proposals[image_id] = [recs[i] for i in sorted(order)]
+            log.info("image %s: kept the %d best of %d proposals, dropped %d",
+                     image_id, MAX_PROPOSALS_PER_IMAGE, len(recs),
+                     len(recs) - MAX_PROPOSALS_PER_IMAGE)
 
     ground_truth = _load_records(path, gt_file, "ground-truth", parse_ground_truth)
 

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .diffusion import ClassGraph
-from .geometry import BoundingBox, box_iou, box_iou_matrix
+from .geometry import BoundingBox, box_iou, box_iou_pairs
 # unused here, but benchmark tracing counts calls through this module's binding
 from .geometry import mask_coverage  # noqa: F401
 
@@ -57,7 +57,7 @@ def _ranked_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
 def _iou_matrix(dets: list[ScoredDetection], idx: list[int]) -> np.ndarray:
     """IoU of every pair of ``dets[idx]``, rows and columns in ``idx`` order."""
     boxes = np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
-    return box_iou_matrix(boxes, boxes)
+    return box_iou_pairs(boxes[:, None], boxes[None])
 
 
 def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:

@@ -148,17 +148,33 @@ def build_time_graph(props):
     """coverage, edges, prior and transition as the graph build once computed
     and stored them: the formulas that ``ClassGraph.edges`` and the walk that
     ``diffuse`` derives from it must reproduce bit for bit."""
-    n = len(props)
     coverage = coverage_matrix([p.mask for p in props])
     scores = np.array([p.upn_score for p in props], dtype=np.float64)
     edges = np.where(scores[:, None] > scores[None, :], 0.0, coverage)
     np.fill_diagonal(edges, 0.0)
-    prior = edges.max(axis=1) if n > 1 else np.zeros(1)
+    return (coverage, edges, *walk_arrays(edges))
+
+
+def walk_arrays(edges):
+    """prior (each row's largest edge) and transition (each row scaled to sum
+    1, all-zero rows kept zero) of an (N, N) edge matrix."""
     row_sums = edges.sum(axis=1)
     transition = np.zeros_like(edges)
     nonzero = row_sums > 0.0
     transition[nonzero] = edges[nonzero] / row_sums[nonzero, None]
-    return coverage, edges, prior, transition
+    return edges.max(axis=1), transition
+
+
+def walk(transition, prior, params, start):
+    """``diffuse``'s iteration from any ``start``: (pi, steps taken, converged)."""
+    restart = (1.0 - params.alpha) * prior
+    pi = np.asarray(start, dtype=np.float64)
+    for steps in range(1, params.max_steps + 1):
+        nxt = np.clip(params.alpha * (transition @ pi) + restart, 0.0, 1.0)
+        delta, pi = float(np.linalg.norm(nxt - pi)), nxt
+        if delta < params.tau:
+            return pi, steps, True
+    return pi, params.max_steps, False
 
 
 def soft_merge_of_detections(dets, graphs):

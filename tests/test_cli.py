@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -126,8 +127,12 @@ class TestExitCodes:
     ], ids=["class-id", "dimension", "nan", "zero", "empty"])
     def test_bad_prototype_file_is_data_error(self, cli_corpus, tmp_path, capsys, bad):
         protos = tmp_path / "bad.protos"
-        save_prototypes(protos, [q for p in run_support_stage(load_dataset(cli_corpus))
-                                 if (q := bad(p)) is not None])
+        good = run_support_stage(load_dataset(cli_corpus))
+        kept = [q for p in good if (q := bad(p)) is not None]
+        if kept:
+            save_prototypes(protos, kept)
+        else:  # save_prototypes refuses an empty list: write the N = 0 header by hand
+            protos.write_bytes(struct.pack("<4sIIHH", b"PRTO", 1, 0, good[0].vector.size, 0))
         out = tmp_path / "o"
         assert main(["run", str(cli_corpus), "--prototypes", str(protos),
                      "--out", str(out)]) == 3

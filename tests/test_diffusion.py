@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import protodet
 from conftest import random_class_props
-from oracles import build_time_graph
+from oracles import build_time_graph, walk, walk_arrays
 from protodet.diffusion import (
     ClassGraph,
     DiffusionParams,
@@ -157,12 +157,18 @@ class TestDerivedGraph:
         assert np.array_equal(g.coverage, coverage)
         assert np.array_equal(g.edges, edges)
         # diffuse derives the walk: at alpha = 0 one step from any start is the
-        # prior, and at alpha = 0.5 one step from the j-th unit vector is half
-        # of the transition's column j plus half of the prior
+        # prior, and at alpha = 0.5 one step from the uniform start is the
+        # oracle step on the build-time arrays
         assert np.array_equal(diffuse(g, DiffusionParams(alpha=0.0, max_steps=1)).pi, prior)
         half = DiffusionParams(alpha=0.5, max_steps=1)
+        uniform = np.full(len(props), 1.0 / len(props))
+        assert np.array_equal(diffuse(g, half).pi, walk(transition, prior, half, uniform)[0])
+        # the walk derived from g.edges, stepped once from the j-th unit vector,
+        # is half of the build-time transition's column j plus half of the prior
+        g_prior, g_transition = walk_arrays(g.edges)
         for e in np.eye(len(props)):
-            assert np.array_equal(diffuse(g, half, init=e).pi, 0.5 * (transition @ e) + 0.5 * prior)
+            assert np.array_equal(walk(g_transition, g_prior, half, e)[0],
+                                  0.5 * (transition @ e) + 0.5 * prior)
         assert g.members == tuple(props)
 
 
@@ -203,15 +209,9 @@ class TestDiffuse:
         wants = []
         for g in graphs:
             _, _, prior, transition = build_time_graph(g.members)
-            restart = (1.0 - params.alpha) * prior
-            pi, steps = np.full(len(g.members), 1.0 / len(g.members)), 0
-            while steps < params.max_steps:
-                nxt = np.clip(params.alpha * (transition @ pi) + restart, 0.0, 1.0)
-                steps += 1
-                delta, pi = float(np.linalg.norm(nxt - pi)), nxt
-                if delta < params.tau:
-                    break
-            wants.append((pi.tolist(), steps, delta < params.tau))
+            pi, steps, converged = walk(transition, prior, params,
+                                        np.full(len(g.members), 1.0 / len(g.members)))
+            wants.append((pi.tolist(), steps, converged))
         reads = []
         derive = ClassGraph.edges.fget
         monkeypatch.setattr(ClassGraph, "edges", property(lambda g: reads.append(g) or derive(g)))
@@ -234,18 +234,6 @@ class TestDiffuse:
                        DiffusionParams(max_steps=5)):
             assert diffuse(g, params) is not first
         assert len(reads) == 4 and len(g.walks) == 4
-
-    def test_init_bypasses_the_stored_walk(self, monkeypatch):
-        g = build_class_graph(random_class_props(np.random.default_rng(10), 8))
-        params = DiffusionParams(tau=1e-12, max_steps=200)
-        stored = diffuse(g, params)
-        reads = []
-        derive = ClassGraph.edges.fget
-        monkeypatch.setattr(ClassGraph, "edges", property(lambda g: reads.append(g) or derive(g)))
-        from_zero = diffuse(g, params, init=np.zeros(8))
-        assert reads == [g] and from_zero is not stored
-        assert g.walks == {(params.alpha, params.tau, params.max_steps): stored}
-        assert diffuse(g, params) is stored
 
     def test_result_weights_are_read_only(self):
         g = build_class_graph([_prop(0.9, _full()), _prop(0.5, _half())])
@@ -284,10 +272,10 @@ class TestDiffuse:
         params = DiffusionParams(tau=1e-12, max_steps=200)
         for _ in range(30):
             props = random_class_props(rng, int(rng.integers(1, 25)))
-            g = build_class_graph(props)
-            from_uniform = diffuse(g, params).pi
-            from_zero = diffuse(g, params, init=np.zeros(len(props))).pi
-            np.testing.assert_allclose(from_uniform, from_zero, atol=1e-8)
+            _, _, prior, transition = build_time_graph(props)
+            from_zero = walk(transition, prior, params, np.zeros(len(props)))[0]
+            np.testing.assert_allclose(diffuse(build_class_graph(props), params).pi, from_zero,
+                                       atol=1e-8)
 
     def test_convergence_within_70_steps(self):
         rng = np.random.default_rng(202)

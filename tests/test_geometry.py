@@ -13,7 +13,7 @@ from protodet.geometry import (
     BinaryMask,
     BoundingBox,
     box_iou,
-    box_iou_matrix,
+    box_iou_pairs,
     box_to_full_mask,
     coverage_matrix,
     mask_coverage,
@@ -69,7 +69,7 @@ def _rows(boxes):
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-class TestBoxIouMatrix:
+class TestBoxIouPairs:
     @settings(deadline=None)
     @given(st.lists(_box(), max_size=6), st.lists(_box(), min_size=1, max_size=6))
     @example([BoundingBox(0, 0, 2, 2)], [BoundingBox(2, 0, 4, 2), BoundingBox(0, 2, 2, 4)])  # touching
@@ -79,9 +79,13 @@ class TestBoxIouMatrix:
     @example([BoundingBox(0.5, 0.5, 2.5, 1.5)], [BoundingBox(1.5, 0.0, 3.5, 2.5)])  # half-integers
     @example([BoundingBox(0.1, 0.2, 0.7, 0.3)], [BoundingBox(0.3, 0.1, 0.9, 0.25)])  # inexact floats
     def test_equals_box_iou_exactly(self, a, b):
-        got = box_iou_matrix(_rows(a), _rows(b))
+        # all pairs, by broadcasting (n, 1, 4) against (1, m, 4)
+        got = box_iou_pairs(_rows(a)[:, None], _rows(b)[None])
         assert got.dtype == np.float64 and got.shape == (len(a), len(b))
         assert got.tolist() == [[box_iou(x, y) for y in b] for x in a]
+        # the same pairs as rows k of two (n * m, 4) arrays
+        rows = box_iou_pairs(np.repeat(_rows(a), len(b), axis=0), np.tile(_rows(b), (len(a), 1)))
+        assert rows.tolist() == [box_iou(x, y) for x in a for y in b]
 
 
 class TestRle:

@@ -265,14 +265,17 @@ class TestLoadValidation:
         assert len(ds.proposals["q0"]) == 1
         assert ds.proposals["q0"][0].upn_score == 0.5
 
-    def test_proposals_truncated_to_500_best(self, tmp_path):
+    def test_proposals_truncated_to_500_best(self, tmp_path, caplog):
         rows = [_proposal_row(0.2 + 0.001 * (i % 600)) for i in range(600)]
         path = _write_manifest(tmp_path, proposals=rows)
-        ds = load_dataset(path)
+        with caplog.at_level("INFO", logger="protodet.interchange"):
+            ds = load_dataset(path)
         recs = ds.proposals["q0"]
         assert len(recs) == 500
         dropped = sorted(r["score"] for r in rows)[:100]
         assert min(r.upn_score for r in recs) >= max(dropped)
+        assert [r.getMessage() for r in caplog.records] == [
+            "image q0: kept the 500 best of 600 proposals, dropped 100"]
 
     def test_bad_rle_names_file_and_line(self, tmp_path):
         path = _write_manifest(
@@ -578,6 +581,20 @@ class TestPrototypeFile:
         with pytest.raises(DataFormatError, match="class 1 prototype is not finite"):
             load_prototypes(path)
 
+    # each of these would write a file that load_prototypes refuses
+    @pytest.mark.parametrize("class_ids, dim, message", [
+        ((), 2, "at least one prototype"),
+        ((2, 0, 2), 2, "duplicate prototype for class 2"),
+        ((0,), 2**16, "dimension 65536"),
+    ], ids=["empty", "repeated-class", "dimension-beyond-uint16"])
+    def test_unloadable_file_refused_before_writing(self, tmp_path, class_ids, dim, message):
+        path = tmp_path / "p.protos"
+        protos = [ClassPrototype(class_id=c, vector=np.ones(dim), support_count=1)
+                  for c in class_ids]
+        with pytest.raises(ValueError, match=message):
+            save_prototypes(path, protos)
+        assert not path.exists()
+
 
 def _mutate_json(doc, rng):
     """``doc`` with one key (or list item) dropped or its value replaced, at a
@@ -626,22 +643,26 @@ def _mutant(raw: bytes, suffix: str, rng) -> bytes:
 
 class TestMutationFuzz:
     """Seeded mutations of every input file of a tiny corpus and of a prototype
-    file: the loaders raise only DataFormatError, and ``run`` exits 0, 3 or 4
-    without a traceback (4 stays reachable, e.g. through ``num_classes``)."""
+    file, for both query-feature layouts (``.pfeat`` blobs or feature maps): the
+    loaders raise only DataFormatError, and ``run`` exits 0, 3 or 4 without a
+    traceback (4 stays reachable, e.g. through ``num_classes``)."""
 
-    MUTANTS = 600
+    MUTANTS = 300  # per layout
 
-    def test_loaders_and_run_survive_mutations(self, tmp_path):
+    @pytest.mark.parametrize("query_maps", [False, True], ids=["pfeat", "query-maps"])
+    def test_loaders_and_run_survive_mutations(self, tmp_path, query_maps):
         cfg = GeneratorConfig(seed=3, images=2, classes=2, objects_per_image=(1, 2),
                               fragments_per_object=(1, 2), distractors_per_image=(1, 1),
-                              feature_dim=6, image_size=32, grid_size=4)
+                              feature_dim=6, image_size=32, grid_size=4,
+                              query_feature_maps=query_maps)
         manifest = generate_dataset(cfg, tmp_path / "ds")
         protos = tmp_path / "p.protos"
         save_prototypes(protos, run_support_stage(load_dataset(manifest)))
         ds = manifest.parent
+        query_blob = "img_0000.fmap" if query_maps else "img_0000.pfeat"
         targets = [manifest, ds / "supports.jsonl", ds / "proposals.jsonl",
                    ds / "ground_truth.jsonl", ds / "features" / "support_c0_s0.fmap",
-                   ds / "features" / "img_0000.pfeat", protos]
+                   ds / "features" / query_blob, protos]
         originals = {path: path.read_bytes() for path in targets}
         rng = np.random.default_rng(2026)
         codes = set()

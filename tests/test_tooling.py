@@ -142,12 +142,13 @@ def test_no_stage_decodes_or_encodes_a_raster():
 def test_overlap_is_computed_once_per_image_class():
     # Mask coverage comes only from the class graph, which every method that
     # needs it shares.  Box IoU comes pair by pair only where no array fits,
-    # in wbf, whose fused box moves as it grows; the evaluator computes all its
-    # (detection, ground truth) pairs in one box_iou_pairs call.
+    # in wbf, whose fused box moves as it grows.  Every other box IoU comes
+    # from the one array kernel: the NMS family's per-class matrix, and the
+    # evaluator's (detection, ground truth) pairs in one call.
     calls = _calls("coverage_matrix", "box_iou", "box_iou_pairs")
     assert calls["coverage_matrix"] == {("diffusion", "build_class_graph")}
     assert calls["box_iou"] == {("postproc", "wbf")}
-    assert {module for module, _ in calls["box_iou_pairs"]} == {"evaluation"}
+    assert calls["box_iou_pairs"] == {("postproc", "_iou_matrix"), ("evaluation", "_match")}
 
 
 @pytest.mark.parametrize("node_id", [
