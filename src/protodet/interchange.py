@@ -181,6 +181,8 @@ def save_prototypes(path: Path | str, prototypes: Sequence[ClassPrototype]) -> N
         raise ValueError("all prototype vectors must share one dimensionality")
     if dim > 0xFFFF:
         raise ValueError(f"prototype dimension {dim} does not fit the header's uint16")
+    if not all(0 <= n <= 0xFFFFFFFF for p in protos for n in (p.class_id, p.support_count)):
+        raise ValueError("class ids and support counts must fit the records' uint32")
     records = np.array([(p.class_id, p.support_count, p.vector) for p in protos],
                        dtype=_proto_records(dim))
     header = _PROTO_HEADER.pack(PROTO_MAGIC, FORMAT_VERSION, len(protos), dim, 0)

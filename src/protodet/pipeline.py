@@ -48,11 +48,6 @@ __all__ = [
     "run_end_to_end",
 ]
 
-NMS_IOU_THR = 0.5
-SOFT_NMS_SIGMA = 0.5
-WBF_IOU_THR = 0.5
-
-
 @dataclass(frozen=True, eq=False)
 class QueryImage:
     """One query image's matched proposals and its class graphs, built on first
@@ -77,17 +72,17 @@ def _diffused(image: QueryImage, cfg: PipelineConfig) -> list[ScoredDetection]:
     return _as_detections(diffuse_all_classes(image.graphs, cfg.diffusion))
 
 
-# Rescoring methods, name -> fn(image, cfg), in report order.  The entries look
-# up the postproc functions and diffuse_all_classes when called, not at import,
-# so a rebinding of those names (a wrapper, a test double) takes effect.
+# Rescoring methods, name -> fn(image, cfg), in report order; each baseline runs
+# at its postproc default.  The entries look up postproc and diffuse_all_classes
+# when called, not at import, so a rebinding (a wrapper, a test double) applies.
 METHODS: dict[str, Callable[[QueryImage, PipelineConfig], list[ScoredDetection]]] = {
     "none": lambda image, cfg: _raw(image),
-    "nms": lambda image, cfg: postproc.nms(_raw(image), NMS_IOU_THR),
-    "softnms": lambda image, cfg: postproc.soft_nms(_raw(image), SOFT_NMS_SIGMA),
-    "wbf": lambda image, cfg: postproc.wbf(_raw(image), WBF_IOU_THR),
+    "nms": lambda image, cfg: postproc.nms(_raw(image)),
+    "softnms": lambda image, cfg: postproc.soft_nms(_raw(image)),
+    "wbf": lambda image, cfg: postproc.wbf(_raw(image)),
     "softmerge": lambda image, cfg: postproc.soft_merge(image.graphs),
     "diffusion": _diffused,
-    "diffusion+nms": lambda image, cfg: postproc.nms(_diffused(image, cfg), NMS_IOU_THR),
+    "diffusion+nms": lambda image, cfg: postproc.nms(_diffused(image, cfg)),
 }
 
 
@@ -174,12 +169,6 @@ def run_query_stage(
     return out
 
 
-def _refine_one_image(image: QueryImage, cfg: PipelineConfig) -> list[ScoredDetection]:
-    if not image.proposals:
-        return []
-    return topk_by_score(METHODS[cfg.method](image, cfg), cfg.max_output)
-
-
 def run_refine_stage(
     images: Mapping[str, QueryImage], cfg: PipelineConfig
 ) -> dict[str, list[ScoredDetection]]:
@@ -187,7 +176,8 @@ def run_refine_stage(
     out: dict[str, list[ScoredDetection]] = {}
     for image_id, image in images.items():
         try:
-            out[image_id] = _refine_one_image(image, cfg)
+            out[image_id] = (topk_by_score(METHODS[cfg.method](image, cfg), cfg.max_output)
+                             if image.proposals else [])
         except ValueError as exc:
             raise PipelineError(f"refine stage: image {image_id!r}: {exc}") from exc
     return out

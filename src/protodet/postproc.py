@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -45,18 +45,19 @@ def _by_score(dets: list[ScoredDetection]) -> list[ScoredDetection]:
     return sorted(dets, key=lambda d: -d.score)
 
 
-def _ranked_by_class(dets: list[ScoredDetection]) -> dict[int, list[int]]:
-    """Each class's indices into ``dets``, in ``_by_score`` order."""
+def _class_table(dets: list[ScoredDetection]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per class, in ascending class id: the class's indices into ``dets`` in
+    ``_by_score`` order, and their boxes as an (n, 4) float64 array."""
     negated = [-d.score for d in dets]
     by_class: dict[int, list[int]] = {}
     for i in sorted(range(len(dets)), key=negated.__getitem__):
         by_class.setdefault(dets[i].class_id, []).append(i)
-    return by_class
+    for _, idx in sorted(by_class.items()):
+        yield idx, np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
 
 
-def _iou_matrix(dets: list[ScoredDetection], idx: list[int]) -> np.ndarray:
-    """IoU of every pair of ``dets[idx]``, rows and columns in ``idx`` order."""
-    boxes = np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
+def _iou_matrix(boxes: np.ndarray) -> np.ndarray:
+    """IoU of every pair of rows of an (n, 4) box array."""
     return box_iou_pairs(boxes[:, None], boxes[None])
 
 
@@ -66,10 +67,10 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
     if not 0.0 < iou_thr < 1.0:
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     kept: list[int] = []
-    for idx in _ranked_by_class(dets).values():
+    for idx, boxes in _class_table(dets):
         # row-major over the pairs above the threshold: every pair (q, r), q < r,
         # comes before row r, so r's own fate is settled when its row is read
-        rows, cols = np.nonzero(np.triu(_iou_matrix(dets, idx) > iou_thr, 1))
+        rows, cols = np.nonzero(np.triu(_iou_matrix(boxes) > iou_thr, 1))
         suppressed: set[int] = set()
         for r, c in zip(rows.tolist(), cols.tolist()):
             if r not in suppressed:
@@ -85,9 +86,9 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
-    for idx in _ranked_by_class(dets).values():
+    for idx, boxes in _class_table(dets):
         # only overlapping pairs decay: at IoU 0 the factor is exp(-0.0) == 1.0
-        iou = _iou_matrix(dets, idx)
+        iou = _iou_matrix(boxes)
         rows, cols = np.nonzero(iou)
         bounds = np.searchsorted(rows, np.arange(len(idx) + 1)).tolist()
         pairs = list(zip(cols.tolist(), iou[rows, cols].tolist()))
@@ -108,34 +109,35 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
 def wbf(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetection]:
     """Weighted boxes fusion: greedily cluster same-class boxes whose IoU with a
     cluster's running fused box exceeds the threshold; each cluster becomes one
-    box with score-weighted mean coordinates and the plain mean of its scores."""
+    box, its members' mean weighted by max(score, 0) (its first box while those
+    weights sum to 0), scored by the plain mean of its scores."""
     if not 0.0 < iou_thr < 1.0:
         raise ValueError(f"iou_thr must be in (0, 1), got {iou_thr}")
     fused_out: list[ScoredDetection] = []
-    by_class = _ranked_by_class(dets)
-    for class_id in sorted(by_class):
-        clusters: list[dict] = []
-        for i in by_class[class_id]:
-            d = dets[i]
-            home = None
-            for c in clusters:
-                if box_iou(d.box, c["fused"]) > iou_thr:
-                    home = c
+    for idx, boxes in _class_table(dets):
+        scores = np.array([dets[i].score for i in idx])
+        weights = np.maximum(scores, 0.0)
+        weighted = boxes * weights[:, None]
+        clusters: list[list[int]] = []  # each cluster's rows of the table
+        fused: list[BoundingBox] = []
+        for r, i in enumerate(idx):
+            box = dets[i].box
+            for c, f in enumerate(fused):
+                if box_iou(box, f) > iou_thr:
+                    rows = clusters[c]
+                    rows.append(r)
+                    total = weights[rows].sum()
+                    if total > 0.0:
+                        # Python floats: a numpy scalar's repr does not read back as a float
+                        fused[c] = BoundingBox(*(weighted[rows].sum(axis=0) / total).tolist())
                     break
-            if home is None:
-                clusters.append({"members": [d], "fused": d.box})
             else:
-                home["members"].append(d)
-                coords = np.array([m.box.as_tuple() for m in home["members"]])
-                weights = np.array([m.score for m in home["members"]])
-                fused = (coords * weights[:, None]).sum(axis=0) / weights.sum()
-                # Python floats: a numpy scalar's repr does not read back as a float
-                home["fused"] = BoundingBox(*fused.tolist())
-        for c in clusters:
-            members = c["members"]
+                clusters.append([r])
+                fused.append(box)
+        for rows, box in zip(clusters, fused):
             # np.mean of one score is that score
-            score = members[0].score if len(members) == 1 else np.mean([m.score for m in members])
-            fused_out.append(ScoredDetection(box=c["fused"], class_id=class_id, score=float(score)))
+            score = scores[rows[0]] if len(rows) == 1 else np.mean(scores[rows])
+            fused_out.append(ScoredDetection(box, dets[idx[0]].class_id, float(score)))
     # ties keep (class, cluster-creation) order
     return _by_score(fused_out)
 

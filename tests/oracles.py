@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from protodet.geometry import box_iou, coverage_matrix
+from protodet.geometry import BoundingBox, box_iou, coverage_matrix
 from protodet.postproc import ScoredDetection
 
 
@@ -77,6 +77,33 @@ def soft_nms(dets, sigma):
                 iou = box_iou(dets[top].box, dets[i].box)
                 current[i] *= math.exp(-(iou * iou) / sigma)
     return _by_score([ScoredDetection(d.box, d.class_id, final[i]) for i, d in enumerate(dets)])
+
+
+def wbf(dets, iou_thr):
+    """Weighted boxes fusion: each box, by rank, joins the first cluster of its
+    class whose fused box it overlaps by more than the threshold.  The fused box
+    is the members' mean weighted by max(score, 0), rebuilt from every member
+    on each join (the first box while the weights sum to 0); the score is the
+    mean of the members' scores."""
+    out = []
+    by_class = _ranked_by_class(dets)
+    for class_id in sorted(by_class):
+        clusters = []  # [members, fused box]
+        for i in by_class[class_id]:
+            d = dets[i]
+            home = next((c for c in clusters if box_iou(d.box, c[1]) > iou_thr), None)
+            if home is None:
+                clusters.append([[d], d.box])
+                continue
+            home[0].append(d)
+            coords = np.array([m.box.as_tuple() for m in home[0]])
+            weights = np.array([max(m.score, 0.0) for m in home[0]])
+            if weights.sum() > 0.0:
+                fused = (coords * weights[:, None]).sum(axis=0) / weights.sum()
+                home[1] = BoundingBox(*fused.tolist())
+        out += [ScoredDetection(fused, class_id, float(np.mean([m.score for m in members])))
+                for members, fused in clusters]
+    return _by_score(out)
 
 
 def cosine(a, b):

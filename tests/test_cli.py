@@ -616,7 +616,7 @@ class TestSharedQueryPass:
                                                          monkeypatch):
         import protodet.postproc
 
-        monkeypatch.setattr(protodet.postproc, "nms", lambda dets, thr: dets[:1])
+        monkeypatch.setattr(protodet.postproc, "nms", lambda dets, *_: dets[:1])
         out = tmp_path / "nms"
         assert main(["run", str(cli_corpus), "--method", "nms", "--out", str(out)]) == 0
         rows = (out / "detections.tsv").read_text().splitlines()[1:]

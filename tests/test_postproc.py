@@ -40,12 +40,13 @@ def _soft_merge(dets, masks):
 @st.composite
 def _detections(draw):
     """Multi-class detections on a half-pixel grid, so boxes touch, nest and
-    repeat, with scores from a short list, so input scores tie."""
+    repeat, with scores from a short list, so input scores tie, including the
+    zero and negative similarities the pipeline passes on."""
     dets = []
     for _ in range(draw(st.integers(0, 14))):
         x1, x2 = sorted(draw(st.lists(st.integers(0, 24), min_size=2, max_size=2, unique=True)))
         y1, y2 = sorted(draw(st.lists(st.integers(0, 24), min_size=2, max_size=2, unique=True)))
-        score = draw(st.sampled_from([0.25, 0.5, 0.5, 0.75, 0.9]))
+        score = draw(st.sampled_from([-0.25, 0.0, 0.25, 0.5, 0.5, 0.75, 0.9]))
         dets.append(_det((x1 / 2, y1 / 2, x2 / 2, y2 / 2), score, class_id=draw(st.integers(0, 2))))
     return dets
 
@@ -70,6 +71,16 @@ class TestNmsFamilyAgainstPerPairLoops:
     def test_soft_nms_equals_reference(self, dets, sigma):
         got = soft_nms(dets, sigma)
         assert got == oracles.soft_nms(dets, sigma)
+        assert all(type(d.score) is float for d in got)
+
+    @settings(deadline=None)
+    @given(_detections(), st.sampled_from([0.1, 0.5, 0.7]))
+    # a cluster led by a score of 0 keeps its first box; a negative member adds nothing
+    @example([_det(_SAME, 0.0), _det((0, 0, 1, 2), -0.25), _det((2, 0, 3, 1), 0.5),
+              _det((2, 0, 3, 2), -0.25)], 0.4)
+    def test_wbf_equals_reference(self, dets, iou_thr):
+        got = wbf(dets, iou_thr)
+        assert got == oracles.wbf(dets, iou_thr)
         assert all(type(d.score) is float for d in got)
 
     def test_equal_decayed_scores_select_the_lowest_input_position(self):
@@ -178,6 +189,18 @@ class TestWbf:
         assert fused.box.x2 == pytest.approx((10 * 0.8 + 12 * 0.4) / 1.2)
         assert fused.box.y1 == 0.0 and fused.box.y2 == pytest.approx(10.0)
         assert fused.score == pytest.approx(0.6)
+
+    def test_negative_member_adds_no_weight(self):
+        a = _det((0, 0, 10, 10), 0.5)
+        b = _det((2, 0, 12, 10), -0.25)  # iou 2/3 > 0.5
+        out = wbf([a, b], 0.5)
+        assert out == [ScoredDetection(box=a.box, class_id=0, score=0.125)]
+
+    def test_cluster_of_zero_weights_keeps_its_first_box(self):
+        a = _det((0, 0, 10, 10), 0.0)
+        b = _det((2, 0, 12, 10), 0.0)
+        out = wbf([a, b], 0.5)
+        assert out == [ScoredDetection(box=a.box, class_id=0, score=0.0)]
 
     def test_disjoint_boxes_stay_separate(self):
         a = _det((0, 0, 2, 2), 0.9)

@@ -595,6 +595,18 @@ class TestPrototypeFile:
             save_prototypes(path, protos)
         assert not path.exists()
 
+    @pytest.mark.parametrize("class_id, support_count", [
+        (-1, 1), (2**32, 1), (0, -1), (0, 2**32),
+    ], ids=["class-id-negative", "class-id-2**32", "support-count-negative",
+            "support-count-2**32"])
+    def test_record_field_outside_uint32_refused_before_writing(self, tmp_path, class_id,
+                                                                support_count):
+        path = tmp_path / "p.protos"
+        proto = ClassPrototype(class_id=class_id, vector=np.ones(2), support_count=support_count)
+        with pytest.raises(ValueError, match="uint32"):
+            save_prototypes(path, [proto])
+        assert not path.exists()
+
 
 def _mutate_json(doc, rng):
     """``doc`` with one key (or list item) dropped or its value replaced, at a

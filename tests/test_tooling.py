@@ -108,9 +108,9 @@ def test_every_module_function_pays_for_itself():
     assert unused == []
 
 
-def _calls(*names):
+def _calls(*names, where=lambda call: True):
     """(module, enclosing function) for each call of each of ``names`` in the
-    package's source."""
+    package's source that ``where`` accepts."""
     calls = {name: set() for name in names}
 
     def visit(node, module, function):
@@ -119,7 +119,7 @@ def _calls(*names):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in calls:
+            if name in calls and where(node):
                 calls[name].add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -149,6 +149,17 @@ def test_overlap_is_computed_once_per_image_class():
     assert calls["coverage_matrix"] == {("diffusion", "build_class_graph")}
     assert calls["box_iou"] == {("postproc", "wbf")}
     assert calls["box_iou_pairs"] == {("postproc", "_iou_matrix"), ("evaluation", "_match")}
+
+
+def test_pipeline_runs_the_list_baselines_at_their_defaults():
+    # A baseline's threshold has one home, its postproc default: the pipeline
+    # passes nms, soft_nms and wbf the detection list alone.
+    baselines = ("nms", "soft_nms", "wbf")
+    called = _calls(*baselines)
+    with_more = _calls(*baselines, where=lambda call: len(call.args) + len(call.keywords) != 1)
+    for name in baselines:
+        assert "pipeline" in {module for module, _ in called[name]}
+        assert "pipeline" not in {module for module, _ in with_more[name]}
 
 
 @pytest.mark.parametrize("node_id", [
