@@ -26,15 +26,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Per-image dense features of shape (channels, grid_h, grid_w).
-
-    ``image_w``/``image_h`` are the source pixel dimensions; they define the
-    scale used to map pixel boxes onto grid cells.
-    """
+    """Per-image dense features of shape (channels, grid_h, grid_w), one grid over
+    the whole image; pooling takes the image's pixel size from its caller."""
 
     data: np.ndarray
-    image_w: int
-    image_h: int
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=np.float64)
@@ -42,8 +37,6 @@ class FeatureMap:
             raise ValueError(f"feature map must be (C, h, w) with all dims >= 1, got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("feature map contains non-finite values")
-        if self.image_w < 1 or self.image_h < 1:
-            raise ValueError(f"image dims must be >= 1, got {self.image_w}x{self.image_h}")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
@@ -83,17 +76,21 @@ class ClassPrototype:
     support_count: int
 
 
-def map_box_to_grid(boxes: Sequence[BoundingBox], fm: FeatureMap) -> np.ndarray:
-    """Map pixel boxes to inclusive grid-cell ranges, one (gx1, gy1, gx2, gy2)
-    row of the (len(boxes), 4) int64 result per box.
+def map_box_to_grid(boxes: Sequence[BoundingBox], fm: FeatureMap, width: int,
+                    height: int) -> np.ndarray:
+    """Map pixel boxes of a ``width`` x ``height`` image to inclusive grid-cell
+    ranges, one (gx1, gy1, gx2, gy2) row of the (len(boxes), 4) int64 result
+    per box.
 
     Coordinates scale by grid/image; the min corner floors and the max corner
     ceils minus one, so every cell the box touches is kept.  The range is
     clamped to the grid and never empty.
     """
-    size = np.array([fm.image_w, fm.image_h] * 2, dtype=np.float64)
+    if width < 1 or height < 1:
+        raise ValueError(f"image dims must be >= 1, got {width}x{height}")
+    size = np.array([width, height] * 2, dtype=np.float64)
     b = np.minimum(np.maximum(np.array([x.as_tuple() for x in boxes]).reshape(-1, 4), 0.0), size)
-    g = b * ([fm.grid_w / fm.image_w, fm.grid_h / fm.image_h] * 2)
+    g = b * ([fm.grid_w / width, fm.grid_h / height] * 2)
     last = [fm.grid_w - 1, fm.grid_h - 1]
     lo = np.minimum(np.maximum(np.floor(g[:, :2]).astype(np.int64), 0), last)
     hi = np.minimum(np.maximum(np.ceil(g[:, 2:]).astype(np.int64) - 1, lo), last)
@@ -101,18 +98,19 @@ def map_box_to_grid(boxes: Sequence[BoundingBox], fm: FeatureMap) -> np.ndarray:
 
 
 def masked_roi_pool(
-    fm: FeatureMap, boxes: Sequence[BoundingBox], weights: np.ndarray,
+    fm: FeatureMap, boxes: Sequence[BoundingBox], weights: np.ndarray, width: int, height: int,
     names: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Weighted mean of feature columns over each box's grid range: row i of
     the (len(boxes), channels) result pools box i under ``weights[i]``.
 
-    ``weights`` is the (len(boxes), grid_h, grid_w) array of cell weights in
-    [0, 1] that ``mask_downsample`` returns, and the sums run only over the
-    mapped cell range, so the result describes the object region rather
-    than the whole rectangle.  If a mask contributes zero weight there,
-    pooling falls back to a plain mean over the range, with a warning that
-    names the box by ``names[i]`` (default ``box i``).
+    The boxes, and the masks behind ``weights``, are in the pixel frame of one
+    ``width`` x ``height`` image.  ``weights`` is the (len(boxes), grid_h,
+    grid_w) array of cell weights in [0, 1] that ``mask_downsample`` returns,
+    and the sums run only over the mapped cell range, so the result describes
+    the object region rather than the whole rectangle.  If a mask contributes
+    zero weight there, pooling falls back to a plain mean over the range, with
+    a warning that names the box by ``names[i]`` (default ``box i``).
     """
     if weights.shape != (len(boxes), fm.grid_h, fm.grid_w):
         raise ValueError(
@@ -120,7 +118,7 @@ def masked_roi_pool(
             f"on feature grid {fm.grid_w}x{fm.grid_h}"
         )
     out = np.empty((len(boxes), fm.channels))
-    for i, (gx1, gy1, gx2, gy2) in enumerate(map_box_to_grid(boxes, fm).tolist()):
+    for i, (gx1, gy1, gx2, gy2) in enumerate(map_box_to_grid(boxes, fm, width, height).tolist()):
         w = weights[i, gy1 : gy2 + 1, gx1 : gx2 + 1]
         total = float(w.sum())
         if total == 0.0:

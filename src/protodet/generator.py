@@ -184,7 +184,7 @@ def _planted_feature_map(
         inside = mask_downsample([mask], g, g)[0] > 0.0
         noise = rng.standard_normal((g, g, cfg.feature_dim)) * 0.02
         data[:, inside] = (direction[None, :] + noise[inside]).T
-    return FeatureMap(data=data, image_w=cfg.image_size, image_h=cfg.image_size)
+    return FeatureMap(data)
 
 
 def generate_dataset(cfg: GeneratorConfig, out_dir: Path | str) -> Path:
@@ -226,7 +226,7 @@ def generate_dataset(cfg: GeneratorConfig, out_dir: Path | str) -> Path:
             feature = None
             if not cfg.query_feature_maps:
                 feature = _mix_feature(rng, direction, cfg.feature_noise)
-            image_props.append(ProposalRecord(image_id, box, mask, float(score), feature))
+            image_props.append(ProposalRecord(box, mask, float(score), feature))
 
         n_objects = int(rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1))
         for _ in range(n_objects):

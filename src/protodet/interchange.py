@@ -81,7 +81,8 @@ class ImageInfo:
 
 @dataclass(frozen=True, eq=False)
 class ProposalRecord:
-    image_id: str
+    """One query proposal; its image is its key in ``Dataset.proposals``."""
+
     box: BoundingBox
     mask: BinaryMask
     upn_score: float
@@ -137,10 +138,10 @@ def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
     return np.frombuffer(raw, dtype, count=count, offset=header.size).reshape(shape)
 
 
-def read_feature_map(path: Path | str, image_w: int, image_h: int) -> FeatureMap:
-    data = _read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
-                      lambda channels, grid_h, grid_w: ("<f4", (channels, grid_h, grid_w)))
-    return FeatureMap(data=data.astype(np.float64), image_w=image_w, image_h=image_h)
+def read_feature_map(path: Path | str) -> FeatureMap:
+    """The blob's ``<f4`` values; ``FeatureMap`` widens them to float64."""
+    return FeatureMap(_read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
+                                 lambda channels, h, w: ("<f4", (channels, h, w))))
 
 
 def _check_features(matrix: np.ndarray, where: Callable[[int], str]) -> None:
@@ -250,17 +251,14 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-_decode_json = json.JSONDecoder().decode  # json.loads's decoder, without its per-call checks
-
-
 def _iter_jsonl(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:  # only json.loads's message names a leading BOM
-                yield lineno, (json.loads if line[0] == "\ufeff" else _decode_json)(line)
+            try:
+                yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
@@ -361,7 +359,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                     raise DataFormatError(f"{path}: missing {key} file {blob}")
                 yield by_id[image_id], blob
 
-        feature_maps = {info.image_id: read_feature_map(blob, info.width, info.height)
+        feature_maps = {info.image_id: read_feature_map(blob)
                         for info, blob in blobs("feature_maps")}
         proposal_features = {info.image_id: _read_proposal_features(blob)
                              for info, blob in blobs("proposal_features")}
@@ -407,7 +405,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     dropped = 0
     substituted = 0
 
-    def parse_proposal(rec: dict, where: str) -> ProposalRecord | None:
+    def parse_proposal(rec: dict, where: str) -> tuple[str, ProposalRecord] | None:
         nonlocal dropped, substituted
         info = image_of(rec, where)
         score = _require(rec, "score", where)
@@ -447,13 +445,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             feature_dims.add(feature.size)
         elif info.image_id not in feature_maps:
             raise DataFormatError(f"{where}: no feature, and its image has no feature map")
-        return ProposalRecord(
-            image_id=info.image_id,
-            box=box,
-            mask=mask,
-            upn_score=score,
-            feature=feature,
-        )
+        return info.image_id, ProposalRecord(box=box, mask=mask, upn_score=score, feature=feature)
 
     def parse_ground_truth(rec: dict, where: str) -> GroundTruthBox:
         info = image_of(rec, where)
@@ -467,8 +459,8 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     supports = _load_records(path, supports_file, "supports", parse_support)
 
     proposals: dict[str, list[ProposalRecord]] = {}
-    for prop in _load_records(path, proposals_file, "proposals", parse_proposal):
-        proposals.setdefault(prop.image_id, []).append(prop)
+    for image_id, prop in _load_records(path, proposals_file, "proposals", parse_proposal):
+        proposals.setdefault(image_id, []).append(prop)
     if dropped:
         log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
     if substituted:
@@ -507,7 +499,8 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     The inverse of ``load_dataset``.  Feature maps go to
     ``features/<image id>.fmap``, each query image's precomputed proposal
     features to ``features/<image id>.pfeat`` in proposal order, and proposals
-    are written in image order.
+    are written in image order.  Proposals or a feature map of an image that
+    ``dataset.images`` lacks raise ``ValueError`` before any file is written.
     """
     features: dict[str, list[np.ndarray]] = {}  # each image's precomputed proposal features
     for im in dataset.images:
@@ -517,6 +510,10 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
             raise ValueError(f"duplicate image id {im.image_id!r}")
         features[im.image_id] = [p.feature for p in dataset.proposals.get(im.image_id, ())
                                  if p.feature is not None]
+    unlisted = [i for i in (*dataset.proposals, *dataset.feature_maps) if i not in features]
+    if unlisted:
+        raise ValueError(f"image {unlisted[0]!r} has proposals or a feature map, but "
+                         "dataset.images does not list it")
     features = {image_id: vectors for image_id, vectors in features.items() if vectors}
     for image_id in (*dataset.feature_maps, *features):
         name = f"{image_id}.fmap"
@@ -539,7 +536,7 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
         for im in dataset.images:
             row = 0
             for p in dataset.proposals.get(im.image_id, ()):
-                rec = {"image_id": p.image_id, "box": _box_to_json(p.box),
+                rec = {"image_id": im.image_id, "box": _box_to_json(p.box),
                        "score": p.upn_score, "mask": _mask_to_json(p.mask)}
                 if p.feature is not None:
                     rec["feature_row"] = row

@@ -105,10 +105,13 @@ class PipelineConfig:
 
 def _pool(fm: FeatureMap, items: Sequence, index: Sequence[int], image_id: str, kind: str):
     """The features of ``items[i]`` for i in ``index``, records of one image with a
-    mask and a box, from one downsample and one pooling call."""
-    soft = mask_downsample([items[i].mask for i in index], fm.grid_w, fm.grid_h)
+    mask and a box, from one downsample and one pooling call; the boxes map to
+    the grid in the pixel frame of the masks, which share one size."""
+    masks = [items[i].mask for i in index]
+    soft = mask_downsample(masks, fm.grid_w, fm.grid_h)
     names = [f"image {image_id!r} {kind} {i}" for i in index]
-    return masked_roi_pool(fm, [items[i].box for i in index], soft, names)
+    return masked_roi_pool(fm, [items[i].box for i in index], soft,
+                           masks[0].width, masks[0].height, names)
 
 
 def run_support_stage(dataset: Dataset) -> list[ClassPrototype]:

@@ -81,8 +81,9 @@ def nms(dets: list[ScoredDetection], iou_thr: float = 0.5) -> list[ScoredDetecti
 
 def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDetection]:
     """Gaussian score decay: instead of removal, every not-yet-selected box's
-    score is multiplied by exp(-iou^2 / sigma) against each selected box.  Of
-    equal decayed scores, the lowest input position is selected first."""
+    positive score is multiplied by exp(-iou^2 / sigma) against each selected
+    box (a score <= 0 is kept, as decay would raise it).  Of equal decayed
+    scores, the lowest input position is selected first."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
@@ -101,7 +102,7 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
             final[idx[top]] = current[top]
             current[top] = -math.inf
             for r, v in pairs[bounds[top]:bounds[top + 1]]:
-                if current[r] != -math.inf:
+                if current[r] > 0.0:  # neither selected (-inf) nor at or below zero
                     current[r] *= math.exp(-(v * v) / sigma)
     return _by_score([ScoredDetection(d.box, d.class_id, final[i]) for i, d in enumerate(dets)])
 

@@ -65,8 +65,8 @@ def nms(dets, iou_thr):
 
 def soft_nms(dets, sigma):
     """Gaussian Soft-NMS: select the highest current score (of equal ones, the
-    lowest input position), then decay every unselected box of its class by
-    exp(-iou^2 / sigma)."""
+    lowest input position), then decay every unselected positive score of its
+    class by exp(-iou^2 / sigma)."""
     final = {}
     for idx in _ranked_by_class(dets).values():
         current = {i: dets[i].score for i in idx}
@@ -74,8 +74,9 @@ def soft_nms(dets, sigma):
             top = min(current, key=lambda i: (-current[i], i))
             final[top] = current.pop(top)
             for i in current:
-                iou = box_iou(dets[top].box, dets[i].box)
-                current[i] *= math.exp(-(iou * iou) / sigma)
+                if current[i] > 0.0:
+                    iou = box_iou(dets[top].box, dets[i].box)
+                    current[i] *= math.exp(-(iou * iou) / sigma)
     return _by_score([ScoredDetection(d.box, d.class_id, final[i]) for i, d in enumerate(dets)])
 
 
@@ -138,15 +139,16 @@ def downsample_by_decoding(m, target_w, target_h):
     return np.clip(out, 0.0, 1.0)
 
 
-def pool_one_box(fm, box, weights):
-    """One box pooled under its (grid_h, grid_w) weights: the inclusive grid range
-    by scaling, floor and ceil minus one, clamped; then the weighted mean, or the
-    plain mean where the mask has no weight in the range."""
-    sx, sy = fm.grid_w / fm.image_w, fm.grid_h / fm.image_h
-    gx1 = int(np.floor(min(max(box.x1, 0.0), float(fm.image_w)) * sx))
-    gy1 = int(np.floor(min(max(box.y1, 0.0), float(fm.image_h)) * sy))
-    gx2 = int(np.ceil(min(max(box.x2, 0.0), float(fm.image_w)) * sx)) - 1
-    gy2 = int(np.ceil(min(max(box.y2, 0.0), float(fm.image_h)) * sy)) - 1
+def pool_one_box(fm, box, weights, width, height):
+    """One box of a ``width`` x ``height`` image pooled under its (grid_h, grid_w)
+    weights: the inclusive grid range by scaling, floor and ceil minus one,
+    clamped; then the weighted mean, or the plain mean where the mask has no
+    weight in the range."""
+    sx, sy = fm.grid_w / width, fm.grid_h / height
+    gx1 = int(np.floor(min(max(box.x1, 0.0), float(width)) * sx))
+    gy1 = int(np.floor(min(max(box.y1, 0.0), float(height)) * sy))
+    gx2 = int(np.ceil(min(max(box.x2, 0.0), float(width)) * sx)) - 1
+    gy2 = int(np.ceil(min(max(box.y2, 0.0), float(height)) * sy)) - 1
     gx1 = min(max(gx1, 0), fm.grid_w - 1)
     gy1 = min(max(gy1, 0), fm.grid_h - 1)
     gx2 = min(max(gx2, gx1), fm.grid_w - 1)

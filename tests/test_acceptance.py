@@ -269,16 +269,16 @@ def test_criterion_7_pooling_oracle_and_lambda_zero_identity(acceptance_dataset)
         gh = int(rng.integers(1, 10))
         gw = int(rng.integers(1, 10))
         iw, ih = gw * 7, gh * 7
-        fm = FeatureMap(data=rng.standard_normal((c, gh, gw)), image_w=iw, image_h=ih)
+        fm = FeatureMap(data=rng.standard_normal((c, gh, gw)))
         weights = rng.uniform(0.0, 1.0, size=(gh, gw))
         if rng.random() < 0.3:
             weights = (weights > 0.5).astype(float)
         x = np.sort(rng.uniform(0, iw, 2))
         y = np.sort(rng.uniform(0, ih, 2))
         box = BoundingBox(x[0], y[0], x[1] + 0.5, y[1] + 0.5)
-        (got,) = masked_roi_pool(fm, [box], weights[None])
+        (got,) = masked_roi_pool(fm, [box], weights[None], iw, ih)
         # dense brute-force weighted mean over the mapped cell range
-        gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
+        gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm, iw, ih)[0]
         num = np.zeros(c)
         den = 0.0
         for u in range(gy1, gy2 + 1):

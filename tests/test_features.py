@@ -16,53 +16,62 @@ from protodet.features import (
 from protodet.geometry import BoundingBox
 
 
-def _fm(data, image_w, image_h):
-    return FeatureMap(data=np.asarray(data, dtype=np.float64), image_w=image_w, image_h=image_h)
+def _fm(data):
+    return FeatureMap(data=np.asarray(data, dtype=np.float64))
 
 
 class TestMapBoxToGrid:
     def test_full_image_box_covers_full_grid(self):
-        fm = _fm(np.zeros((2, 7, 9)), image_w=90, image_h=70)
-        assert map_box_to_grid([BoundingBox(0, 0, 90, 70)], fm).tolist() == [[0, 0, 8, 6]]
+        fm = _fm(np.zeros((2, 7, 9)))
+        assert map_box_to_grid([BoundingBox(0, 0, 90, 70)], fm, 90, 70).tolist() == [[0, 0, 8, 6]]
 
     def test_single_patch_box(self):
-        fm = _fm(np.zeros((1, 45, 45)), image_w=630, image_h=630)
-        assert map_box_to_grid([BoundingBox(0, 0, 14, 14)], fm).tolist() == [[0, 0, 0, 0]]
+        fm = _fm(np.zeros((1, 45, 45)))
+        assert map_box_to_grid([BoundingBox(0, 0, 14, 14)], fm, 630, 630).tolist() == [[0, 0, 0, 0]]
 
     def test_scale_floor_ceil_rule_by_hand(self):
         # scale 45/630 = 1/14:
         #   x: floor(100/14) = 7 .. ceil(300/14) - 1 = 21
         #   y: floor(200/14) = 14 .. ceil(400/14) - 1 = 28
-        fm = _fm(np.zeros((1, 45, 45)), image_w=630, image_h=630)
-        assert map_box_to_grid([BoundingBox(100, 200, 300, 400)], fm).tolist() == [[7, 14, 21, 28]]
+        fm = _fm(np.zeros((1, 45, 45)))
+        got = map_box_to_grid([BoundingBox(100, 200, 300, 400)], fm, 630, 630)
+        assert got.tolist() == [[7, 14, 21, 28]]
 
     def test_range_never_empty(self):
-        fm = _fm(np.zeros((1, 4, 4)), image_w=100, image_h=100)
-        gx1, gy1, gx2, gy2 = map_box_to_grid([BoundingBox(99.4, 99.4, 99.6, 99.6)], fm)[0]
+        fm = _fm(np.zeros((1, 4, 4)))
+        gx1, gy1, gx2, gy2 = map_box_to_grid([BoundingBox(99.4, 99.4, 99.6, 99.6)], fm, 100, 100)[0]
         assert gx1 <= gx2 and gy1 <= gy2
+
+    @pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (-1, -1)])
+    def test_image_without_pixels_rejected(self, width, height):
+        fm = _fm(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="image dims must be >= 1"):
+            map_box_to_grid([BoundingBox(0, 0, 1, 1)], fm, width, height)
+        with pytest.raises(ValueError, match="image dims must be >= 1"):
+            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)], np.ones((1, 2, 2)), width, height)
 
 
 class TestMaskedRoiPool:
     def test_constant_map_pools_to_constant(self):
-        fm = _fm(np.full((3, 4, 4), 2.5), image_w=8, image_h=8)
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 8, 8)], np.eye(4)[None] * 0.5)
+        fm = _fm(np.full((3, 4, 4), 2.5))
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 8, 8)], np.eye(4)[None] * 0.5, 8, 8)
         np.testing.assert_allclose(vec, [2.5, 2.5, 2.5])
 
     def test_single_cell_mask_selects_that_column(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((5, 3, 3))
-        fm = _fm(data, image_w=9, image_h=9)
+        fm = _fm(data)
         w = np.zeros((3, 3)); w[1, 2] = 1.0
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 9, 9)], w[None])
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 9, 9)], w[None], 9, 9)
         np.testing.assert_allclose(vec, data[:, 1, 2])
 
     def test_two_selected_cells_average(self):
         data = np.zeros((2, 2, 2))
         data[:, 0, 0] = [1.0, 3.0]
         data[:, 0, 1] = [5.0, 7.0]
-        fm = _fm(data, image_w=2, image_h=2)
+        fm = _fm(data)
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
-        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], w[None])
+        (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], w[None], 2, 2)
         np.testing.assert_allclose(vec, [3.0, 5.0])
 
     def test_all_ones_mask_equals_unweighted_mean(self):
@@ -72,28 +81,29 @@ class TestMaskedRoiPool:
             gh = int(rng.integers(1, 8))
             gw = int(rng.integers(1, 8))
             data = rng.standard_normal((c, gh, gw))
-            fm = _fm(data, image_w=gw * 10, image_h=gh * 10)
+            fm = _fm(data)
             x = np.sort(rng.uniform(0, gw * 10, size=2))
             y = np.sort(rng.uniform(0, gh * 10, size=2))
             box = BoundingBox(x[0], y[0], x[1] + 1e-3, y[1] + 1e-3)
             weights = np.ones((1, gh, gw))
-            gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm)[0]
+            gx1, gy1, gx2, gy2 = map_box_to_grid([box], fm, gw * 10, gh * 10)[0]
             expected = data[:, gy1 : gy2 + 1, gx1 : gx2 + 1].mean(axis=(1, 2))
-            np.testing.assert_allclose(masked_roi_pool(fm, [box], weights)[0], expected, atol=1e-6)
+            got = masked_roi_pool(fm, [box], weights, gw * 10, gh * 10)[0]
+            np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_zero_weight_falls_back_to_plain_mean(self, caplog):
         data = np.arange(8, dtype=float).reshape(2, 2, 2)
-        fm = _fm(data, image_w=2, image_h=2)
+        fm = _fm(data)
         weights = np.zeros((1, 2, 2))
         with caplog.at_level("WARNING"):
-            (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], weights)
+            (vec,) = masked_roi_pool(fm, [BoundingBox(0, 0, 2, 2)], weights, 2, 2)
         assert "falling back" in caplog.text
         np.testing.assert_allclose(vec, data.mean(axis=(1, 2)))
 
     def test_dimension_mismatch_rejected(self):
-        fm = _fm(np.zeros((1, 3, 3)), image_w=3, image_h=3)
+        fm = _fm(np.zeros((1, 3, 3)))
         with pytest.raises(ValueError):
-            masked_roi_pool(fm, [BoundingBox(0, 0, 3, 3)], np.ones((1, 2, 2)))
+            masked_roi_pool(fm, [BoundingBox(0, 0, 3, 3)], np.ones((1, 2, 2)), 3, 3)
 
 
 class TestOnePassAgainstPerItem:
@@ -101,7 +111,7 @@ class TestOnePassAgainstPerItem:
         rng = np.random.default_rng(1313)
         for _ in range(40):
             c, gh, gw = (int(v) for v in rng.integers(1, 8, size=3))
-            fm = _fm(rng.standard_normal((c, gh, gw)), image_w=gw * 7, image_h=gh * 5)
+            fm = _fm(rng.standard_normal((c, gh, gw)))
             n = int(rng.integers(1, 12))
             weights = rng.uniform(0.0, 1.0, size=(n, gh, gw))
             weights[rng.random(n) < 0.3] = 0.0  # falls back to the plain mean
@@ -109,15 +119,15 @@ class TestOnePassAgainstPerItem:
             corners = rng.uniform(0.0, 1.2, size=(n, 4)) * ([gw * 7, gh * 5] * 2)  # some outside
             boxes = [BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2) + 0.5, max(y1, y2) + 0.5)
                      for x1, y1, x2, y2 in corners]
-            got = masked_roi_pool(fm, boxes, weights)
+            got = masked_roi_pool(fm, boxes, weights, gw * 7, gh * 5)
             assert got.shape == (n, c)
             for row, box, w in zip(got, boxes, weights):
-                assert row.tobytes() == pool_one_box(fm, box, w).tobytes()
+                assert row.tobytes() == pool_one_box(fm, box, w, gw * 7, gh * 5).tobytes()
 
     def test_box_and_mask_counts_must_agree(self):
-        fm = _fm(np.zeros((1, 2, 2)), image_w=2, image_h=2)
+        fm = _fm(np.zeros((1, 2, 2)))
         with pytest.raises(ValueError, match="do not match 2 boxes"):
-            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)] * 2, np.ones((1, 2, 2)))
+            masked_roi_pool(fm, [BoundingBox(0, 0, 1, 1)] * 2, np.ones((1, 2, 2)), 2, 2)
 
     def test_matching_equals_per_prototype_cosine(self):
         rng = np.random.default_rng(1414)

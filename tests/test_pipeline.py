@@ -31,7 +31,7 @@ def _tiny_dataset(support_vec=(1.0, 0.0), feature=(1.0, 0.0), with_query_fmap=Fa
     """One class, one support image with a flat feature map, one proposal."""
     dim = len(support_vec)
     data = np.tile(np.asarray(support_vec, dtype=float)[:, None, None], (1, 4, 4))
-    fm = FeatureMap(data=data, image_w=8, image_h=8)
+    fm = FeatureMap(data=data)
     mask = BinaryMask.from_array(np.ones((8, 8), dtype=bool))
     support = SupportAnnotation(
         image_id="sup0", box=BoundingBox(0, 0, 8, 8), class_id=0, mask=mask
@@ -40,7 +40,6 @@ def _tiny_dataset(support_vec=(1.0, 0.0), feature=(1.0, 0.0), with_query_fmap=Fa
 
     images = [ImageInfo("sup0", 8, 8), ImageInfo("q0", 8, 8)]
     rec = ProposalRecord(
-        image_id="q0",
         box=BoundingBox(0, 0, 8, 8),
         mask=mask,
         upn_score=0.9,
@@ -106,7 +105,8 @@ class TestSupportStage:
 
 
 def _pool_per_item(fm, item):
-    return pool_one_box(fm, item.box, downsample_by_decoding(item.mask, fm.grid_w, fm.grid_h))
+    return pool_one_box(fm, item.box, downsample_by_decoding(item.mask, fm.grid_w, fm.grid_h),
+                        item.mask.width, item.mask.height)
 
 
 def _query_stage_per_proposal(dataset, prototypes):
@@ -307,8 +307,8 @@ class TestRefineStage:
         half_arr[:, :4] = True
         half = BinaryMask.from_array(half_arr)
         ds.proposals["q0"] = [
-            ProposalRecord("q0", BoundingBox(0, 0, 8, 8), full, 0.9, np.array([1.0, 0.0])),
-            ProposalRecord("q0", BoundingBox(0, 0, 4, 8), half, 0.5, np.array([1.0, 0.0])),
+            ProposalRecord(BoundingBox(0, 0, 8, 8), full, 0.9, np.array([1.0, 0.0])),
+            ProposalRecord(BoundingBox(0, 0, 4, 8), half, 0.5, np.array([1.0, 0.0])),
         ]
         protos = [ClassPrototype(class_id=0, vector=np.array([1.0, 0.0]), support_count=1)]
         props = run_query_stage(ds, protos)
@@ -436,6 +436,13 @@ class TestEndToEnd:
         assert all(threads.values())
         assert {t for calls in threads.values() for t in calls} == {threading.get_ident()}
 
+    @pytest.mark.parametrize("corpus", ["acceptance_dataset", "mixed_fmap_dataset"])
+    def test_written_copy_runs_like_the_dataset_in_memory(self, corpus, request, tmp_path):
+        ds = request.getfixturevalue(corpus)
+        cfg = PipelineConfig()
+        assert (run_end_to_end(load_dataset(write_dataset(ds, tmp_path / "ds")), cfg)
+                == run_end_to_end(ds, cfg))
+
     def test_validates_config(self):
         with pytest.raises(ValueError):
             PipelineConfig(method="magic")
@@ -517,7 +524,8 @@ class TestDeclaredDimensions:
 
     def test_feature_map_run_memory_is_bounded_by_the_runs(self, fmap_corpus):
         queries = fmap_corpus.query_image_ids()
-        assert queries and all(fmap_corpus.feature_maps[i].image_w == self.SIDE for i in queries)
+        assert queries and all(rec.mask.width == self.SIDE
+                               for i in queries for rec in fmap_corpus.proposals[i])
         tracemalloc.start()
         try:
             dets, report = run_end_to_end(fmap_corpus, PipelineConfig())

@@ -155,6 +155,14 @@ class TestSoftNms:
         a = _det((0, 0, 2, 2), 0.4)
         assert soft_nms([a], sigma=0.5)[0].score == 0.4
 
+    def test_negative_score_is_not_raised_above_a_lower_one(self):
+        # decaying -0.25 by exp(-iou^2 / sigma) would lift it to -0.041, above -0.1
+        a = _det((0, 0, 10, 10), 0.9)
+        b = _det((0, 0, 10, 9.5), -0.25)  # iou 0.95
+        c = _det((20, 20, 30, 30), -0.1)
+        out = soft_nms([a, b, c], sigma=0.5)
+        assert [(d.box, d.score) for d in out] == [(a.box, 0.9), (c.box, -0.1), (b.box, -0.25)]
+
     def test_never_increases_scores_and_keeps_boxes(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -162,7 +170,7 @@ class TestSoftNms:
             for _ in range(int(rng.integers(1, 15))):
                 x = np.sort(rng.uniform(0, 15, 2))
                 y = np.sort(rng.uniform(0, 15, 2))
-                dets.append(_det((x[0], y[0], x[1] + 0.5, y[1] + 0.5), float(rng.uniform(0, 1))))
+                dets.append(_det((x[0], y[0], x[1] + 0.5, y[1] + 0.5), float(rng.uniform(-1, 1))))
             out = soft_nms(dets, sigma=0.5)
             assert len(out) == len(dets)
             assert {d.box.as_tuple() for d in out} == {d.box.as_tuple() for d in dets}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,28 +116,28 @@ class TestFeatureMapBlob:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((5, 3, 4)).astype(np.float32).astype(np.float64)
-        fm = FeatureMap(data=data, image_w=40, image_h=30)
+        fm = FeatureMap(data=data)
         path = tmp_path / "x.fmap"
         write_feature_map(path, fm)
         assert path.stat().st_size == 16 + 4 * 5 * 3 * 4
-        back = read_feature_map(path, 40, 30)
+        back = read_feature_map(path)
         np.testing.assert_array_equal(back.data, data)
-        assert (back.image_w, back.image_h) == (40, 30)
+        assert back.data.dtype == np.float64 and not back.data.flags.writeable
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.fmap"
         path.write_bytes(b"JUNK" + b"\0" * 28)
         with pytest.raises(DataFormatError):
-            read_feature_map(path, 4, 4)
+            read_feature_map(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         rng = np.random.default_rng(0)
-        fm = FeatureMap(data=rng.standard_normal((2, 2, 2)), image_w=4, image_h=4)
+        fm = FeatureMap(data=rng.standard_normal((2, 2, 2)))
         path = tmp_path / "x.fmap"
         write_feature_map(path, fm)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataFormatError):
-            read_feature_map(path, 4, 4)
+            read_feature_map(path)
 
 
 class TestGeneratorConfig:
@@ -251,7 +252,7 @@ class TestLoadValidation:
             "mask": {"w": 8, "h": 8, "counts": [0, 64]},
         }
         write_feature_map(tmp_path / "q0.fmap",
-                          FeatureMap(data=np.ones((2, 2, 2)), image_w=8, image_h=8))
+                          FeatureMap(data=np.ones((2, 2, 2))))
         path = _write_manifest(tmp_path, manifest={"feature_maps": {"q0": "q0.fmap"}},
                                supports=[support])
         ds = load_dataset(path)
@@ -661,12 +662,16 @@ class TestMutationFuzz:
 
     MUTANTS = 300  # per layout
 
+    @staticmethod
+    def _config(query_maps):
+        return GeneratorConfig(seed=3, images=2, classes=2, objects_per_image=(1, 2),
+                               fragments_per_object=(1, 2), distractors_per_image=(1, 1),
+                               feature_dim=6, image_size=32, grid_size=4,
+                               query_feature_maps=query_maps)
+
     @pytest.mark.parametrize("query_maps", [False, True], ids=["pfeat", "query-maps"])
     def test_loaders_and_run_survive_mutations(self, tmp_path, query_maps):
-        cfg = GeneratorConfig(seed=3, images=2, classes=2, objects_per_image=(1, 2),
-                              fragments_per_object=(1, 2), distractors_per_image=(1, 1),
-                              feature_dim=6, image_size=32, grid_size=4,
-                              query_feature_maps=query_maps)
+        cfg = self._config(query_maps)
         manifest = generate_dataset(cfg, tmp_path / "ds")
         protos = tmp_path / "p.protos"
         save_prototypes(protos, run_support_stage(load_dataset(manifest)))
@@ -702,6 +707,34 @@ class TestMutationFuzz:
                 target.write_bytes(originals[target])
         assert {0, 3} <= codes  # mutants that still run, and mutants rejected
 
+    @pytest.mark.parametrize("query_maps", [False, True], ids=["pfeat", "query-maps"])
+    def test_run_survives_duplicated_and_inserted_lines(self, tmp_path, query_maps):
+        """Each line of a record file repeated in place, and each line of the other
+        two record files and a few JSON values that are no record inserted at a
+        seeded position: ``run`` exits 0 or 3."""
+        manifest = generate_dataset(self._config(query_maps), tmp_path / "ds")
+        files = [manifest.parent / f"{kind}.jsonl"
+                 for kind in ("supports", "proposals", "ground_truth")]
+        lines = {path: path.read_text().splitlines(keepends=True) for path in files}
+        rng = np.random.default_rng(2027)
+        codes = set()
+        for path in files:
+            own = lines[path]
+            mutants = [own[:i + 1] + own[i:] for i in range(len(own))]
+            for line in [*(ln for other in files if other != path for ln in lines[other]),
+                         "null\n", "[]\n", "{}\n", '"x"\n', "7\n"]:
+                at = int(rng.integers(len(own) + 1))
+                mutants.append(own[:at] + [line] + own[at:])
+            try:
+                for n, mutant in enumerate(mutants):
+                    path.write_text("".join(mutant))
+                    code = main(["run", str(manifest), "--out", str(tmp_path / "o")])
+                    assert code in (0, 3), f"mutant {n} of {path.name}: exit {code}"
+                    codes.add(code)
+            finally:
+                path.write_text("".join(own))
+        assert codes == {0, 3}
+
 
 class TestWriteDataset:
     @pytest.mark.parametrize("query_maps", [False, True], ids=["acceptance", "query-maps"])
@@ -724,9 +757,20 @@ class TestWriteDataset:
         assert len(expected) > 4  # blobs as well as the manifest and three record files
         assert files(out) == expected
 
+    @pytest.mark.parametrize("table", ["proposals", "feature_maps"])
+    def test_entry_of_an_unlisted_image_rejected(self, acceptance_dataset, tmp_path, table):
+        # load_dataset reads proposals and feature maps only of the images it lists
+        entries = getattr(acceptance_dataset, table)
+        ghost = {**entries, "ghost": next(iter(entries.values()))}
+        ds = replace(acceptance_dataset, **{table: ghost})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="image 'ghost' has proposals or a feature map"):
+            write_dataset(ds, out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("image_id", ["../x", "a/b"])
     def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
-        fm = FeatureMap(data=np.ones((2, 2, 2)), image_w=8, image_h=8)
+        fm = FeatureMap(data=np.ones((2, 2, 2)))
         ds = Dataset(num_classes=1, shots=1, images=[ImageInfo(image_id, 8, 8)], supports=[],
                      proposals={}, ground_truth=[], feature_maps={image_id: fm})
         out = tmp_path / "root" / "out"
