@@ -33,6 +33,8 @@ class FeatureMap:
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=np.float64)
+        if d.flags.writeable and np.may_share_memory(d, self.data):
+            d = d.copy()  # so that setflags below leaves the caller's array writable
         if d.ndim != 3 or min(d.shape) < 1:
             raise ValueError(f"feature map must be (C, h, w) with all dims >= 1, got {d.shape}")
         if not np.all(np.isfinite(d)):

@@ -154,7 +154,7 @@ def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
     return inter / area
 
 
-_PAIRS_PER_PASS = 2**14  # overlapping interval pairs summed per bincount: 128 KiB per array
+_PAIRS_PER_PASS = 2**14  # overlapping interval pairs summed per bincount, unless N**2 is more
 
 
 def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
@@ -171,9 +171,12 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     rounded quotient of two integers that ``mask_coverage`` computes: the
     values agree bit for bit.
 
-    Cost: O(R*log(R) + P + N**2) time and O(R + N**2 + _PAIRS_PER_PASS) memory
-    for R intervals and P overlapping interval pairs, whatever the declared
-    W*H.  Disjoint masks add no pair.
+    The pairs are summed in passes of max(_PAIRS_PER_PASS, N**2) consecutive
+    pair numbers, so each pass's N**2 ``bincount`` is spread over at least N**2
+    pairs and its temporaries stay a few times the size of the result.  Cost:
+    O(R*log(R) + P + N**2) time and O(R + N**2) memory for R intervals and P
+    overlapping interval pairs, whatever the declared W*H.  Disjoint masks add
+    no pair.
 
     Raises ValueError when the masks differ in dimensions or one is empty.
     """
@@ -202,22 +205,34 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     start = end - ones[ones > 0]
 
     order = np.argsort(start, kind="stable")
-    row, start, end = row[order], start[order], end[order]
+    # pixel indices are at most W*H <= 2**53, so float64 holds them exactly
+    row, start, end = row[order], start[order].astype(np.float64), end[order].astype(np.float64)
     # interval i overlaps the count[i] intervals after it; its pairs are numbered
-    # offset[i] .. offset[i + 1] - 1
+    # offset[i] .. offset[i + 1] - 1, and pair k of interval a is with b = k + shift[a]
     count = np.searchsorted(start, end) - np.arange(1, start.size + 1)
     offset = np.concatenate(([0], np.cumsum(count)))
+    shift = np.arange(1, start.size + 1) - offset[:-1]
+    cell = row * n
     inter = np.zeros(n * n)
-    lo = 0
-    while lo < start.size:
-        # as many intervals as fit in one pass, and at least one
-        hi = int(np.searchsorted(offset, offset[lo] + _PAIRS_PER_PASS, side="right")) - 1
-        hi = max(hi, lo + 1)
-        a = np.repeat(np.arange(lo, hi), count[lo:hi])
-        b = np.arange(offset[lo], offset[hi]) - offset[a] + a + 1
-        shared = np.minimum(end[a], end[b]) - start[b]
-        inter += np.bincount(row[a] * n + row[b], weights=shared, minlength=n * n)
-        lo = hi
+    step = max(_PAIRS_PER_PASS, n * n)  # the N**2 bincount is spread over >= N**2 pairs
+    n_pairs = int(offset[-1])
+    for p0 in range(0, n_pairs, step):
+        # pairs p0 .. p1 - 1, of intervals lo .. hi - 1; the first and the last
+        # of them may also have pairs in the passes before and after
+        p1 = min(p0 + step, n_pairs)
+        lo = int(np.searchsorted(offset, p0, side="right")) - 1
+        hi = int(np.searchsorted(offset, p1))
+        reps = count[lo:hi].copy()
+        reps[0] -= p0 - offset[lo]
+        reps[-1] -= offset[hi] - p1
+        b = np.arange(p0, p1)
+        b += np.repeat(shift[lo:hi], reps)
+        shared = np.repeat(end[lo:hi], reps)
+        np.minimum(shared, end[b], out=shared)
+        shared -= start[b]
+        ab = np.repeat(cell[lo:hi], reps)
+        ab += row[b]
+        inter += np.bincount(ab, weights=shared, minlength=n * n)
     inter = inter.reshape(n, n)
     inter += inter.T
     np.fill_diagonal(inter, areas)

@@ -499,8 +499,12 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     The inverse of ``load_dataset``.  Feature maps go to
     ``features/<image id>.fmap``, each query image's precomputed proposal
     features to ``features/<image id>.pfeat`` in proposal order, and proposals
-    are written in image order.  Proposals or a feature map of an image that
-    ``dataset.images`` lacks raise ``ValueError`` before any file is written.
+    are written in image order.  What ``load_dataset`` would refuse raises
+    ``ValueError`` before any file is written: proposals, a feature map, a
+    support or a ground-truth box of an image that ``dataset.images`` lacks or
+    of a class outside ``[0, num_classes)``, a support or proposal mask of
+    another size than its image, a support image without a feature map, and a
+    proposal without a feature in an image without one.
     """
     features: dict[str, list[np.ndarray]] = {}  # each image's precomputed proposal features
     for im in dataset.images:
@@ -514,6 +518,28 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     if unlisted:
         raise ValueError(f"image {unlisted[0]!r} has proposals or a feature map, but "
                          "dataset.images does not list it")
+    for r in (*dataset.supports, *dataset.ground_truth):
+        if r.image_id not in features:
+            raise ValueError(f"a support or ground-truth box is in image {r.image_id!r}, "
+                             "which dataset.images does not list")
+        if not 0 <= r.class_id < dataset.num_classes:
+            raise ValueError(f"a support or ground-truth box of class {r.class_id}, outside "
+                             f"[0, {dataset.num_classes})")
+    sizes = {im.image_id: (im.width, im.height) for im in dataset.images}
+    masks = [*((s.image_id, s.mask) for s in dataset.supports),
+             *((i, p.mask) for i, props in dataset.proposals.items() for p in props)]
+    for image_id, m in masks:
+        w, h = sizes[image_id]
+        if (m.width, m.height) != (w, h):
+            raise ValueError(f"a {m.width}x{m.height} mask in image {image_id!r} of {w}x{h}")
+    unmapped = [s.image_id for s in dataset.supports if s.image_id not in dataset.feature_maps]
+    if unmapped:
+        raise ValueError(f"support image {unmapped[0]!r} has no feature map")
+    featureless = [i for i, props in dataset.proposals.items()
+                   if i not in dataset.feature_maps and any(p.feature is None for p in props)]
+    if featureless:
+        raise ValueError(f"a proposal of image {featureless[0]!r} has no feature, and its "
+                         "image no feature map")
     features = {image_id: vectors for image_id, vectors in features.items() if vectors}
     for image_id in (*dataset.feature_maps, *features):
         name = f"{image_id}.fmap"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,34 @@ from protodet.geometry import BoundingBox
 
 def _fm(data):
     return FeatureMap(data=np.asarray(data, dtype=np.float64))
+
+
+class TestFeatureMap:
+    def test_writable_input_stays_the_callers(self):
+        d = np.zeros((2, 2, 2))
+        fm = FeatureMap(d)
+        d[0, 0, 0] = 1
+        assert not fm.data.flags.writeable
+        assert fm.data.tolist() == np.zeros((2, 2, 2)).tolist()
+
+    def test_read_only_input_is_kept_without_a_copy(self):
+        d = np.zeros((2, 2, 2))
+        d.setflags(write=False)
+        assert FeatureMap(d).data is d
+
+    def test_f4_input_is_widened_once(self):
+        # a read-only <f4 view, as a feature-map blob is read: the float64
+        # conversion is its only allocation
+        d = np.frombuffer(np.arange(2**16, dtype="<f4").tobytes(), dtype="<f4").reshape(4, 128, 128)
+        tracemalloc.start()
+        try:
+            fm = FeatureMap(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.data.dtype == np.float64 and not fm.data.flags.writeable
+        assert fm.data.tolist() == d.tolist()
+        assert peak < 1.25 * fm.data.nbytes
 
 
 class TestMapBoxToGrid:

@@ -194,6 +194,52 @@ def _embed_far(m, width, height):
     return BinaryMask(width, height, tuple(np.diff(bounds).tolist()))
 
 
+def _coverage_and_passes(masks):
+    """``coverage_matrix(masks)`` and the number of its N**2 ``bincount`` passes."""
+    n, calls, bincount = len(masks), [], np.bincount
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("minlength") == n * n)
+        return bincount(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "bincount", spy)
+        got = coverage_matrix(masks)
+    return got, sum(calls)
+
+
+@st.composite
+def _tall_rectangles(draw, max_masks=6):
+    """Rectangles of a w x 128 raster that all cover its middle column and rows
+    16 .. 111.  The first keeps column 0 clear, so each of its 96 or more rows
+    is an interval that every other mask overlaps: at least 96 * (N - 1)
+    interval pairs, over ten times N**2 for N <= 8.  A later one may span whole
+    rows, one interval that overlaps many.  A prefix may repeat."""
+    w = draw(st.integers(3, 9))
+    masks = []
+    for i in range(draw(st.integers(2, max_masks))):
+        x1 = draw(st.integers(1 if i == 0 else 0, w // 2))
+        x2 = draw(st.integers(w // 2 + 1, w))
+        y1, y2 = draw(st.integers(0, 16)), draw(st.integers(112, 128))
+        masks.append(_mask_of(w, 128, [(y1, x1, y2, x2)]))
+    return masks + masks[: draw(st.integers(0, 2))]
+
+
+def _spanning_rectangles(n, width, height, seed):
+    """n rectangles whose columns all include [width / 4, 3 * width / 4), and
+    their number of overlapping interval pairs.  No rectangle spans a whole
+    row, so each of its rows is an interval, and every two rectangles on a row
+    make one pair."""
+    rng = np.random.default_rng(seed)
+    y1, y2 = rng.integers(0, height // 4, n), rng.integers(3 * height // 4, height, n)
+    x1, x2 = rng.integers(0, width // 4, n), rng.integers(3 * width // 4, width, n)
+    masks = [_mask_of(width, height, [rect]) for rect in zip(y1, x1, y2, x2)]
+    on_row = np.zeros(height, dtype=np.int64)
+    for lo, hi in zip(y1, y2):
+        on_row[lo:hi] += 1
+    return masks, int((on_row * (on_row - 1) // 2).sum())
+
+
 @st.composite
 def _same_size_masks(draw, max_side=7, max_masks=6):
     """Non-empty masks of one size, with RLEs drawn directly from sorted cut
@@ -251,19 +297,31 @@ class TestCoverageMatrix:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("pairs_per_pass", [1, 3])
+    @pytest.mark.parametrize("least_pass", [1, 50])
     @settings(deadline=None)
-    @given(_same_size_masks())
-    @example([  # the full mask's one interval overlaps every other interval
-        BinaryMask(4, 4, (0, 16)), BinaryMask(4, 4, (1, 2, 3, 2, 8)),
-        BinaryMask(4, 4, (0, 1, 5, 3, 7)), BinaryMask(4, 4, (6, 10)),
+    @given(_tall_rectangles())
+    @example([  # the full mask's one interval overlaps all 96 rows of the other
+        _mask_of(3, 128, [(16, 1, 112, 2)]), _mask_of(3, 128, [(0, 0, 128, 3)]),
     ])
-    def test_equals_scalar_oracle_over_many_passes(self, pairs_per_pass, masks):
-        # a pass holds at most pairs_per_pass interval pairs, or one interval
+    def test_equals_scalar_oracle_over_many_passes(self, least_pass, masks):
+        # a pass holds max(least_pass, N**2) interval pairs, here fewer than the
+        # masks have, and its limits may fall inside an interval's pairs
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "_PAIRS_PER_PASS", pairs_per_pass)
-            got = coverage_matrix(masks)
+            mp.setattr(geometry, "_PAIRS_PER_PASS", least_pass)
+            got, passes = _coverage_and_passes(masks)
+        assert passes > 1
         assert got.tolist() == [[mask_coverage(a, b) for b in masks] for a in masks]
+
+    @pytest.mark.parametrize("n", [120, 150])  # N**2 below and above _PAIRS_PER_PASS
+    def test_passes_hold_max_of_least_pass_and_n_squared_pairs(self, n):
+        # pass limits are pair numbers, not interval limits: every pass but the
+        # last is full, however many pairs one interval has
+        masks, pairs = _spanning_rectangles(n, 256, 256, seed=25)
+        got, passes = _coverage_and_passes(masks)
+        assert 1 < passes <= math.ceil(pairs / max(geometry._PAIRS_PER_PASS, n * n))
+        rng = np.random.default_rng(25)
+        for i, j in rng.integers(0, n, size=(50, 2)):
+            assert got[i, j] == mask_coverage(masks[i], masks[j])
 
     @settings(deadline=None, max_examples=50)
     @given(_same_size_masks())
@@ -302,6 +360,23 @@ class TestCoverageMatrix:
             tracemalloc.stop()
         assert peak < 2**22
         for i, j in rng.integers(0, len(masks), size=(200, 2)):
+            assert got[i, j] == mask_coverage(masks[i], masks[j])
+
+    def test_memory_of_many_masks_is_a_few_results(self):
+        # 200 rectangles in 16 rows: 2,425 intervals in 216,544 overlapping
+        # pairs, 5.4 * N**2, summed N**2 at a time, so the pass temporaries
+        # are a few N x N float64 arrays, not a few P-long ones
+        masks, pairs = _spanning_rectangles(200, 256, 16, seed=25)
+        assert pairs > 4 * len(masks) ** 2
+        tracemalloc.start()
+        try:
+            got = coverage_matrix(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * got.nbytes
+        rng = np.random.default_rng(25)
+        for i, j in rng.integers(0, len(masks), size=(50, 2)):
             assert got[i, j] == mask_coverage(masks[i], masks[j])
 
     def test_mismatched_dims_rejected(self):

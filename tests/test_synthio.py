@@ -768,6 +768,78 @@ class TestWriteDataset:
             write_dataset(ds, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("table", ["supports", "ground_truth"])
+    def test_record_of_an_unlisted_image_rejected(self, acceptance_dataset, tmp_path, table):
+        # load_dataset refuses a record whose image id the manifest does not list
+        records = getattr(acceptance_dataset, table)
+        ds = replace(acceptance_dataset,
+                     **{table: [replace(records[0], image_id="ghost"), *records[1:]]})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="in image 'ghost', which dataset.images does not"):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table, class_id", [  # a support refuses a negative class itself
+        ("supports", ACCEPTANCE_CFG.classes), ("ground_truth", ACCEPTANCE_CFG.classes),
+        ("ground_truth", -1),
+    ])
+    def test_record_of_a_class_outside_num_classes_rejected(self, acceptance_dataset, tmp_path,
+                                                            table, class_id):
+        # load_dataset refuses a class id outside [0, num_classes)
+        records = getattr(acceptance_dataset, table)
+        ds = replace(acceptance_dataset,
+                     **{table: [*records[:-1], replace(records[-1], class_id=class_id)]})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"of class {class_id}, outside \[0, "):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", ["supports", "proposals"])
+    def test_mask_of_another_size_than_its_image_rejected(self, acceptance_dataset, tmp_path,
+                                                          table):
+        # load_dataset refuses a mask whose dims differ from its image's
+        ds = acceptance_dataset
+        small = BinaryMask(4, 4, (0, 16))
+        if table == "supports":
+            ds = replace(ds, supports=[replace(ds.supports[0], mask=small), *ds.supports[1:]])
+            image_id = ds.supports[0].image_id
+        else:
+            image_id, props = next(iter(ds.proposals.items()))
+            ds = replace(ds, proposals={**ds.proposals,
+                                        image_id: [replace(props[0], mask=small), *props[1:]]})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"a 4x4 mask in image '{image_id}' of "):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_support_image_without_a_feature_map_rejected(self, acceptance_dataset, tmp_path):
+        # load_dataset refuses a support whose image has no feature map
+        image_id = acceptance_dataset.supports[0].image_id
+        maps = {i: fm for i, fm in acceptance_dataset.feature_maps.items() if i != image_id}
+        ds = replace(acceptance_dataset, feature_maps=maps)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"support image '{image_id}' has no feature map"):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_featureless_proposal_of_an_image_without_a_map_rejected(self, acceptance_dataset,
+                                                                      tmp_path):
+        # load_dataset refuses a proposal that has neither a feature nor a map to pool one from
+        ds = acceptance_dataset
+        image_id = next(i for i in ds.proposals if i not in ds.feature_maps)
+        props = ds.proposals[image_id]
+        ds = replace(ds, proposals={**ds.proposals,
+                                    image_id: [*props[:-1], replace(props[-1], feature=None)]})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"a proposal of image '{image_id}' has no feature"):
+            write_dataset(ds, out)
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
     @pytest.mark.parametrize("image_id", ["../x", "a/b"])
     def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
         fm = FeatureMap(data=np.ones((2, 2, 2)))

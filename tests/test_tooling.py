@@ -167,6 +167,8 @@ def test_pipeline_runs_the_list_baselines_at_their_defaults():
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
     "tests/test_pipeline.py::TestDeclaredDimensions",
     "tests/test_geometry.py::TestCoverageMatrix::test_memory_of_heavily_overlapping_masks",
+    "tests/test_geometry.py::TestCoverageMatrix::test_memory_of_many_masks_is_a_few_results",
+    "tests/test_features.py::TestFeatureMap::test_f4_input_is_widened_once",
     "tests/test_synthio.py::TestProposalFeatureBlob::"
     "test_header_declaring_a_huge_matrix_allocates_nothing",
 ])
