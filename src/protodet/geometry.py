@@ -7,9 +7,8 @@ is legal).  All operations here are pure functions on immutable values.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,27 +83,37 @@ def box_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMask:
     """Binary raster stored as alternating run lengths, zeros first.
 
     ``runs`` walks the raster in row-major order; even positions count 0s,
     odd positions count 1s.  The first run may be 0 (mask starts with a 1).
+    It is a read-only int64 array: the mask's own copy of the runs it is
+    given, or, from ``split``, a view into one array of many masks' runs.
+    ``area`` counts the 1s.  Masks compare by identity.
     """
 
     width: int
     height: int
-    runs: tuple[int, ...]
+    runs: np.ndarray
+    area: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        runs = tuple(self.runs)
+        runs = self.runs  # read here, never kept: the mask keeps its own array
+        if not isinstance(runs, (list, tuple)):
+            runs = runs.tolist() if isinstance(runs, np.ndarray) else tuple(runs)
         if not {int}.issuperset(map(type, runs)):  # a bool is no int here
             if not all(isinstance(r, (int, np.integer)) and type(r) is not bool for r in runs):
                 raise DataFormatError("RLE run lengths must be integers")
             runs = tuple(map(int, runs))
-        object.__setattr__(self, "runs", runs)
+        try:
+            array = np.array(runs, dtype=np.int64)
+        except OverflowError:
+            raise DataFormatError("RLE run length outside int64") from None
         if self.width < 1 or self.height < 1:
             raise DataFormatError(f"mask dims must be >= 1, got {self.width}x{self.height}")
+        # the checks and the area are summed over Python ints, so they are exact
         if min(runs, default=0) < 0:
             raise DataFormatError("negative run length in RLE")
         total = sum(runs)
@@ -113,6 +122,73 @@ class BinaryMask:
                 f"RLE runs sum to {total}, expected {self.width * self.height} "
                 f"for a {self.width}x{self.height} mask"
             )
+        array.setflags(write=False)
+        object.__setattr__(self, "runs", array)
+        object.__setattr__(self, "area", sum(runs[1::2]))
+
+    @classmethod
+    def split(cls, width: int, height: int, runs: np.ndarray,
+              counts: np.ndarray) -> list["BinaryMask"]:
+        """The width x height masks whose runs lie back to back in the int64
+        array ``runs``, ``counts[i]`` of them for mask i; each mask's ``runs`` is
+        a view into ``runs`` (a read-only copy of it, if it is writable).
+
+        One pass over the whole table accepts and refuses each mask as
+        ``BinaryMask(width, height, ...)`` does, naming mask i as ``mask i: ``;
+        a count below 1, or counts that do not sum to ``len(runs)``, are refused
+        too (a mask of no runs is refused either way).
+
+        The sums are exact although int64 sums wrap.  Each run's end within its
+        mask comes from one cumsum, modulo 2**64.  With no run negative, a mask's
+        true ends only grow, by less than 2**63 a step, so the first of them that
+        reaches 2**63 lies below 2**64 and reads negative; if none reads negative,
+        every end is exact.
+        """
+        runs = np.asarray(runs, dtype=np.int64)
+        if runs.flags.writeable:
+            runs = runs.copy()
+            runs.flags.writeable = False
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size == 0 and runs.size == 0:
+            return []
+        empty = np.flatnonzero(counts < 1)
+        if empty.size:
+            raise DataFormatError(f"mask {empty[0]}: run count {counts[empty[0]]}, not >= 1")
+        declared = sum(counts.tolist())
+        if declared != runs.size:
+            raise DataFormatError(f"run counts sum to {declared}, not to the {runs.size} runs")
+        if width < 1 or height < 1:
+            raise DataFormatError(f"mask dims must be >= 1, got {width}x{height}")
+        total = width * height
+        starts = np.cumsum(counts) - counts
+        if runs.min() < 0:
+            k = np.searchsorted(starts, np.argmax(runs < 0), side="right") - 1
+            raise DataFormatError(f"mask {k}: negative run length in RLE")
+        ends = np.cumsum(runs)
+        ends -= np.repeat(ends[starts] - runs[starts], counts)
+        bad = ends[starts + counts - 1] != total
+        if ends.min() < 0 or bad.any():
+            bad[np.searchsorted(starts, np.flatnonzero(ends < 0), side="right") - 1] = True
+            k = int(np.argmax(bad))
+            got = sum(runs[starts[k]:starts[k] + counts[k]].tolist())
+            raise DataFormatError(f"mask {k}: RLE runs sum to {got}, expected {total} "
+                                  f"for a {width}x{height} mask")
+        # a mask's 1s are its runs at odd indices of the table if it starts at an
+        # even one, else the rest of its W*H pixels
+        odd = runs.copy()
+        odd[::2] = 0
+        odd_sums = np.add.reduceat(odd, starts)
+        areas = np.where(starts & 1, total - odd_sums, odd_sums).tolist()
+        masks = []
+        for lo, hi, area in zip(starts.tolist(), (starts + counts).tolist(), areas):
+            # checked above, with all the others
+            mask = object.__new__(cls)
+            object.__setattr__(mask, "width", width)
+            object.__setattr__(mask, "height", height)
+            object.__setattr__(mask, "runs", runs[lo:hi])
+            object.__setattr__(mask, "area", area)
+            masks.append(mask)
+        return masks
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BinaryMask":
@@ -123,22 +199,17 @@ class BinaryMask:
         flat = (a != 0).ravel()
         n = flat.size
         changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        bounds = np.concatenate(([0], changes, [n]))
-        runs = np.diff(bounds).tolist()
-        if flat[0]:
-            runs = [0] + runs
-        return cls(width=a.shape[1], height=a.shape[0], runs=tuple(runs))
+        runs = np.diff(np.concatenate(([0], changes, [n])))
+        if flat[0]:  # the first run, of zeros, is empty
+            runs = np.concatenate(([0], runs))
+        return cls(width=a.shape[1], height=a.shape[0], runs=runs)
 
     def to_array(self) -> np.ndarray:
         """Decode to a (height, width) bool array."""
         values = np.zeros(len(self.runs), dtype=bool)
         values[1::2] = True
-        flat = np.repeat(values, np.asarray(self.runs, dtype=np.int64))
+        flat = np.repeat(values, self.runs)
         return flat.reshape(self.height, self.width)
-
-    @property
-    def area(self) -> int:
-        return sum(self.runs[1::2])
 
 
 def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
@@ -152,6 +223,16 @@ def mask_coverage(src: BinaryMask, dst: BinaryMask) -> float:
         raise ValueError("coverage undefined for an empty source mask")
     inter = int(np.logical_and(src.to_array(), dst.to_array()).sum())
     return inter / area
+
+
+_ZERO_RUN = np.zeros(1, dtype=np.int64)
+
+
+def _even_runs(masks: Sequence[BinaryMask]) -> np.ndarray:
+    """All masks' runs back to back, each mask's padded with a 0-run to an even
+    count, so that every mask's first run has an even index."""
+    return np.concatenate([part for m in masks
+                           for part in ((m.runs, _ZERO_RUN) if m.runs.size % 2 else (m.runs,))])
 
 
 _PAIRS_PER_PASS = 2**14  # overlapping interval pairs summed per bincount, unless N**2 is more
@@ -190,9 +271,8 @@ def coverage_matrix(masks: Sequence[BinaryMask]) -> np.ndarray:
     total = width * height
 
     # each mask's runs padded to (0-run, 1-run) pairs
-    pairs = np.array([(len(m.runs) + 1) // 2 for m in masks], dtype=np.int64)
-    padded = itertools.chain.from_iterable(m.runs + (0,) * (len(m.runs) % 2) for m in masks)
-    runs = np.fromiter(padded, dtype=np.int64, count=2 * int(pairs.sum()))
+    pairs = np.array([(m.runs.size + 1) // 2 for m in masks], dtype=np.int64)
+    runs = _even_runs(masks)
     row = np.repeat(np.arange(n), pairs)
     ones = runs[1::2]
     # every mask's runs sum to W*H, so the running total minus row * W*H is a run's end
@@ -281,9 +361,7 @@ def mask_downsample(masks: Sequence[BinaryMask], target_w: int, target_h: int) -
     step = max(min(_SAMPLE_INDEX_LIMIT // (width * height), _SAMPLES_PER_PASS // flat.size), 1)
     for lo in range(0, len(masks), step):
         chunk = masks[lo:lo + step]
-        # each mask's runs padded to an even count, so its first run's index is even
-        runs = itertools.chain.from_iterable(m.runs + (0,) * (len(m.runs) % 2) for m in chunk)
-        ends = np.cumsum(np.fromiter(runs, dtype=np.int64))
+        ends = np.cumsum(_even_runs(chunk))
         at = flat + np.arange(len(chunk))[:, None] * (width * height)
         src = (np.searchsorted(ends, at, side="right") & 1).reshape(-1, 2 * target_h, 2, target_w)
         rows = src[:, :, 0] * (1.0 - fx) + src[:, :, 1] * fx
@@ -302,10 +380,12 @@ def box_to_full_mask(box: BoundingBox, width: int, height: int) -> tuple[BinaryM
     cy1, cy2 = max(math.ceil(box.y1 - 0.5), 0), min(math.ceil(box.y2 - 0.5), height)
     w, rows, total = cx2 - cx1, cy2 - cy1, width * height
     if w <= 0 or rows <= 0:
-        return BinaryMask(width, height, (total,)), False
+        return BinaryMask(width, height, np.array([total])), False
     if w == width:
         w, rows = w * rows, 1
     start = cy1 * width + cx1
     end = start + (rows - 1) * width + w
-    runs = (start, w) + (width - w, w) * (rows - 1) + ((total - end,) if end < total else ())
-    return BinaryMask(width, height, runs), True
+    runs = np.empty(2 * rows + 1, dtype=np.int64)  # start, w, then (width - w, w) per row, tail
+    runs[0::2], runs[1::2] = width - w, w
+    runs[0], runs[-1] = start, total - end
+    return BinaryMask(width, height, runs if end < total else runs[:-1]), True

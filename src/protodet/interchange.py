@@ -13,6 +13,10 @@ Files (see docs/FORMATS.md for byte-level examples):
 * ``*.pfeat`` blobs      -- 16-byte header (magic ``PFEA``, version, rows, dim)
                             followed by one little-endian float64 feature row
                             per proposal of one query image.
+* ``*.runs`` blobs       -- 16-byte header (magic ``RUNS``, version, masks, runs)
+                            followed by each proposal mask's little-endian
+                            int64 run count, then all of their runs, for one
+                            query image.
 * ``detections.tsv``     -- exported detections, one row per box.
 
 ``write_dataset`` writes a dataset in this format and ``load_dataset`` reads
@@ -64,6 +68,8 @@ PROTO_MAGIC = b"PRTO"
 _PROTO_HEADER = struct.Struct("<4sIIHH")  # magic, version, count, dim, reserved
 PFEAT_MAGIC = b"PFEA"
 _PFEAT_HEADER = struct.Struct("<4sIII")  # magic, version, rows, dim
+RUNS_MAGIC = b"RUNS"
+_RUNS_HEADER = struct.Struct("<4sIII")  # magic, version, masks, runs
 
 SCORE_FLOOR = 0.01
 MAX_PROPOSALS_PER_IMAGE = 500
@@ -106,7 +112,7 @@ class Dataset:
 
 
 # --------------------------------------------------------------------------
-# binary blobs: feature maps, proposal features, prototypes
+# binary blobs: feature maps, proposal features, mask runs, prototypes
 # --------------------------------------------------------------------------
 
 def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
@@ -116,10 +122,11 @@ def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
 
 
 def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
-               body: Callable) -> np.ndarray:
-    """The blob's body as one read-only array.  ``body`` maps the header's fields
-    after magic and version to the array's dtype and shape, which must account
-    for every byte of the file before any array is made."""
+               body: Callable) -> tuple[np.ndarray, list[int]]:
+    """The blob's body as one read-only array, and the header's fields after
+    magic and version.  ``body`` maps those fields to the array's dtype and
+    shape, which must account for every byte of the file before any array is
+    made."""
     raw = Path(path).read_bytes()
     if len(raw) < header.size:
         raise DataFormatError(f"{path}: truncated {kind} header")
@@ -135,13 +142,14 @@ def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
     expected = header.size + np.dtype(dtype).itemsize * count
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype, count=count, offset=header.size).reshape(shape)
+    return np.frombuffer(raw, dtype, count=count, offset=header.size).reshape(shape), fields
 
 
 def read_feature_map(path: Path | str) -> FeatureMap:
     """The blob's ``<f4`` values; ``FeatureMap`` widens them to float64."""
-    return FeatureMap(_read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
-                                 lambda channels, h, w: ("<f4", (channels, h, w))))
+    data, _ = _read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
+                         lambda channels, h, w: ("<f4", (channels, h, w)))
+    return FeatureMap(data)
 
 
 def _check_features(matrix: np.ndarray, where: Callable[[int], str]) -> None:
@@ -159,10 +167,19 @@ def _check_features(matrix: np.ndarray, where: Callable[[int], str]) -> None:
 
 def _read_proposal_features(path: Path) -> np.ndarray:
     """The ``(rows, dim)`` float64 matrix of a ``.pfeat`` blob, every row checked."""
-    matrix = _read_blob(path, _PFEAT_HEADER, PFEAT_MAGIC, "proposal-feature",
-                        lambda rows, dim: ("<f8", (rows, dim)))
+    matrix, _ = _read_blob(path, _PFEAT_HEADER, PFEAT_MAGIC, "proposal-feature",
+                           lambda rows, dim: ("<f8", (rows, dim)))
     _check_features(matrix, lambda k: f"{path}: row {k}")
     return matrix
+
+
+def _read_mask_runs(path: Path, info: ImageInfo) -> list[BinaryMask]:
+    """The masks of a ``.runs`` blob, each a view into the blob's one array, all
+    checked in one pass."""
+    table, (masks, _) = _read_blob(path, _RUNS_HEADER, RUNS_MAGIC, "mask-run",
+                                   lambda masks, runs: ("<i8", (masks + runs,)))
+    with _invalid_as_format_error(str(path), "mask-run blob"):
+        return BinaryMask.split(info.width, info.height, table[masks:], table[:masks])
 
 
 def _proto_records(dim: int) -> np.dtype:
@@ -194,8 +211,8 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"prototype file not found: {path}")
-    records = _read_blob(path, _PROTO_HEADER, PROTO_MAGIC, "prototype",
-                         lambda count, dim, _: (_proto_records(dim), (count,)))
+    records, _ = _read_blob(path, _PROTO_HEADER, PROTO_MAGIC, "prototype",
+                            lambda count, dim, _: (_proto_records(dim), (count,)))
     protos: list[ClassPrototype] = []
     seen: set[int] = set()
     for rec in records:
@@ -215,12 +232,12 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
 # --------------------------------------------------------------------------
 
 def _mask_to_json(mask: BinaryMask) -> dict:
-    return {"w": mask.width, "h": mask.height, "counts": list(mask.runs)}
+    return {"w": mask.width, "h": mask.height, "counts": mask.runs.tolist()}
 
 
 def _mask_from_json(doc: dict) -> BinaryMask:
     return BinaryMask(width=_json_int(doc["w"], "mask w"), height=_json_int(doc["h"], "mask h"),
-                      runs=tuple(doc["counts"]))
+                      runs=doc["counts"])
 
 
 def _box_to_json(box: BoundingBox) -> list[float]:
@@ -363,6 +380,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                         for info, blob in blobs("feature_maps")}
         proposal_features = {info.image_id: _read_proposal_features(blob)
                              for info, blob in blobs("proposal_features")}
+        mask_runs = {info.image_id: _read_mask_runs(blob, info) for info, blob in blobs("mask_runs")}
         supports_file, proposals_file, gt_file = (
             base / _require(doc, key, str(path))
             for key in ("supports", "proposals", "ground_truth")
@@ -401,9 +419,26 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
 
     feature_dims = ({fm.channels for fm in feature_maps.values()}
                     | {m.shape[1] for m in proposal_features.values()})
-    rows_used: set[tuple[str, int]] = set()
+    rows_used: set[tuple[str, str, int]] = set()
     dropped = 0
     substituted = 0
+
+    def blob_row(rec: dict, where: str, info: ImageInfo, key: str, tables: dict, suffix: str):
+        """The row of its image's blob that the record's ``key`` (``mask_row`` or
+        ``feature_row``) names; no other record of the image may name it."""
+        row = _json_int(rec[key], key)
+        inline = key.removesuffix("_row")
+        table = tables.get(info.image_id)
+        if rec.get(inline) is not None:
+            raise DataFormatError(f"{where}: both {inline} and {key}")
+        if table is None:
+            raise DataFormatError(f"{where}: {key}, but its image has no {suffix} blob")
+        if not 0 <= row < len(table):
+            raise DataFormatError(f"{where}: {key} {row} outside [0, {len(table)})")
+        if (key, info.image_id, row) in rows_used:
+            raise DataFormatError(f"{where}: {key} {row} used twice in its image")
+        rows_used.add((key, info.image_id, row))
+        return table[row]
 
     def parse_proposal(rec: dict, where: str) -> tuple[str, ProposalRecord] | None:
         nonlocal dropped, substituted
@@ -417,7 +452,10 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             dropped += 1
             return None
         box = _box_from_json(_require(rec, "box", where))
-        mask = mask_of(rec, where, info)
+        if "mask_row" in rec:
+            mask = blob_row(rec, where, info, "mask_row", mask_runs, ".runs")
+        else:
+            mask = mask_of(rec, where, info)
         if mask.area == 0:
             mask, ok = box_to_full_mask(box, info.width, info.height)
             if not ok:
@@ -427,18 +465,7 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             substituted += 1
         feature = rec.get("feature")
         if "feature_row" in rec:
-            row = _json_int(rec["feature_row"], "feature_row")
-            matrix = proposal_features.get(info.image_id)
-            if feature is not None:
-                raise DataFormatError(f"{where}: both feature and feature_row")
-            if matrix is None:
-                raise DataFormatError(f"{where}: feature_row, but its image has no .pfeat blob")
-            if not 0 <= row < len(matrix):
-                raise DataFormatError(f"{where}: feature_row {row} outside [0, {len(matrix)})")
-            if (info.image_id, row) in rows_used:
-                raise DataFormatError(f"{where}: feature_row {row} used twice in its image")
-            rows_used.add((info.image_id, row))
-            feature = matrix[row]
+            feature = blob_row(rec, where, info, "feature_row", proposal_features, ".pfeat")
         elif feature is not None:
             feature = np.asarray(_json_numbers(feature, "feature value"), dtype=np.float64)
             _check_features(feature[None], lambda _: where)
@@ -497,9 +524,10 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     """Write ``dataset`` in the interchange format; returns the manifest path.
 
     The inverse of ``load_dataset``.  Feature maps go to
-    ``features/<image id>.fmap``, each query image's precomputed proposal
-    features to ``features/<image id>.pfeat`` in proposal order, and proposals
-    are written in image order.  What ``load_dataset`` would refuse raises
+    ``features/<image id>.fmap``, and each query image's proposal masks to
+    ``features/<image id>.runs`` and its precomputed proposal features to
+    ``features/<image id>.pfeat``, both in proposal order; proposals are
+    written in image order.  What ``load_dataset`` would refuse raises
     ``ValueError`` before any file is written: proposals, a feature map, a
     support or a ground-truth box of an image that ``dataset.images`` lacks or
     of a class outside ``[0, num_classes)``, a support or proposal mask of
@@ -541,7 +569,8 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
         raise ValueError(f"a proposal of image {featureless[0]!r} has no feature, and its "
                          "image no feature map")
     features = {image_id: vectors for image_id, vectors in features.items() if vectors}
-    for image_id in (*dataset.feature_maps, *features):
+    queries = [im.image_id for im in dataset.images if dataset.proposals.get(im.image_id)]
+    for image_id in (*dataset.feature_maps, *features, *queries):
         name = f"{image_id}.fmap"
         if Path(name).name != name:
             raise ValueError(f"image id {image_id!r} of a blob is not a plain file name")
@@ -557,13 +586,21 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
         matrix = np.array(vectors, dtype="<f8")
         header = _PFEAT_HEADER.pack(PFEAT_MAGIC, FORMAT_VERSION, *matrix.shape)
         (out / pfeat_paths[image_id]).write_bytes(header + matrix.tobytes())
+    runs_paths: dict[str, str] = {}
+    for image_id in queries:
+        runs_paths[image_id] = f"features/{image_id}.runs"
+        tables = [p.mask.runs for p in dataset.proposals[image_id]]
+        counts = np.array([t.size for t in tables], dtype="<i8")
+        runs = np.concatenate(tables).astype("<i8", copy=False)
+        header = _RUNS_HEADER.pack(RUNS_MAGIC, FORMAT_VERSION, counts.size, runs.size)
+        (out / runs_paths[image_id]).write_bytes(header + counts.tobytes() + runs.tobytes())
 
     def proposal_lines():
         for im in dataset.images:
             row = 0
-            for p in dataset.proposals.get(im.image_id, ()):
+            for k, p in enumerate(dataset.proposals.get(im.image_id, ())):
                 rec = {"image_id": im.image_id, "box": _box_to_json(p.box),
-                       "score": p.upn_score, "mask": _mask_to_json(p.mask)}
+                       "score": p.upn_score, "mask_row": k}
                 if p.feature is not None:
                     rec["feature_row"] = row
                     row += 1
@@ -592,6 +629,8 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     }
     if pfeat_paths:  # so that a corpus with no precomputed proposal features lacks the key
         manifest["proposal_features"] = pfeat_paths
+    if runs_paths:
+        manifest["mask_runs"] = runs_paths
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path

@@ -31,10 +31,13 @@ def _read_tsv(path):
     return rows[0], rows[1:]
 
 
-def _inline_proposal(rec, feature=(1.0, 0.0, 0.0, 0.0)):
-    """``rec`` as a hand-made export writes it: the feature vector inline."""
+def _inline_proposal(rec, dataset, feature=(1.0, 0.0, 0.0, 0.0)):
+    """``rec`` as a hand-made export writes it: its mask, as ``dataset`` loaded
+    it, and a feature vector inline."""
+    mask = dataset.proposals[rec["image_id"]][rec["mask_row"]].mask
     return {"image_id": rec["image_id"], "box": rec["box"], "score": rec["score"],
-            "mask": rec["mask"], "feature": list(feature)}
+            "mask": {"w": mask.width, "h": mask.height, "counts": mask.runs.tolist()},
+            "feature": list(feature)}
 
 
 def _exit_code(argv):
@@ -158,13 +161,16 @@ class TestExitCodes:
         ("ground_truth.jsonl", ("box", 0), False, "box coordinate must be a JSON number, got false"),
         ("proposals.jsonl", ("feature_row",), True, "feature_row must be a JSON integer, got true"),
         ("proposals.jsonl", ("feature_row",), 1.0, "feature_row must be a JSON integer, got 1.0"),
+        ("proposals.jsonl", ("mask_row",), True, "mask_row must be a JSON integer, got true"),
+        ("proposals.jsonl", ("mask_row",), 1.0, "mask_row must be a JSON integer, got 1.0"),
         ("proposals.jsonl", ("feature", 3), True, "feature value must be a JSON number, got true"),
         ("proposals.jsonl", ("mask", "counts", 0), float, "RLE run lengths must be integers"),
         ("supports.jsonl", ("mask", "counts"), lambda c: [*c[:-1], c[-1] - 1, 0, True],
          "RLE run lengths must be integers"),
     ], ids=["format-version", "num-classes", "shots", "width", "height", "mask-w", "mask-h", "support-class",
             "gt-class", "score-bool", "score-str", "score-overflow", "box-str", "box-bool",
-            "feature_row-bool", "feature_row-float", "feature-bool", "counts-float", "counts-bool"])
+            "feature_row-bool", "feature_row-float", "mask_row-bool", "mask_row-float",
+            "feature-bool", "counts-float", "counts-bool"])
     def test_mistyped_json_value_is_data_error(self, cli_corpus, tmp_path, capsys, name, keys,
                                                value, message):
         ds = tmp_path / "ds"
@@ -172,8 +178,9 @@ class TestExitCodes:
         path = ds / name
         docs = ([json.loads(path.read_text())] if name == "manifest.json"
                 else [json.loads(line) for line in path.read_text().splitlines()])
-        if keys[0] == "feature":  # generated records name a blob row; a hand-made one is inline
-            docs[1] = _inline_proposal(docs[1])
+        if name == "proposals.jsonl" and keys[0] in ("feature", "mask"):
+            # generated records name blob rows; a hand-made one is inline
+            docs[1] = _inline_proposal(docs[1], load_dataset(cli_corpus))
         doc = docs[0 if name == "manifest.json" else 1]  # a record's is the file's line 2
         for key in keys[:-1]:
             doc = doc[key]

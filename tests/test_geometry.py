@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -112,16 +113,25 @@ class TestRle:
         ((15, np.True_), "RLE run lengths must be integers"),
         (("6", 10), "RLE run lengths must be integers"),
         ((np.float64(6), 10), "RLE run lengths must be integers"),
+        ((2**70, 0), "RLE run length outside int64"),
+        ((2**63 - 1, 2**63 - 1, 18), "RLE runs sum to 18446744073709551632, expected 16"),
     ])
     def test_malformed_rle_message(self, runs, message):
         with pytest.raises(DataFormatError, match=message):
             BinaryMask(4, 4, runs)
 
-    def test_numpy_integer_runs_stored_as_python_ints(self):
+    def test_numpy_integer_runs_stored_as_read_only_int64(self):
         mask = BinaryMask(4, 4, (np.int64(6), np.int32(4), np.uint8(6)))
-        assert mask.runs == (6, 4, 6)
-        assert all(type(r) is int for r in mask.runs)
+        assert mask.runs.tolist() == [6, 4, 6]
+        assert mask.runs.dtype == np.int64 and not mask.runs.flags.writeable
         assert type(mask.area) is int and mask.area == 4
+
+    def test_runs_are_the_masks_own_copy(self):
+        given = np.array([6, 4, 6])
+        mask = BinaryMask(4, 4, given)
+        given[:] = (0, 16, 0)
+        assert mask.runs.tolist() == [6, 4, 6] and mask.area == 4
+        assert given.flags.writeable
 
     def test_roundtrip_identity_on_random_rasters(self):
         rng = np.random.default_rng(123)
@@ -134,6 +144,66 @@ class TestRle:
             np.testing.assert_array_equal(mask.to_array(), arr)
             again = BinaryMask(w, h, mask.runs)
             np.testing.assert_array_equal(again.to_array(), arr)
+
+
+@st.composite
+def _run_table(draw):
+    """A mask size and a list of run lists for it: valid masks (odd and even
+    lengths, empty and full ones among them), masks of no run, bad sums,
+    negative runs, and runs whose int64 sum wraps to exactly W*H."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    total = width * height
+    cuts = st.lists(st.integers(0, total), max_size=6).map(sorted)
+    valid = cuts.map(lambda c: np.diff([0, *c, total]).tolist())
+    mask = st.one_of(valid, st.just([total]), st.just([0, total]),
+                     st.lists(st.integers(-3, total + 3), max_size=6),
+                     st.just([2**63 - 1, 2**63 - 1, total + 2]))
+    return width, height, draw(st.lists(mask, max_size=5))
+
+
+class TestSplit:
+    @settings(deadline=None, max_examples=300)
+    @given(_run_table())
+    def test_accepts_and_refuses_what_each_mask_does(self, table):
+        width, height, masks = table
+
+        def one(runs):
+            with contextlib.suppress(DataFormatError):
+                return BinaryMask(width, height, runs)
+
+        singles = [one(runs) for runs in masks]
+        flat = np.array([r for runs in masks for r in runs], dtype=np.int64)
+        try:
+            batch = BinaryMask.split(width, height, flat, [len(runs) for runs in masks])
+        except DataFormatError:
+            batch = None
+        if None in singles:
+            assert batch is None
+        else:
+            assert [(m.runs.tolist(), m.area) for m in batch] == [
+                (m.runs.tolist(), m.area) for m in singles]
+            assert all(type(m.area) is int for m in batch)
+
+    def test_masks_are_read_only_views_into_one_copy(self):
+        given = np.array([6, 4, 6, 0, 16, 16])
+        masks = BinaryMask.split(4, 4, given, np.array([3, 2, 1]))
+        assert [m.runs.tolist() for m in masks] == [[6, 4, 6], [0, 16], [16]]
+        assert [m.area for m in masks] == [4, 16, 0]
+        assert not any(m.runs.flags.writeable for m in masks)
+        assert len({id(m.runs.base) for m in masks}) == 1
+        assert given.flags.writeable and not np.shares_memory(given, masks[0].runs)
+
+    @pytest.mark.parametrize("runs, counts, message", [
+        ([6, 4, 6], [3, 0], r"mask 1: run count 0, not >= 1"),
+        ([6, 4, 6], [2], r"run counts sum to 2, not to the 3 runs"),
+        ([6, 4, 6, 16], [3, 1, 1], r"run counts sum to 5, not to the 4 runs"),
+        ([6, 4, 6, 3, -1, 14], [3, 3], r"mask 1: negative run length in RLE"),
+        ([6, 4, 6, 2**63 - 1, 2**63 - 1, 18], [3, 3],
+         r"mask 1: RLE runs sum to 18446744073709551632, expected 16 for a 4x4 mask"),
+    ], ids=["empty-mask", "too-few-counted", "too-many-counted", "negative", "wraps-to-w-h"])
+    def test_bad_table_names_its_mask(self, runs, counts, message):
+        with pytest.raises(DataFormatError, match=message):
+            BinaryMask.split(4, 4, np.array(runs, dtype=np.int64), np.array(counts))
 
 
 class TestCoverage:
@@ -571,7 +641,7 @@ class TestBoxToFullMask:
         box = BoundingBox(*box)
         got, ok = box_to_full_mask(box, width, height)
         want, want_ok = _box_mask_by_raster(box, width, height)
-        assert (got.runs, ok) == (want.runs, want_ok)
+        assert (got.runs.tolist(), ok) == (want.runs.tolist(), want_ok)
 
     def test_runs_equal_raster_version_on_random_boxes(self):
         rng = np.random.default_rng(11)
@@ -587,4 +657,4 @@ class TestBoxToFullMask:
             box = BoundingBox(float(x1), float(y1), float(x2), float(y2))
             got, ok = box_to_full_mask(box, width, height)
             want, want_ok = _box_mask_by_raster(box, width, height)
-            assert (got.runs, ok) == (want.runs, want_ok), (box, width, height)
+            assert (got.runs.tolist(), ok) == (want.runs.tolist(), want_ok), (box, width, height)

@@ -1,3 +1,4 @@
+import json
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -468,16 +469,16 @@ class TestDeclaredDimensions:
     SIDE = 100_000  # a W*H byte array would be 9.3 GiB
 
     @classmethod
-    def _declared_huge(cls, small, out, side=SIDE):
-        """``small`` with every query image declared side x side and its masks
+    def _declared_huge(cls, small, out):
+        """``small`` with every query image declared SIDE x SIDE and its masks
         embedded, written to ``out``; returns the manifest path.  A query
         image's feature map takes its image dimensions from the manifest."""
         queries = set(small.query_image_ids())
         huge = replace(
             small,
-            images=[ImageInfo(i.image_id, side, side) if i.image_id in queries else i
+            images=[ImageInfo(i.image_id, cls.SIDE, cls.SIDE) if i.image_id in queries else i
                     for i in small.images],
-            proposals={image_id: [replace(r, mask=_embed(r.mask, side, side)) for r in recs]
+            proposals={image_id: [replace(r, mask=_embed(r.mask, cls.SIDE, cls.SIDE)) for r in recs]
                        for image_id, recs in small.proposals.items()},
         )
         return write_dataset(huge, out)
@@ -515,9 +516,15 @@ class TestDeclaredDimensions:
             k: [(d.box, d.score) for d in v] for k, v in small_dets.items()}
 
     def test_image_over_2_53_pixels_is_data_error(self, corpora, tmp_path, capsys):
-        # pixel counts of 10**20 would overflow the kernels' int64 arithmetic
+        # pixel counts of 10**20 would overflow the kernels' int64 arithmetic; no
+        # int64 run can reach across such an image, so only its manifest declares it
         small, _ = corpora
-        manifest = self._declared_huge(small, tmp_path / "ds", side=10**10)
+        manifest = write_dataset(small, tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        for image in doc["images"]:
+            if image["id"] in small.query_image_ids():
+                image["width"] = image["height"] = 10**10
+        manifest.write_text(json.dumps(doc))
         assert main(["run", str(manifest), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert str(manifest) in err and repr(small.query_image_ids()[0]) in err

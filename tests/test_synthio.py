@@ -29,7 +29,7 @@ from protodet.interchange import (
     write_dataset,
     write_feature_map,
 )
-from protodet.pipeline import run_support_stage
+from protodet.pipeline import PipelineConfig, run_end_to_end, run_support_stage
 from protodet.postproc import ScoredDetection
 
 
@@ -95,6 +95,29 @@ def _blob_manifest(tmp_path, matrix=((1.0, 0.0), (0.0, 1.0)), rows=(0, 1), **blo
     _write_pfeat(tmp_path / "q0.pfeat", matrix, **blob)
     return _write_manifest(tmp_path, manifest={"proposal_features": {"q0": "q0.pfeat"}},
                            proposals=[_blob_row(k) for k in rows])
+
+
+def _write_runs(path, masks=((0, 64), (48, 16)), counts=None, magic=b"RUNS", version=1):
+    """A ``.runs`` blob of ``masks``, or of ``counts`` and the runs of ``masks``
+    back to back."""
+    runs = np.array([r for m in masks for r in m], dtype="<i8")
+    counts = np.array([len(m) for m in masks] if counts is None else counts, dtype="<i8")
+    path.write_bytes(struct.pack("<4sIII", magic, version, counts.size, runs.size)
+                     + counts.tobytes() + runs.tobytes())
+
+
+def _mask_row(k, score=0.5):
+    row = _proposal_row(score)
+    del row["mask"]
+    row["mask_row"] = k
+    return row
+
+
+def _runs_manifest(tmp_path, rows=(0, 1), **blob):
+    """A one-image dataset whose proposals name masks of ``q0.runs``."""
+    _write_runs(tmp_path / "q0.runs", **blob)
+    return _write_manifest(tmp_path, manifest={"mask_runs": {"q0": "q0.runs"}},
+                           proposals=[_mask_row(k) for k in rows])
 
 
 def _assert_data_error(path, tmp_path, pattern):
@@ -301,6 +324,13 @@ class TestLoadValidation:
             load_dataset(path)
         assert str(info.value) == f"{tmp_path / 'proposals.jsonl'}:12: {message}"
 
+    @pytest.mark.parametrize("run", [2**70, 2**63, -(2**63) - 1])
+    def test_inline_run_outside_int64_is_data_error(self, tmp_path, run):
+        # numpy raises OverflowError converting such a run to int64
+        runs = [run, 64 - run]  # sums to W*H as Python ints
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, runs=runs)])
+        _assert_data_error(path, tmp_path, r"proposals\.jsonl:1: RLE run length outside int64")
+
     def test_empty_mask_substituted_with_box_raster(self, tmp_path, caplog):
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, runs=[64])])
         with caplog.at_level("WARNING"):
@@ -322,7 +352,8 @@ class TestLoadValidation:
             tracemalloc.stop()
         assert peak < 2**20
         mask = ds.proposals["q0"][0].mask
-        assert mask.runs == (0, 4, side - 4, 4, side - 4, 4, side - 4, 4, side * side - 3 * side - 4)
+        assert mask.runs.tolist() == [0, 4, side - 4, 4, side - 4, 4, side - 4, 4,
+                                      side * side - 3 * side - 4]
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, manifest={"format_version": 2})
@@ -516,6 +547,174 @@ class TestProposalFeatureBlob:
                                            r"undefined\)")
 
 
+class TestMaskRunBlob:
+    def test_rows_load_as_the_records_name_them(self, tmp_path):
+        ds = load_dataset(_runs_manifest(tmp_path, rows=(1, 0)))
+        got = [(rec.mask.runs.tolist(), rec.mask.area) for rec in ds.proposals["q0"]]
+        assert got == [([48, 16], 16), ([0, 64], 64)]
+        assert not any(rec.mask.runs.flags.writeable for rec in ds.proposals["q0"])
+
+    def test_empty_blob_mask_substituted_with_box_raster(self, tmp_path, caplog):
+        path = _runs_manifest(tmp_path, masks=((0, 64), (64,)))
+        with caplog.at_level("WARNING"):
+            ds = load_dataset(path)
+        assert "substituted 1 empty proposal masks" in caplog.text
+        assert [rec.mask.area for rec in ds.proposals["q0"]] == [64, 16]
+
+    @pytest.mark.parametrize("blob, pattern", [
+        (dict(magic=b"JUNK"), r"q0\.runs: bad magic b'JUNK'"),
+        (dict(version=2), r"q0\.runs: unsupported mask-run version 2"),
+        (dict(masks=()), r"q0\.runs: mask-run blob of shape \(0,\) holds no values"),
+    ], ids=["magic", "version", "empty"])
+    def test_bad_header_rejected(self, tmp_path, blob, pattern):
+        _assert_data_error(_runs_manifest(tmp_path, rows=(), **blob), tmp_path, pattern)
+
+    @pytest.mark.parametrize("edit, pattern", [
+        (lambda raw: raw[:8], "truncated mask-run header"),
+        (lambda raw: raw[:-8], "expected 64 bytes, found 56"),
+        (lambda raw: raw + bytes(8), "expected 64 bytes, found 72"),
+    ], ids=["header", "body-short", "body-long"])
+    def test_size_that_disagrees_with_header_rejected(self, tmp_path, edit, pattern):
+        path = _runs_manifest(tmp_path)  # 16 + 8 * (2 counts + 4 runs) = 64 bytes
+        blob = tmp_path / "q0.runs"
+        blob.write_bytes(edit(blob.read_bytes()))
+        _assert_data_error(path, tmp_path, rf"q0\.runs: {pattern}")
+
+    @pytest.mark.parametrize("blob, pattern", [
+        (dict(counts=(2, 0)), r"mask 1: run count 0, not >= 1"),
+        (dict(masks=((0, 64),), counts=(3,)), r"run counts sum to 3, not to the 2 runs"),
+        (dict(masks=((0, 64),), counts=(2**63 - 1, 2**63 - 1, 4)),
+         r"run counts sum to 18446744073709551618, not to the 2 runs"),
+        (dict(masks=((70, -6),)), r"mask 0: negative run length in RLE"),
+        (dict(masks=((0, 64), (48, 15))), r"mask 1: RLE runs sum to 63, expected 64 for a 8x8 "
+                                           r"mask"),
+        (dict(masks=((2**63 - 1, 2**63 - 1, 66),)),
+         r"mask 0: RLE runs sum to 18446744073709551680, expected 64 for a 8x8 mask"),
+    ], ids=["count-0", "counts-past-runs", "counts-wrap-to-runs", "negative", "sum",
+            "runs-wrap-to-w-h"])
+    def test_bad_run_table_names_its_mask(self, tmp_path, blob, pattern):
+        # the wrapping cases sum to exactly the run count and to W*H in int64
+        _assert_data_error(_runs_manifest(tmp_path, rows=(0,), **blob), tmp_path,
+                           rf"q0\.runs: {pattern}")
+
+    @pytest.mark.parametrize("rows, pattern", [
+        ((0, 2), r"proposals\.jsonl:2: mask_row 2 outside \[0, 2\)"),
+        ((0, -1), r"proposals\.jsonl:2: mask_row -1 outside \[0, 2\)"),
+        ((1, 1), r"proposals\.jsonl:2: mask_row 1 used twice in its image"),
+        ((1.0,), r"proposals\.jsonl:1: invalid proposal record \(mask_row must be a JSON "
+                 r"integer, got 1\.0\)"),
+        ((True,), r"proposals\.jsonl:1: .*mask_row must be a JSON integer, got true"),
+        (("0",), r'proposals\.jsonl:1: .*mask_row must be a JSON integer, got "0"'),
+        ((None,), r"proposals\.jsonl:1: .*mask_row must be a JSON integer, got null"),
+    ], ids=["past-end", "negative", "twice", "float", "bool", "str", "null"])
+    def test_bad_mask_row_rejected(self, tmp_path, rows, pattern):
+        _assert_data_error(_runs_manifest(tmp_path, rows=rows), tmp_path, pattern)
+
+    def test_mask_row_beside_inline_mask_rejected(self, tmp_path):
+        path = _runs_manifest(tmp_path)
+        rows = [_mask_row(0), {**_mask_row(1), "mask": {"w": 8, "h": 8, "counts": [0, 64]}}]
+        (tmp_path / "proposals.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        _assert_data_error(path, tmp_path, r"proposals\.jsonl:2: both mask and mask_row")
+
+    def test_mask_row_without_blob_rejected(self, tmp_path):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5), _mask_row(0)])
+        _assert_data_error(path, tmp_path,
+                           r"proposals\.jsonl:2: mask_row, but its image has no \.runs blob")
+
+    @pytest.mark.parametrize("table, pattern", [
+        ({"nope": "q0.runs"}, r"manifest\.json: mask_runs entry for unknown image 'nope'"),
+        ({"q0": "gone.runs"}, r"manifest\.json: missing mask_runs file .*gone\.runs"),
+        (["q0.runs"], r"manifest\.json: invalid manifest"),
+    ], ids=["unknown-image", "missing-file", "not-a-table"])
+    def test_bad_manifest_table_rejected(self, tmp_path, table, pattern):
+        _write_runs(tmp_path / "q0.runs")
+        path = _write_manifest(tmp_path, manifest={"mask_runs": table},
+                               proposals=[_proposal_row(0.5)])
+        _assert_data_error(path, tmp_path, pattern)
+
+    def test_header_declaring_a_huge_run_table_allocates_nothing(self, tmp_path):
+        (tmp_path / "q0.runs").write_bytes(struct.pack("<4sIII", b"RUNS", 1, 2**32 - 1, 2**32 - 1))
+        path = _write_manifest(tmp_path, manifest={"mask_runs": {"q0": "q0.runs"}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"q0\.runs: expected \d+ bytes, found 16"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def _generated(tmp_path, monkeypatch, cfg):
+    """The dataset the generator hands ``write_dataset``, and its manifest."""
+    written = []
+
+    def spy(dataset, out_dir):
+        written.append(dataset)
+        return write_dataset(dataset, out_dir)
+
+    monkeypatch.setattr(generator, "write_dataset", spy)
+    manifest = generate_dataset(cfg, tmp_path / "ds")
+    (dataset,) = written
+    return dataset, manifest
+
+
+def _masks(dataset):
+    return {image_id: [(r.mask.width, r.mask.height, r.mask.runs.tolist(), r.mask.area)
+                       for r in recs] for image_id, recs in dataset.proposals.items()}
+
+
+class TestGeneratedProposalMasks:
+    def test_masks_load_equal_to_the_written_dataset(self, tmp_path, monkeypatch):
+        expected, manifest = _generated(tmp_path, monkeypatch, GeneratorConfig(seed=5, images=4))
+        loaded = load_dataset(manifest)
+        assert loaded.query_image_ids() == expected.query_image_ids() != []
+        assert _masks(loaded) == _masks(expected)
+
+    def test_records_name_blob_rows_not_inline_masks(self, tmp_path):
+        manifest = generate_dataset(GeneratorConfig(seed=5, images=3), tmp_path / "ds")
+        records = [json.loads(line) for line in
+                   (manifest.parent / "proposals.jsonl").read_text().splitlines()]
+        assert all("mask" not in rec for rec in records)
+        rows = {}
+        for rec in records:
+            rows.setdefault(rec["image_id"], []).append(rec["mask_row"])
+        assert all(got == list(range(len(got))) for got in rows.values())
+        table = json.loads(manifest.read_text())["mask_runs"]
+        assert table == {image_id: f"features/{image_id}.runs" for image_id in rows}
+
+    def test_inline_form_loads_equal_to_blob_form(self, tmp_path):
+        manifest = generate_dataset(GeneratorConfig(seed=5, images=3), tmp_path / "ds")
+        blob_form = load_dataset(manifest)
+        # rewrite as a hand-made export would: each mask's counts inline, no blobs
+        props = manifest.parent / "proposals.jsonl"
+        records = [json.loads(line) for line in props.read_text().splitlines()]
+        masks = [rec.mask for image_id in blob_form.query_image_ids()
+                 for rec in blob_form.proposals[image_id]]
+        for rec, mask in zip(records, masks, strict=True):
+            del rec["mask_row"]
+            rec["mask"] = {"w": mask.width, "h": mask.height, "counts": mask.runs.tolist()}
+        props.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        doc = json.loads(manifest.read_text())
+        del doc["mask_runs"]
+        manifest.write_text(json.dumps(doc))
+        for blob in (manifest.parent / "features").glob("*.runs"):
+            blob.unlink()
+        assert _masks(load_dataset(manifest)) == _masks(blob_form)
+
+    @pytest.mark.parametrize("query_maps", [False, True], ids=["pfeat", "query-maps"])
+    def test_written_copy_runs_byte_identically(self, tmp_path, query_maps):
+        # a loaded dataset, so that its feature maps hold float32 values, as written
+        cfg = GeneratorConfig(seed=5, images=4, query_feature_maps=query_maps)
+        dataset = load_dataset(generate_dataset(cfg, tmp_path / "ds"))
+        copy = load_dataset(write_dataset(dataset, tmp_path / "copy"))
+        outputs = {}
+        for name, ds in (("memory", dataset), ("copy", copy)):
+            paths = export_run(*run_end_to_end(ds, PipelineConfig()), tmp_path / name)
+            outputs[name] = {key: path.read_bytes() for key, path in paths.items()}
+        assert outputs["copy"] == outputs["memory"]
+
+
 class TestGeneratedProposalFeatures:
     def test_features_load_bit_for_bit(self, tmp_path, monkeypatch):
         written = []
@@ -655,8 +854,9 @@ def _mutant(raw: bytes, suffix: str, rng) -> bytes:
 
 
 class TestMutationFuzz:
-    """Seeded mutations of every input file of a tiny corpus and of a prototype
-    file, for both query-feature layouts (``.pfeat`` blobs or feature maps): the
+    """Seeded mutations of every input file of a tiny corpus (a ``.runs`` blob
+    among them) and of a prototype file, for both query-feature layouts
+    (``.pfeat`` blobs or feature maps): the
     loaders raise only DataFormatError, and ``run`` exits 0, 3 or 4 without a
     traceback (4 stays reachable, e.g. through ``num_classes``)."""
 
@@ -679,7 +879,7 @@ class TestMutationFuzz:
         query_blob = "img_0000.fmap" if query_maps else "img_0000.pfeat"
         targets = [manifest, ds / "supports.jsonl", ds / "proposals.jsonl",
                    ds / "ground_truth.jsonl", ds / "features" / "support_c0_s0.fmap",
-                   ds / "features" / query_blob, protos]
+                   ds / "features" / query_blob, ds / "features" / "img_0000.runs", protos]
         originals = {path: path.read_bytes() for path in targets}
         rng = np.random.default_rng(2026)
         codes = set()

@@ -162,6 +162,17 @@ def test_pipeline_runs_the_list_baselines_at_their_defaults():
         assert "pipeline" not in {module for module, _ in with_more[name]}
 
 
+def test_kernels_take_runs_as_arrays():
+    # A mask's runs are an int64 array from load to kernel, and the kernels join
+    # them with np.concatenate; np.fromiter or itertools.chain over the runs
+    # would walk every run in Python again.
+    tree = ast.parse((ROOT / "src" / "protodet" / "geometry.py").read_text(encoding="utf-8"))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not names & {"fromiter", "chain", "itertools"} and "itertools" not in modules
+
+
 @pytest.mark.parametrize("node_id", [
     "tests/test_pipeline.py::TestQueryStage::test_matched_proposals_keep_no_feature_vectors",
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
@@ -171,6 +182,7 @@ def test_pipeline_runs_the_list_baselines_at_their_defaults():
     "tests/test_features.py::TestFeatureMap::test_f4_input_is_widened_once",
     "tests/test_synthio.py::TestProposalFeatureBlob::"
     "test_header_declaring_a_huge_matrix_allocates_nothing",
+    "tests/test_synthio.py::TestMaskRunBlob::test_header_declaring_a_huge_run_table_allocates_nothing",
 ])
 def test_memory_bound_tests_pass_in_a_fresh_interpreter(node_id):
     # These tests measure allocations with tracemalloc, so a lazy import that
