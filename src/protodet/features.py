@@ -167,20 +167,21 @@ def match_proposal(
     features: Iterable[np.ndarray], prototypes: Sequence[ClassPrototype]
 ) -> list[tuple[int, float]]:
     """Each feature's best (class_id, cosine similarity); ties break toward the
-    lowest class_id.  Each similarity is one ``np.dot`` per pair over the
-    product of the two norms, each norm taken once."""
+    lowest class_id.  Each similarity is the pair's dot product over the
+    product of the two norms, each norm ``sqrt(v . v)`` taken once; one
+    ``np.vecdot`` gives all of them, and its float64 loop calls the same dot
+    per pair that ``np.dot`` and ``np.linalg.norm`` call on one vector."""
     if not prototypes:
         raise ValueError("cannot match against an empty prototype list")
+    feats = np.array([np.asarray(f, dtype=np.float64) for f in features])
+    if len(feats) == 0:
+        return []
     protos = sorted(prototypes, key=lambda p: p.class_id)
-    vectors = [np.asarray(p.vector, dtype=np.float64) for p in protos]
-    norms = [float(np.linalg.norm(v)) for v in vectors]
-    out = []
-    for fq in features:
-        va = np.asarray(fq, dtype=np.float64)
-        na = float(np.linalg.norm(va))
-        if na == 0.0 or 0.0 in norms:
-            raise ValueError("cosine undefined for a zero vector")
-        sims = [float(np.dot(va, vb) / (na * nb)) for vb, nb in zip(vectors, norms)]
-        best = sims.index(max(sims))  # the first maximum, in class_id order
-        out.append((protos[best].class_id, sims[best]))
-    return out
+    vectors = np.array([np.asarray(p.vector, dtype=np.float64) for p in protos])
+    feat_norms = np.sqrt(np.vecdot(feats, feats))
+    proto_norms = np.sqrt(np.vecdot(vectors, vectors))
+    if not (feat_norms.all() and proto_norms.all()):
+        raise ValueError("cosine undefined for a zero vector")
+    sims = np.vecdot(feats[:, None], vectors[None]) / (feat_norms[:, None] * proto_norms)
+    best = sims.argmax(axis=1)  # the first maximum, in class_id order
+    return [(protos[k].class_id, sim) for k, sim in zip(best.tolist(), sims.max(axis=1).tolist())]

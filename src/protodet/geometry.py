@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in pixel coordinates, origin top-left.
 
@@ -47,6 +47,26 @@ class BoundingBox:
             raise ValueError(f"box coordinates must be >= 0, got {coords}")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate box {coords}: need x1 < x2 and y1 < y2")
+
+    @classmethod
+    def rows(cls, coords: np.ndarray) -> list["BoundingBox"]:
+        """One box per row of the (n, 4) float64 array ``coords``, checked in
+        one pass as ``BoundingBox(*row)`` checks one box: the first row that
+        it would refuse raises that ValueError."""
+        ok = (np.isfinite(coords).all(axis=1) & (coords >= 0).all(axis=1)
+              & (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3]))
+        if not ok.all():
+            cls(*coords[np.argmin(ok)].tolist())
+        boxes = []
+        for x1, y1, x2, y2 in coords.tolist():
+            # checked above, with all the others
+            box = object.__new__(cls)
+            object.__setattr__(box, "x1", x1)
+            object.__setattr__(box, "y1", y1)
+            object.__setattr__(box, "x2", x2)
+            object.__setattr__(box, "y2", y2)
+            boxes.append(box)
+        return boxes
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -83,7 +103,7 @@ def box_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BinaryMask:
     """Binary raster stored as alternating run lengths, zeros first.
 

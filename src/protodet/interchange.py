@@ -85,7 +85,7 @@ class ImageInfo:
     height: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProposalRecord:
     """One query proposal; its image is its key in ``Dataset.proposals``."""
 
@@ -152,24 +152,25 @@ def read_feature_map(path: Path | str) -> FeatureMap:
     return FeatureMap(data)
 
 
-def _check_features(matrix: np.ndarray, where: Callable[[int], str]) -> None:
+def _check_features(matrix: np.ndarray, prefix: Callable[[int], str]) -> None:
     """Reject the first row of ``matrix`` that no cosine can use: its float64 L2
     norm is nan (a non-finite value), inf (a non-finite value, or an overflow)
-    or 0 (all zeros, or an underflow)."""
+    or 0 (all zeros, or an underflow).  The message starts with ``prefix(k)``
+    for row k."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
     bad = np.flatnonzero(~((norms > 0) & (norms < np.inf)))
     if bad.size:
         k = int(bad[0])
         what = "all-zero feature vector" if not np.any(matrix[k]) else "feature vector"
-        raise DataFormatError(f"{where(k)}: {what} of L2 norm {norms[k]} (cosine undefined)")
+        raise DataFormatError(f"{prefix(k)}{what} of L2 norm {norms[k]} (cosine undefined)")
 
 
 def _read_proposal_features(path: Path) -> np.ndarray:
     """The ``(rows, dim)`` float64 matrix of a ``.pfeat`` blob, every row checked."""
     matrix, _ = _read_blob(path, _PFEAT_HEADER, PFEAT_MAGIC, "proposal-feature",
                            lambda rows, dim: ("<f8", (rows, dim)))
-    _check_features(matrix, lambda k: f"{path}: row {k}")
+    _check_features(matrix, lambda k: f"{path}: row {k}: ")
     return matrix
 
 
@@ -244,9 +245,20 @@ def _box_to_json(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _box_from_json(vals: list) -> BoundingBox:
+_NUMBER_TYPES = {int, float}
+
+
+def _box_values(vals) -> list:
+    """A box's four JSON numbers as given, not yet checked as coordinates;
+    anything else raises the error that ``_box_from_json`` raises."""
+    if type(vals) is list and len(vals) == 4 and _NUMBER_TYPES.issuperset(map(type, vals)):
+        return vals
     x1, y1, x2, y2 = _json_numbers(vals, "box coordinate")
-    return BoundingBox(x1, y1, x2, y2)
+    return [x1, y1, x2, y2]
+
+
+def _box_from_json(vals: list) -> BoundingBox:
+    return BoundingBox(*map(float, _box_values(vals)))
 
 
 def _json_int(value, what: str) -> int:
@@ -256,7 +268,7 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_numbers(values: list, what: str) -> list[float]:
-    if not {int, float}.issuperset(map(type, values)):
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
         bad = next(v for v in values if type(v) not in (int, float))
         raise TypeError(f"{what} must be a JSON number, got {json.dumps(bad)}")
     return [float(v) for v in values]
@@ -268,25 +280,37 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_jsonl(path: Path):
+    """(line number, record) for each non-blank line.  ``json.loads`` decodes
+    only a line that ``raw_decode`` refuses or does not read to its end, so
+    that the error keeps the decoder's own wording."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+                rec, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            yield lineno, rec
 
 
 # --------------------------------------------------------------------------
 # datasets: read and write
 # --------------------------------------------------------------------------
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str):
     if key not in doc:
-        raise DataFormatError(f"{where}: missing required key {key!r}")
+        raise DataFormatError(f"missing required key {key!r}")
     return doc[key]
 
 
@@ -307,25 +331,175 @@ def _invalid_as_format_error(where: str, what: str):
         raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
 
 
-def _load_records(manifest: Path, file: Path, kind: str, parse: Callable) -> list:
-    """Run ``parse(rec, where)`` on every record of the manifest's ``kind`` file
-    ("supports"; one record is a "support record") and keep each non-None result."""
+def _load_records(manifest: Path, file: Path, kind: str, parse: Callable) -> tuple[list, list]:
+    """Run ``parse(rec)`` on every record of the manifest's ``kind`` file
+    ("supports"; one record is a "support record"); each non-None result is
+    kept, and its line number beside it.  An error that ``parse`` raises is
+    named by the record's ``file:line``."""
     if not file.is_file():
         raise DataFormatError(f"{manifest}: missing {kind} file {file}")
-    out = []
+    lines, items = [], []
     # the outer guard reports bytes that are not UTF-8; a record's error passes
     # it unchanged, since it starts with the file name
     with _invalid_as_format_error(str(file), f"{kind} file"):
         for lineno, rec in _iter_jsonl(file):
-            where = f"{file}:{lineno}"
             try:
-                item = parse(rec, where)
+                item = parse(rec)
             except _PARSE_ERRORS:  # the record guard, entered only on an error
-                with _invalid_as_format_error(where, f"{kind.removesuffix('s')} record"):
+                with _invalid_as_format_error(f"{file}:{lineno}",
+                                              f"{kind.removesuffix('s')} record"):
                     raise
             if item is not None:
-                out.append(item)
-    return out
+                lines.append(lineno)
+                items.append(item)
+    return lines, items
+
+
+def _mask_of(rec: dict, info: ImageInfo) -> BinaryMask:
+    mask = _mask_from_json(_require(rec, "mask"))
+    if (mask.width, mask.height) != (info.width, info.height):
+        raise DataFormatError("mask dims do not match image dims")
+    return mask
+
+
+def _blob_row(rec: dict, key: str) -> int:
+    """The row of its image's blob that the record's ``key`` (``mask_row`` or
+    ``feature_row``) names, if it does not also hold the field inline."""
+    row = _json_int(rec[key], key)
+    inline = key.removesuffix("_row")
+    if rec.get(inline) is not None:
+        raise DataFormatError(f"both {inline} and {key}")
+    return row
+
+
+def _load_proposals(manifest: Path, file: Path, images: list[ImageInfo],
+                    mask_runs: Mapping[str, list[BinaryMask]],
+                    proposal_features: Mapping[str, np.ndarray],
+                    feature_maps: Mapping[str, FeatureMap],
+                    feature_dims: set[int]) -> dict[str, list[ProposalRecord]]:
+    """Each image's proposal records, in file order, at most the 500 best.
+
+    One pass over the file takes from each record what only the record can
+    tell: its image; its score, whose type and range it checks, dropping a
+    record below the score floor with no other check; the JSON types of its
+    box, ``mask_row`` and ``feature_row``; and an inline mask or feature,
+    parsed in place.  Then each of the other checks runs once over every kept
+    record, in this order: boxes, blob rows of masks, empty masks, blob rows
+    of features, records with no feature.  A failure names the first record
+    that fails that check.
+    """
+    position = {info.image_id: i for i, info in enumerate(images)}
+    coords: list = []  # each kept record's four box values
+    dropped = 0
+
+    def parse(rec: dict):
+        nonlocal dropped
+        image_id = str(_require(rec, "image_id"))
+        img = position.get(image_id)
+        if img is None:
+            raise DataFormatError(f"unknown image id {image_id!r}")
+        score = _require(rec, "score")
+        if type(score) is not float:
+            (score,) = _json_numbers([score], "score")
+        if not 0.0 <= score <= 1.0:
+            raise DataFormatError(f"score {score} outside [0, 1]")
+        if score < SCORE_FLOOR:
+            dropped += 1
+            return None
+        box = _box_values(_require(rec, "box"))
+        mask = _blob_row(rec, "mask_row") if "mask_row" in rec else _mask_of(rec, images[img])
+        if "feature_row" in rec:
+            feature = _blob_row(rec, "feature_row")
+        else:
+            feature = rec.get("feature")
+            if feature is not None:
+                feature = np.asarray(_json_numbers(feature, "feature value"), dtype=np.float64)
+                _check_features(feature[None], lambda _: "")
+                feature_dims.add(feature.size)
+        coords.extend(box)
+        return img, score, mask, feature
+
+    lines, kept = _load_records(manifest, file, "proposals", parse)
+    if dropped:
+        log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
+    if not kept:
+        return {}
+    imgs, scores, masks, features = zip(*kept)
+    owner_of = np.array(imgs)  # each kept record's index into images
+
+    def refuse(k: int, message: str):
+        raise DataFormatError(f"{file}:{lines[k]}: {message}")
+
+    def blob_rows(column: Sequence, key: str, tables: Mapping, suffix: str) -> list:
+        """``column`` with each row number replaced by the row of its image's
+        blob that it names; no record may name a blob that its image lacks, a
+        row outside the blob, or a row that another record of its image names."""
+        out = list(column)
+        at = np.array([k for k, v in enumerate(column) if type(v) is int], dtype=np.int64)
+        if not at.size:
+            return out
+        numbers = [column[k] for k in at.tolist()]
+        owner = owner_of[at]
+        size = np.array([len(tables[i.image_id]) if i.image_id in tables else -1
+                         for i in images])[owner]
+        lacking = np.flatnonzero(size < 0)
+        if lacking.size:
+            refuse(at[lacking[0]], f"{key}, but its image has no {suffix} blob")
+        try:
+            row = np.array(numbers, dtype=np.int64)
+        except OverflowError:  # outside int64, hence outside any blob
+            row = np.array([r if -2**63 <= r < 2**63 else -1 for r in numbers], dtype=np.int64)
+        outside = np.flatnonzero((row < 0) | (row >= size))
+        if outside.size:
+            k = outside[0]
+            refuse(at[k], f"{key} {numbers[k]} outside [0, {size[k]})")
+        # by image, then row, then file order: a record whose row is its
+        # predecessor's names a row used before it
+        order = np.lexsort((np.arange(at.size), row, owner))
+        a, b = order[:-1], order[1:]
+        twice = b[(owner[a] == owner[b]) & (row[a] == row[b])]
+        if twice.size:
+            k = twice.min()
+            refuse(at[k], f"{key} {numbers[k]} used twice in its image")
+        for k, i, r in zip(at.tolist(), owner.tolist(), row.tolist()):
+            out[k] = tables[images[i].image_id][r]
+        return out
+
+    try:
+        boxes = BoundingBox.rows(np.array(coords, dtype=np.float64).reshape(-1, 4))
+    except (OverflowError, ValueError):
+        for k in range(len(kept)):  # the first record whose box one BoundingBox refuses
+            with _invalid_as_format_error(f"{file}:{lines[k]}", "proposal record"):
+                _box_from_json(coords[4 * k:4 * k + 4])
+        raise
+    masks = blob_rows(masks, "mask_row", mask_runs, ".runs")
+    empty = [k for k, mask in enumerate(masks) if not mask.area]
+    for k in empty:
+        info = images[imgs[k]]
+        masks[k], ok = box_to_full_mask(boxes[k], info.width, info.height)
+        if not ok:
+            refuse(k, "empty mask and box covers no pixel, record unusable")
+    if empty:
+        log.warning("substituted %d empty proposal masks with their box masks", len(empty))
+    features = blob_rows(features, "feature_row", proposal_features, ".pfeat")
+    for k, feature in enumerate(features):
+        if feature is None and images[imgs[k]].image_id not in feature_maps:
+            refuse(k, "no feature, and its image has no feature map")
+
+    by_image = [[] for _ in images]
+    for i, box, mask, score, feature in zip(imgs, boxes, masks, scores, features):
+        by_image[i].append(ProposalRecord(box, mask, score, feature))
+    proposals = {images[i].image_id: by_image[i] for i in dict.fromkeys(imgs)}
+    for image_id, recs in proposals.items():
+        if len(recs) > MAX_PROPOSALS_PER_IMAGE:
+            order = sorted(
+                range(len(recs)), key=lambda i: (-recs[i].upn_score, i)
+            )[:MAX_PROPOSALS_PER_IMAGE]
+            proposals[image_id] = [recs[i] for i in sorted(order)]
+            log.info("image %s: kept the %d best of %d proposals, dropped %d",
+                     image_id, MAX_PROPOSALS_PER_IMAGE, len(recs),
+                     len(recs) - MAX_PROPOSALS_PER_IMAGE)
+    return proposals
 
 
 def load_dataset(manifest_path: Path | str) -> Dataset:
@@ -340,29 +514,29 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         raise DataFormatError(f"{path}: cannot parse manifest ({exc})") from exc
 
     with _invalid_as_format_error(str(path), "manifest"):
-        version = _json_int(_require(doc, "format_version", str(path)), "format_version")
+        version = _json_int(_require(doc, "format_version"), "format_version")
         if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported format_version {version}")
-        num_classes = _json_int(_require(doc, "num_classes", str(path)), "num_classes")
-        shots = _json_int(_require(doc, "shots", str(path)), "shots")
+            raise DataFormatError(f"unsupported format_version {version}")
+        num_classes = _json_int(_require(doc, "num_classes"), "num_classes")
+        shots = _json_int(_require(doc, "shots"), "shots")
         if num_classes < 1 or shots < 1:
-            raise DataFormatError(f"{path}: num_classes and shots must be >= 1")
+            raise DataFormatError("num_classes and shots must be >= 1")
 
         base = path.parent
         by_id: dict[str, ImageInfo] = {}
-        for entry in _require(doc, "images", str(path)):
+        for entry in _require(doc, "images"):
             info = ImageInfo(image_id=str(entry["id"]),
                              width=_json_int(entry["width"], "image width"),
                              height=_json_int(entry["height"], "image height"))
             if info.image_id in by_id:
-                raise DataFormatError(f"{path}: duplicate image id {info.image_id!r}")
+                raise DataFormatError(f"duplicate image id {info.image_id!r}")
             if _splits_a_tsv_row(info.image_id):
-                raise DataFormatError(f"{path}: image id {info.image_id!r} holds a tab or a "
-                                      "line break, which detections.tsv cannot hold")
+                raise DataFormatError(f"image id {info.image_id!r} holds a tab or a line break, "
+                                      "which detections.tsv cannot hold")
             if info.width < 1 or info.height < 1:
-                raise DataFormatError(f"{path}: image {info.image_id!r} has empty dimensions")
+                raise DataFormatError(f"image {info.image_id!r} has empty dimensions")
             if info.width * info.height > MAX_IMAGE_PIXELS:
-                raise DataFormatError(f"{path}: image {info.image_id!r} declares "
+                raise DataFormatError(f"image {info.image_id!r} declares "
                                       f"{info.width}x{info.height} pixels, more than 2**53")
             by_id[info.image_id] = info
 
@@ -370,10 +544,10 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
             """(image, blob path) for each entry of the manifest's ``key`` table."""
             for image_id, rel in doc.get(key, {}).items():
                 if image_id not in by_id:
-                    raise DataFormatError(f"{path}: {key} entry for unknown image {image_id!r}")
+                    raise DataFormatError(f"{key} entry for unknown image {image_id!r}")
                 blob = base / rel
                 if not blob.is_file():
-                    raise DataFormatError(f"{path}: missing {key} file {blob}")
+                    raise DataFormatError(f"missing {key} file {blob}")
                 yield by_id[image_id], blob
 
         feature_maps = {info.image_id: read_feature_map(blob)
@@ -382,132 +556,46 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                              for info, blob in blobs("proposal_features")}
         mask_runs = {info.image_id: _read_mask_runs(blob, info) for info, blob in blobs("mask_runs")}
         supports_file, proposals_file, gt_file = (
-            base / _require(doc, key, str(path))
-            for key in ("supports", "proposals", "ground_truth")
+            base / _require(doc, key) for key in ("supports", "proposals", "ground_truth")
         )
 
-    def image_of(doc_line: dict, where: str) -> ImageInfo:
-        image_id = str(_require(doc_line, "image_id", where))
+    def image_of(rec: dict) -> ImageInfo:
+        image_id = str(_require(rec, "image_id"))
         if image_id not in by_id:
-            raise DataFormatError(f"{where}: unknown image id {image_id!r}")
+            raise DataFormatError(f"unknown image id {image_id!r}")
         return by_id[image_id]
 
-    def class_of(doc_line: dict, where: str) -> int:
-        class_id = _json_int(_require(doc_line, "class_id", where), "class_id")
+    def class_of(rec: dict) -> int:
+        class_id = _json_int(_require(rec, "class_id"), "class_id")
         if not 0 <= class_id < num_classes:
-            raise DataFormatError(f"{where}: class_id {class_id} outside [0, {num_classes})")
+            raise DataFormatError(f"class_id {class_id} outside [0, {num_classes})")
         return class_id
 
-    def mask_of(doc_line: dict, where: str, info: ImageInfo) -> BinaryMask:
-        mask = _mask_from_json(_require(doc_line, "mask", where))
-        if (mask.width, mask.height) != (info.width, info.height):
-            raise DataFormatError(f"{where}: mask dims do not match image dims")
-        return mask
-
-    def parse_support(rec: dict, where: str) -> SupportAnnotation:
-        info = image_of(rec, where)
+    def parse_support(rec: dict) -> SupportAnnotation:
+        info = image_of(rec)
         if info.image_id not in feature_maps:
-            raise DataFormatError(f"{where}: support image {info.image_id!r} has no feature map")
-        class_id = class_of(rec, where)
-        mask = mask_of(rec, where, info)
-        return SupportAnnotation(
-            image_id=info.image_id,
-            box=_box_from_json(_require(rec, "box", where)),
-            class_id=class_id,
-            mask=mask,
-        )
+            raise DataFormatError(f"support image {info.image_id!r} has no feature map")
+        class_id = class_of(rec)
+        mask = _mask_of(rec, info)
+        return SupportAnnotation(image_id=info.image_id, box=_box_from_json(_require(rec, "box")),
+                                 class_id=class_id, mask=mask)
 
+    def parse_ground_truth(rec: dict) -> GroundTruthBox:
+        info = image_of(rec)
+        class_id = class_of(rec)
+        return GroundTruthBox(image_id=info.image_id, box=_box_from_json(_require(rec, "box")),
+                              class_id=class_id)
+
+    _, supports = _load_records(path, supports_file, "supports", parse_support)
     feature_dims = ({fm.channels for fm in feature_maps.values()}
                     | {m.shape[1] for m in proposal_features.values()})
-    rows_used: set[tuple[str, str, int]] = set()
-    dropped = 0
-    substituted = 0
-
-    def blob_row(rec: dict, where: str, info: ImageInfo, key: str, tables: dict, suffix: str):
-        """The row of its image's blob that the record's ``key`` (``mask_row`` or
-        ``feature_row``) names; no other record of the image may name it."""
-        row = _json_int(rec[key], key)
-        inline = key.removesuffix("_row")
-        table = tables.get(info.image_id)
-        if rec.get(inline) is not None:
-            raise DataFormatError(f"{where}: both {inline} and {key}")
-        if table is None:
-            raise DataFormatError(f"{where}: {key}, but its image has no {suffix} blob")
-        if not 0 <= row < len(table):
-            raise DataFormatError(f"{where}: {key} {row} outside [0, {len(table)})")
-        if (key, info.image_id, row) in rows_used:
-            raise DataFormatError(f"{where}: {key} {row} used twice in its image")
-        rows_used.add((key, info.image_id, row))
-        return table[row]
-
-    def parse_proposal(rec: dict, where: str) -> tuple[str, ProposalRecord] | None:
-        nonlocal dropped, substituted
-        info = image_of(rec, where)
-        score = _require(rec, "score", where)
-        if type(score) is not float:
-            (score,) = _json_numbers([score], "score")
-        if not 0.0 <= score <= 1.0:
-            raise DataFormatError(f"{where}: score {score} outside [0, 1]")
-        if score < SCORE_FLOOR:
-            dropped += 1
-            return None
-        box = _box_from_json(_require(rec, "box", where))
-        if "mask_row" in rec:
-            mask = blob_row(rec, where, info, "mask_row", mask_runs, ".runs")
-        else:
-            mask = mask_of(rec, where, info)
-        if mask.area == 0:
-            mask, ok = box_to_full_mask(box, info.width, info.height)
-            if not ok:
-                raise DataFormatError(
-                    f"{where}: empty mask and box covers no pixel, record unusable"
-                )
-            substituted += 1
-        feature = rec.get("feature")
-        if "feature_row" in rec:
-            feature = blob_row(rec, where, info, "feature_row", proposal_features, ".pfeat")
-        elif feature is not None:
-            feature = np.asarray(_json_numbers(feature, "feature value"), dtype=np.float64)
-            _check_features(feature[None], lambda _: where)
-            feature_dims.add(feature.size)
-        elif info.image_id not in feature_maps:
-            raise DataFormatError(f"{where}: no feature, and its image has no feature map")
-        return info.image_id, ProposalRecord(box=box, mask=mask, upn_score=score, feature=feature)
-
-    def parse_ground_truth(rec: dict, where: str) -> GroundTruthBox:
-        info = image_of(rec, where)
-        class_id = class_of(rec, where)
-        return GroundTruthBox(
-            image_id=info.image_id,
-            box=_box_from_json(_require(rec, "box", where)),
-            class_id=class_id,
-        )
-
-    supports = _load_records(path, supports_file, "supports", parse_support)
-
-    proposals: dict[str, list[ProposalRecord]] = {}
-    for image_id, prop in _load_records(path, proposals_file, "proposals", parse_proposal):
-        proposals.setdefault(image_id, []).append(prop)
-    if dropped:
-        log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
-    if substituted:
-        log.warning("substituted %d empty proposal masks with their box masks", substituted)
+    proposals = _load_proposals(path, proposals_file, list(by_id.values()), mask_runs,
+                                proposal_features, feature_maps, feature_dims)
     if len(feature_dims) > 1:
         raise DataFormatError(
             f"inconsistent feature dimensions across inputs: {sorted(feature_dims)}"
         )
-
-    for image_id, recs in proposals.items():
-        if len(recs) > MAX_PROPOSALS_PER_IMAGE:
-            order = sorted(
-                range(len(recs)), key=lambda i: (-recs[i].upn_score, i)
-            )[:MAX_PROPOSALS_PER_IMAGE]
-            proposals[image_id] = [recs[i] for i in sorted(order)]
-            log.info("image %s: kept the %d best of %d proposals, dropped %d",
-                     image_id, MAX_PROPOSALS_PER_IMAGE, len(recs),
-                     len(recs) - MAX_PROPOSALS_PER_IMAGE)
-
-    ground_truth = _load_records(path, gt_file, "ground-truth", parse_ground_truth)
+    _, ground_truth = _load_records(path, gt_file, "ground-truth", parse_ground_truth)
 
     return Dataset(
         num_classes=num_classes,

@@ -6,12 +6,29 @@ a kernel that now does a whole image at once.  They take and return the
 library's own types, so a test compares the two results with ``==``.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from protodet.geometry import BoundingBox, box_iou, coverage_matrix
+from protodet.errors import DataFormatError
+from protodet.geometry import BoundingBox, box_iou, box_to_full_mask, coverage_matrix
+from protodet.interchange import (
+    MAX_PROPOSALS_PER_IMAGE,
+    SCORE_FLOOR,
+    ImageInfo,
+    ProposalRecord,
+    _check_features,
+    _invalid_as_format_error,
+    _json_int,
+    _json_numbers,
+    _mask_from_json,
+    _read_mask_runs,
+    _read_proposal_features,
+    read_feature_map,
+)
 from protodet.postproc import ScoredDetection
 
 
@@ -227,3 +244,107 @@ def soft_merge_of_detections(dets, graphs):
             new_scores[i] = dets[i].score * (1.0 - penalty)
     return sorted((replace(d, score=new_scores[i]) for i, d in enumerate(dets)),
                   key=lambda d: -d.score)
+
+
+def proposals_by_record(manifest_path):
+    """``load_dataset(manifest_path).proposals`` as the loader once computed it:
+    every proposal record parsed and checked on its own, in file order, each
+    check in turn, so that the first record that fails any check is named.
+    The manifest, the blobs and every other record file must be valid."""
+    path = Path(manifest_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    base = path.parent
+    images = {e["id"]: e for e in doc["images"]}
+    feature_maps = {i: read_feature_map(base / rel) for i, rel in doc["feature_maps"].items()}
+    features = {i: _read_proposal_features(base / rel)
+                for i, rel in doc.get("proposal_features", {}).items()}
+    mask_runs = {}
+    for i, rel in doc.get("mask_runs", {}).items():
+        info = ImageInfo(i, images[i]["width"], images[i]["height"])
+        mask_runs[i] = _read_mask_runs(base / rel, info)
+    feature_dims = ({fm.channels for fm in feature_maps.values()}
+                    | {m.shape[1] for m in features.values()})
+    rows_used = set()
+
+    def require(rec, key, where):
+        if key not in rec:
+            raise DataFormatError(f"{where}: missing required key {key!r}")
+        return rec[key]
+
+    def box_of(vals):
+        x1, y1, x2, y2 = _json_numbers(vals, "box coordinate")
+        return BoundingBox(x1, y1, x2, y2)
+
+    def blob_row(rec, where, image_id, key, tables, suffix):
+        row = _json_int(rec[key], key)
+        inline = key.removesuffix("_row")
+        table = tables.get(image_id)
+        if rec.get(inline) is not None:
+            raise DataFormatError(f"{where}: both {inline} and {key}")
+        if table is None:
+            raise DataFormatError(f"{where}: {key}, but its image has no {suffix} blob")
+        if not 0 <= row < len(table):
+            raise DataFormatError(f"{where}: {key} {row} outside [0, {len(table)})")
+        if (key, image_id, row) in rows_used:
+            raise DataFormatError(f"{where}: {key} {row} used twice in its image")
+        rows_used.add((key, image_id, row))
+        return table[row]
+
+    def parse(rec, where):
+        image_id = str(require(rec, "image_id", where))
+        if image_id not in images:
+            raise DataFormatError(f"{where}: unknown image id {image_id!r}")
+        width, height = images[image_id]["width"], images[image_id]["height"]
+        score = require(rec, "score", where)
+        if type(score) is not float:
+            (score,) = _json_numbers([score], "score")
+        if not 0.0 <= score <= 1.0:
+            raise DataFormatError(f"{where}: score {score} outside [0, 1]")
+        if score < SCORE_FLOOR:
+            return None
+        box = box_of(require(rec, "box", where))
+        if "mask_row" in rec:
+            mask = blob_row(rec, where, image_id, "mask_row", mask_runs, ".runs")
+        else:
+            mask = _mask_from_json(require(rec, "mask", where))
+            if (mask.width, mask.height) != (width, height):
+                raise DataFormatError(f"{where}: mask dims do not match image dims")
+        if mask.area == 0:
+            mask, ok = box_to_full_mask(box, width, height)
+            if not ok:
+                raise DataFormatError(f"{where}: empty mask and box covers no pixel, "
+                                      "record unusable")
+        feature = rec.get("feature")
+        if "feature_row" in rec:
+            feature = blob_row(rec, where, image_id, "feature_row", features, ".pfeat")
+        elif feature is not None:
+            feature = np.asarray(_json_numbers(feature, "feature value"), dtype=np.float64)
+            _check_features(feature[None], lambda _: f"{where}: ")
+            feature_dims.add(feature.size)
+        elif image_id not in feature_maps:
+            raise DataFormatError(f"{where}: no feature, and its image has no feature map")
+        return image_id, ProposalRecord(box=box, mask=mask, upn_score=score, feature=feature)
+
+    proposals = {}
+    file = base / doc["proposals"]
+    for lineno, line in enumerate(file.read_text(encoding="utf-8").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{file}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{where}: invalid JSON ({exc})") from exc
+        with _invalid_as_format_error(where, "proposal record"):
+            parsed = parse(rec, where)
+        if parsed is not None:
+            proposals.setdefault(parsed[0], []).append(parsed[1])
+    if len(feature_dims) > 1:
+        raise DataFormatError(
+            f"inconsistent feature dimensions across inputs: {sorted(feature_dims)}")
+    for image_id, recs in proposals.items():
+        best = sorted(range(len(recs)), key=lambda i: (-recs[i].upn_score, i))
+        proposals[image_id] = [recs[i] for i in sorted(best[:MAX_PROPOSALS_PER_IMAGE])]
+    return proposals
+

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_CFG
+from oracles import proposals_by_record
 from protodet.errors import DataFormatError
 from protodet import generator
 from protodet.cli import main
@@ -610,6 +614,21 @@ class TestMaskRunBlob:
     def test_bad_mask_row_rejected(self, tmp_path, rows, pattern):
         _assert_data_error(_runs_manifest(tmp_path, rows=rows), tmp_path, pattern)
 
+    @pytest.mark.parametrize("edits, pattern", [
+        ({1: {"mask_row": 0}, 2: {"mask_row": 0}}, r":2: mask_row 0 used twice in its image"),
+        ({0: {"mask_row": 3}, 2: {"mask_row": 4}}, r":1: mask_row 3 outside \[0, 3\)"),
+        ({0: {"mask_row": 1}, 2: {"mask_row": 5}}, r":3: mask_row 5 outside \[0, 3\)"),
+        ({0: {"mask_row": 5}, 2: {"box": [4.0, 0.0, 2.0, 4.0]}}, r":3: .*degenerate box"),
+        ({0: {"box": [4.0, 0.0, 2.0, 4.0]}, 2: {"score": "high"}}, r":3: .*score must be"),
+    ], ids=["twice", "outside", "outside-before-twice", "box-before-rows", "read-before-box"])
+    def test_several_faulty_records_name_the_first_of_the_first_check(self, tmp_path, edits,
+                                                                      pattern):
+        # the checks run in a fixed order, each over every record at once
+        path = _runs_manifest(tmp_path, masks=((0, 64), (48, 16), (60, 4)))
+        rows = [{**_mask_row(k), **edits.get(k, {})} for k in range(3)]
+        (tmp_path / "proposals.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        _assert_data_error(path, tmp_path, rf"proposals\.jsonl{pattern}")
+
     def test_mask_row_beside_inline_mask_rejected(self, tmp_path):
         path = _runs_manifest(tmp_path)
         rows = [_mask_row(0), {**_mask_row(1), "mask": {"w": 8, "h": 8, "counts": [0, 64]}}]
@@ -934,6 +953,143 @@ class TestMutationFuzz:
             finally:
                 path.write_text("".join(own))
         assert codes == {0, 3}
+
+
+_DELETE = object()  # drops the field
+_BAD_ROWS = (0, 1, 2, -1, 99, 10**30, 1.0, True, "0", None, _DELETE)
+_EMPTY_MASK = {"w": 32, "h": 32, "counts": [1024]}
+# each entry is one record's fault: the (field, value) pairs set on it
+_RECORD_EDITS = [
+    *(((("image_id", v),) for v in ("nope", "img_0001", "support_c0_s0", 7, None, _DELETE))),
+    *(((("score", v),) for v in ("high", True, None, -0.1, 1.5, math.nan, 0.005, 0, 1, _DELETE))),
+    *(((("box", v),) for v in (
+        [5, 5, 5, 9], [4.0, 0.0, 2.0, 4.0], [-1, 0, 4, 4], [0, 0, math.inf, 4],
+        [math.nan, 0, 4, 4], [0, 0, 4], [0, 0, 4, 4, 4], "abcd", None, {}, [0, 0, "4", 4],
+        [True, 0, 4, 4], [0, 0, 10**400, 4], [2**70, 0, 2**71, 4], [40, 40, 50, 50], _DELETE))),
+    (("score", 0.005), ("box", "garbage")),  # below the floor, so never read
+    *(((("mask_row", v),) for v in _BAD_ROWS)),
+    *(((("feature_row", v),) for v in _BAD_ROWS)),
+    # in inline form, a row of a blob that the image lacks
+    (("mask", _DELETE), ("mask_row", 0)),
+    (("feature", _DELETE), ("feature_row", 0)),
+    *(((("mask", v),) for v in (
+        _EMPTY_MASK, {"w": 32, "h": 32, "counts": [3, 3]}, {"w": 8, "h": 8, "counts": [0, 64]},
+        {"w": 32, "h": 32, "counts": [-5, 1029]}, {"w": 32, "h": 32, "counts": [0.5, 1023.5]},
+        {"h": 32, "counts": [1024]}, "x", None, _DELETE))),
+    (("mask", _EMPTY_MASK), ("box", [40, 40, 50, 50])),  # and the box covers no pixel either
+    *(((("feature", v),) for v in (
+        [0.0] * 6, [1.0] * 5, [math.nan] + [1.0] * 5, ["x"] * 6, [], [1e300] * 6, None, _DELETE))),
+]
+
+
+@pytest.fixture(scope="module")
+def record_forms(tmp_path_factory):
+    """A tiny generated corpus in blob form (``mask_row``, ``feature_row``) and
+    in inline form (``mask``, ``feature``): form -> (manifest, its records)."""
+    cfg = GeneratorConfig(seed=3, images=2, classes=2, objects_per_image=(1, 2),
+                          fragments_per_object=(1, 2), distractors_per_image=(1, 1),
+                          feature_dim=6, image_size=32, grid_size=4)
+    forms = {}
+    for form in ("blob", "inline"):
+        manifest = generate_dataset(cfg, tmp_path_factory.mktemp(form) / "ds")
+        props = manifest.parent / "proposals.jsonl"
+        records = [json.loads(line) for line in props.read_text().splitlines()]
+        if form == "inline":
+            loaded = load_dataset(manifest)
+            recs = [r for image_id in loaded.query_image_ids() for r in loaded.proposals[image_id]]
+            for rec, loaded_rec in zip(records, recs, strict=True):
+                del rec["mask_row"], rec["feature_row"]
+                mask = loaded_rec.mask
+                rec["mask"] = {"w": mask.width, "h": mask.height, "counts": mask.runs.tolist()}
+                rec["feature"] = loaded_rec.feature.tolist()
+            doc = json.loads(manifest.read_text())
+            del doc["mask_runs"], doc["proposal_features"]
+            manifest.write_text(json.dumps(doc))
+        forms[form] = manifest, records
+    return forms
+
+
+def _load_both(manifest, records, edits):
+    """Write ``records`` with ``edits`` ({index: record edit}) applied, then load
+    them with ``load_dataset`` and with the per-record oracle: for each, the
+    proposals as plain values, or the DataFormatError's text."""
+    lines = []
+    for k, rec in enumerate(records):
+        rec = dict(rec)
+        for field, value in edits.get(k, ()):
+            if value is _DELETE:
+                rec.pop(field, None)
+            else:
+                rec[field] = value
+        lines.append(json.dumps(rec) + "\n")
+    (manifest.parent / "proposals.jsonl").write_text("".join(lines))
+    outcomes = []
+    for load in (lambda: load_dataset(manifest).proposals, lambda: proposals_by_record(manifest)):
+        try:
+            proposals = load()
+        except DataFormatError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append([(image_id, [(r.box.as_tuple(), r.mask.width, r.mask.height,
+                                      r.mask.runs.tolist(), r.mask.area, r.upn_score,
+                                      None if r.feature is None else r.feature.tobytes())
+                                     for r in recs])
+                         for image_id, recs in proposals.items()])
+    return outcomes
+
+
+class TestColumnChecksAgainstPerRecordParse:
+    """``load_dataset`` checks proposal records a column at a time; the oracle
+    parses and checks them one record at a time, as the loader once did."""
+
+    @pytest.mark.parametrize("form", ["blob", "inline"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_faulty_record_loads_or_is_refused_alike(self, record_forms, form, data):
+        manifest, records = record_forms[form]
+        k = data.draw(st.integers(0, len(records) - 1))
+        edit = data.draw(st.sampled_from(_RECORD_EDITS))
+        columns, by_record = _load_both(manifest, records, {k: edit})
+        assert columns == by_record
+
+    @pytest.mark.parametrize("form", ["blob", "inline"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_two_faulty_records_are_refused_alike(self, record_forms, form, data):
+        # which record a refusal names depends on the order of the checks
+        manifest, records = record_forms[form]
+        i, j = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        edits = {i: data.draw(st.sampled_from(_RECORD_EDITS)),
+                 j: data.draw(st.sampled_from(_RECORD_EDITS))}
+        columns, by_record = _load_both(manifest, records, edits)
+        if isinstance(by_record, str):
+            assert isinstance(columns, str)
+        else:
+            assert columns == by_record
+
+    def test_the_edits_reach_every_check(self, record_forms):
+        refusals = []
+        for manifest, records in record_forms.values():
+            for edit in _RECORD_EDITS:
+                columns, by_record = _load_both(manifest, records, {1: edit})
+                assert columns == by_record
+                refusals += [by_record] if isinstance(by_record, str) else []
+        for fragment in (
+            "missing required key", "unknown image id", "must be a JSON number",
+            "score -0.1 outside [0, 1]", "box coordinates must be finite",
+            "box coordinates must be >= 0", "degenerate box", "not enough values to unpack",
+            "int too large to convert to float", "both mask and mask_row",
+            "both feature and feature_row", "mask_row, but its image has no .runs blob",
+            "feature_row, but its image has no .pfeat blob", "mask_row 99 outside [0, ",
+            "feature_row 10" + "0" * 29 + " outside", "mask_row 0 used twice in its image",
+            "feature_row 0 used twice in its image", "must be a JSON integer",
+            "empty mask and box covers no pixel", "RLE runs sum to", "negative run length",
+            "mask dims do not match image dims", "all-zero feature vector",
+            "feature vector of L2 norm inf", "no feature, and its image has no feature map",
+            "inconsistent feature dimensions",
+        ):
+            assert any(fragment in text for text in refusals), fragment
 
 
 class TestWriteDataset:

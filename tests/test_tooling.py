@@ -173,6 +173,29 @@ def test_kernels_take_runs_as_arrays():
     assert not names & {"fromiter", "chain", "itertools"} and "itertools" not in modules
 
 
+def test_no_set_routine_reaches_numpy_ma():
+    # np.unique, and the set routines built on it, import numpy.ma on their
+    # first call in a process: 13.6 ms, once per command, which a run pays in
+    # its first load or graph build.
+    calls = _calls("unique", "intersect1d", "setdiff1d", "union1d", "setxor1d")
+    assert calls == {name: set() for name in calls}
+
+
+def test_loading_checks_proposal_boxes_as_one_array(monkeypatch, acceptance_manifest):
+    # Proposal boxes are checked in one numpy pass per file and built without
+    # a second check; only supports and ground truth build one box at a time.
+    from protodet.geometry import BoundingBox
+    from protodet.interchange import load_dataset
+
+    checked = []
+    post_init = BoundingBox.__post_init__
+    monkeypatch.setattr(BoundingBox, "__post_init__",
+                        lambda box: checked.append(box) or post_init(box))
+    dataset = load_dataset(acceptance_manifest)
+    proposals = sum(map(len, dataset.proposals.values()))
+    assert proposals > len(checked) == len(dataset.supports) + len(dataset.ground_truth)
+
+
 @pytest.mark.parametrize("node_id", [
     "tests/test_pipeline.py::TestQueryStage::test_matched_proposals_keep_no_feature_vectors",
     "tests/test_pipeline.py::TestRefineStage::test_class_graphs_retain_one_n_by_n_array",
