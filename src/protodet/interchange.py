@@ -29,7 +29,9 @@ import contextlib
 import json
 import logging
 import math
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -232,17 +234,9 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
 # JSON helpers
 # --------------------------------------------------------------------------
 
-def _mask_to_json(mask: BinaryMask) -> dict:
-    return {"w": mask.width, "h": mask.height, "counts": mask.runs.tolist()}
-
-
 def _mask_from_json(doc: dict) -> BinaryMask:
     return BinaryMask(width=_json_int(doc["w"], "mask w"), height=_json_int(doc["h"], "mask h"),
                       runs=doc["counts"])
-
-
-def _box_to_json(box: BoundingBox) -> list[float]:
-    return [box.x1, box.y1, box.x2, box.y2]
 
 
 _NUMBER_TYPES = {int, float}
@@ -540,21 +534,21 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                                       f"{info.width}x{info.height} pixels, more than 2**53")
             by_id[info.image_id] = info
 
-        def blobs(key: str):
-            """(image, blob path) for each entry of the manifest's ``key`` table."""
+        def blobs(key: str, read: Callable[[Path, ImageInfo], object]) -> dict:
+            """``read(blob, image)`` by image id for each entry of the ``key`` table."""
+            tables = {}
             for image_id, rel in doc.get(key, {}).items():
                 if image_id not in by_id:
                     raise DataFormatError(f"{key} entry for unknown image {image_id!r}")
-                blob = base / rel
-                if not blob.is_file():
-                    raise DataFormatError(f"missing {key} file {blob}")
-                yield by_id[image_id], blob
+                try:  # the read, not a stat before it, finds a missing file
+                    tables[image_id] = read(base / rel, by_id[image_id])
+                except OSError as exc:
+                    raise DataFormatError(f"missing {key} file {base / rel}") from exc
+            return tables
 
-        feature_maps = {info.image_id: read_feature_map(blob)
-                        for info, blob in blobs("feature_maps")}
-        proposal_features = {info.image_id: _read_proposal_features(blob)
-                             for info, blob in blobs("proposal_features")}
-        mask_runs = {info.image_id: _read_mask_runs(blob, info) for info, blob in blobs("mask_runs")}
+        feature_maps = blobs("feature_maps", lambda b, _: read_feature_map(b))
+        proposal_features = blobs("proposal_features", lambda b, _: _read_proposal_features(b))
+        mask_runs = blobs("mask_runs", _read_mask_runs)
         supports_file, proposals_file, gt_file = (
             base / _require(doc, key) for key in ("supports", "proposals", "ground_truth")
         )
@@ -608,100 +602,59 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     )
 
 
-def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
-    """Write ``dataset`` in the interchange format; returns the manifest path.
-
-    The inverse of ``load_dataset``.  Feature maps go to
-    ``features/<image id>.fmap``, and each query image's proposal masks to
-    ``features/<image id>.runs`` and its precomputed proposal features to
-    ``features/<image id>.pfeat``, both in proposal order; proposals are
-    written in image order.  What ``load_dataset`` would refuse raises
-    ``ValueError`` before any file is written: proposals, a feature map, a
-    support or a ground-truth box of an image that ``dataset.images`` lacks or
-    of a class outside ``[0, num_classes)``, a support or proposal mask of
-    another size than its image, a support image without a feature map, and a
-    proposal without a feature in an image without one.
-    """
-    features: dict[str, list[np.ndarray]] = {}  # each image's precomputed proposal features
-    for im in dataset.images:
-        if _splits_a_tsv_row(im.image_id):
-            raise ValueError(f"image id {im.image_id!r} holds a tab or a line break")
-        if im.image_id in features:
-            raise ValueError(f"duplicate image id {im.image_id!r}")
-        features[im.image_id] = [p.feature for p in dataset.proposals.get(im.image_id, ())
-                                 if p.feature is not None]
-    unlisted = [i for i in (*dataset.proposals, *dataset.feature_maps) if i not in features]
-    if unlisted:
-        raise ValueError(f"image {unlisted[0]!r} has proposals or a feature map, but "
-                         "dataset.images does not list it")
-    for r in (*dataset.supports, *dataset.ground_truth):
-        if r.image_id not in features:
-            raise ValueError(f"a support or ground-truth box is in image {r.image_id!r}, "
-                             "which dataset.images does not list")
-        if not 0 <= r.class_id < dataset.num_classes:
-            raise ValueError(f"a support or ground-truth box of class {r.class_id}, outside "
-                             f"[0, {dataset.num_classes})")
-    sizes = {im.image_id: (im.width, im.height) for im in dataset.images}
-    masks = [*((s.image_id, s.mask) for s in dataset.supports),
-             *((i, p.mask) for i, props in dataset.proposals.items() for p in props)]
-    for image_id, m in masks:
-        w, h = sizes[image_id]
-        if (m.width, m.height) != (w, h):
-            raise ValueError(f"a {m.width}x{m.height} mask in image {image_id!r} of {w}x{h}")
-    unmapped = [s.image_id for s in dataset.supports if s.image_id not in dataset.feature_maps]
-    if unmapped:
-        raise ValueError(f"support image {unmapped[0]!r} has no feature map")
-    featureless = [i for i, props in dataset.proposals.items()
-                   if i not in dataset.feature_maps and any(p.feature is None for p in props)]
-    if featureless:
-        raise ValueError(f"a proposal of image {featureless[0]!r} has no feature, and its "
-                         "image no feature map")
-    features = {image_id: vectors for image_id, vectors in features.items() if vectors}
-    queries = [im.image_id for im in dataset.images if dataset.proposals.get(im.image_id)]
-    for image_id in (*dataset.feature_maps, *features, *queries):
+def _write_files(dataset: Dataset, root: Path) -> None:
+    """Write ``dataset``'s files under ``root``, as ``write_dataset`` says."""
+    queries = [im for im in dataset.images if dataset.proposals.get(im.image_id)]
+    for image_id in (*dataset.feature_maps, *(im.image_id for im in queries)):  # blob names
         name = f"{image_id}.fmap"
         if Path(name).name != name:
             raise ValueError(f"image id {image_id!r} of a blob is not a plain file name")
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
+    for im in queries:  # a .runs blob holds no dims for the loader to check
+        for m in (p.mask for p in dataset.proposals[im.image_id]):
+            if (m.width, m.height) != (im.width, im.height):
+                raise ValueError(f"a {m.width}x{m.height} mask in image {im.image_id!r} of "
+                                 f"{im.width}x{im.height}")
+    (root / "features").mkdir(parents=True)
     fmap_paths: dict[str, str] = {}
     for image_id, fm in dataset.feature_maps.items():
         fmap_paths[image_id] = f"features/{image_id}.fmap"
-        write_feature_map(out / fmap_paths[image_id], fm)
+        write_feature_map(root / fmap_paths[image_id], fm)
     pfeat_paths: dict[str, str] = {}
-    for image_id, vectors in features.items():
-        pfeat_paths[image_id] = f"features/{image_id}.pfeat"
-        matrix = np.array(vectors, dtype="<f8")
-        header = _PFEAT_HEADER.pack(PFEAT_MAGIC, FORMAT_VERSION, *matrix.shape)
-        (out / pfeat_paths[image_id]).write_bytes(header + matrix.tobytes())
     runs_paths: dict[str, str] = {}
-    for image_id in queries:
-        runs_paths[image_id] = f"features/{image_id}.runs"
-        tables = [p.mask.runs for p in dataset.proposals[image_id]]
+    for im in queries:
+        props = dataset.proposals[im.image_id]
+        vectors = [p.feature for p in props if p.feature is not None]
+        if vectors:
+            pfeat_paths[im.image_id] = f"features/{im.image_id}.pfeat"
+            matrix = np.array(vectors, dtype="<f8")
+            header = _PFEAT_HEADER.pack(PFEAT_MAGIC, FORMAT_VERSION, *matrix.shape)
+            (root / pfeat_paths[im.image_id]).write_bytes(header + matrix.tobytes())
+        runs_paths[im.image_id] = f"features/{im.image_id}.runs"
+        tables = [p.mask.runs for p in props]
         counts = np.array([t.size for t in tables], dtype="<i8")
         runs = np.concatenate(tables).astype("<i8", copy=False)
         header = _RUNS_HEADER.pack(RUNS_MAGIC, FORMAT_VERSION, counts.size, runs.size)
-        (out / runs_paths[image_id]).write_bytes(header + counts.tobytes() + runs.tobytes())
+        (root / runs_paths[im.image_id]).write_bytes(header + counts.tobytes() + runs.tobytes())
 
     def proposal_lines():
-        for im in dataset.images:
+        for im in queries:
             row = 0
-            for k, p in enumerate(dataset.proposals.get(im.image_id, ())):
-                rec = {"image_id": im.image_id, "box": _box_to_json(p.box),
+            for k, p in enumerate(dataset.proposals[im.image_id]):
+                rec = {"image_id": im.image_id, "box": p.box.as_tuple(),
                        "score": p.upn_score, "mask_row": k}
                 if p.feature is not None:
                     rec["feature_row"] = row
                     row += 1
                 yield rec
 
-    _write_jsonl(out / "supports.jsonl", (
-        {"image_id": s.image_id, "class_id": s.class_id, "box": _box_to_json(s.box),
-         "mask": _mask_to_json(s.mask)}
+    _write_jsonl(root / "supports.jsonl", (
+        {"image_id": s.image_id, "class_id": s.class_id, "box": s.box.as_tuple(),
+         "mask": {"w": s.mask.width, "h": s.mask.height, "counts": s.mask.runs.tolist()}}
         for s in dataset.supports
     ))
-    _write_jsonl(out / "proposals.jsonl", proposal_lines())
-    _write_jsonl(out / "ground_truth.jsonl", (
-        {"image_id": g.image_id, "class_id": g.class_id, "box": _box_to_json(g.box)}
+    _write_jsonl(root / "proposals.jsonl", proposal_lines())
+    _write_jsonl(root / "ground_truth.jsonl", (
+        {"image_id": g.image_id, "class_id": g.class_id, "box": g.box.as_tuple()}
         for g in dataset.ground_truth
     ))
     manifest = {
@@ -719,9 +672,44 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
         manifest["proposal_features"] = pfeat_paths
     if runs_paths:
         manifest["mask_runs"] = runs_paths
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return manifest_path
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+
+def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
+    """Write ``dataset`` in the interchange format; returns the manifest path.
+
+    The inverse of ``load_dataset``, which judges what is published: the
+    files are staged beside ``out_dir`` and loaded back, and reach ``out_dir``
+    only if they load with every proposal of ``dataset.proposals``.
+    Otherwise ``ValueError`` gives the loader's reason, naming the file and
+    line in ``out_dir`` of the record at fault, and ``out_dir`` is left as it
+    was.  The writer checks only what its files would hide from the loader:
+    an image id of a blob must make a plain file name, or the blob lands
+    outside ``out_dir``, and a proposal mask must have its image's dims,
+    which a ``.runs`` blob does not hold.
+    """
+    out = Path(out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+        stage = Path(tmp, "dataset")  # made as out_dir would be; copytree copies its mode
+        _write_files(dataset, stage)
+        try:
+            loaded = load_dataset(stage / "manifest.json")
+        except DataFormatError as exc:
+            raise ValueError(str(exc).replace(str(stage), str(out))) from None
+        written, back = ([(im.image_id, p.upn_score) for im in dataset.images  # file order
+                          for p in proposals.get(im.image_id, ())]
+                         for proposals in (dataset.proposals, loaded.proposals))
+        if back != written:  # back keeps file order: the first record that differs was dropped
+            j = next(j for j, rec in enumerate(written) if j == len(back) or rec != back[j])
+            raise ValueError(f"{out / 'proposals.jsonl'}:{j + 1}: a proposal of image "
+                             f"{written[j][0]!r} does not load back (a score below "
+                             f"{SCORE_FLOOR}, or not among its {MAX_PROPOSALS_PER_IMAGE} best)")
+        lost = [i for i, props in dataset.proposals.items() if props and i not in loaded.proposals]
+        if lost:  # proposals that no line holds
+            raise ValueError(f"image {lost[0]!r} has proposals but is not in dataset.images")
+        shutil.copytree(stage, out, dirs_exist_ok=True)
+    return out / "manifest.json"
 
 
 # --------------------------------------------------------------------------

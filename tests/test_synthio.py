@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import json
 import math
+import re
+import shutil
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -18,12 +21,14 @@ from protodet.errors import DataFormatError
 from protodet import generator
 from protodet.cli import main
 from protodet.evaluation import GroundTruthBox, evaluate
-from protodet.features import ClassPrototype, FeatureMap
+from protodet.features import ClassPrototype, FeatureMap, SupportAnnotation
 from protodet.generator import GeneratorConfig, generate_dataset, planted_prototypes
 from protodet.geometry import BinaryMask, BoundingBox, mask_coverage
 from protodet.interchange import (
     Dataset,
     ImageInfo,
+    ProposalRecord,
+    SCORE_FLOOR,
     export_run,
     load_dataset,
     load_detections,
@@ -1092,6 +1097,20 @@ class TestColumnChecksAgainstPerRecordParse:
             assert any(fragment in text for text in refusals), fragment
 
 
+def _files(root):
+    """Each file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def _first_line(dataset, image_id):
+    """The line of ``image_id``'s first record in a written ``proposals.jsonl``,
+    which holds the listed images' proposals in image order."""
+    ids = [im.image_id for im in dataset.images]
+    before = ids[:ids.index(image_id)]
+    return 1 + sum(len(dataset.proposals.get(i, ())) for i in before)
+
+
 class TestWriteDataset:
     @pytest.mark.parametrize("query_maps", [False, True], ids=["acceptance", "query-maps"])
     def test_rewrite_of_loaded_corpus_is_byte_identical(self, acceptance_manifest, tmp_path,
@@ -1113,14 +1132,18 @@ class TestWriteDataset:
         assert len(expected) > 4  # blobs as well as the manifest and three record files
         assert files(out) == expected
 
-    @pytest.mark.parametrize("table", ["proposals", "feature_maps"])
-    def test_entry_of_an_unlisted_image_rejected(self, acceptance_dataset, tmp_path, table):
+    @pytest.mark.parametrize("table, message", [
+        ("proposals", r"image 'ghost' has proposals but is not in dataset\.images"),
+        ("feature_maps", r"manifest\.json: feature_maps entry for unknown image 'ghost'"),
+    ], ids=["proposals", "feature_maps"])
+    def test_entry_of_an_unlisted_image_rejected(self, acceptance_dataset, tmp_path, table,
+                                                 message):
         # load_dataset reads proposals and feature maps only of the images it lists
         entries = getattr(acceptance_dataset, table)
         ghost = {**entries, "ghost": next(iter(entries.values()))}
         ds = replace(acceptance_dataset, **{table: ghost})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="image 'ghost' has proposals or a feature map"):
+        with pytest.raises(ValueError, match=message):
             write_dataset(ds, out)
         assert not out.exists()
 
@@ -1131,7 +1154,7 @@ class TestWriteDataset:
         ds = replace(acceptance_dataset,
                      **{table: [replace(records[0], image_id="ghost"), *records[1:]]})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="in image 'ghost', which dataset.images does not"):
+        with pytest.raises(ValueError, match=rf"{table}\.jsonl:1: unknown image id 'ghost'"):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
@@ -1147,7 +1170,9 @@ class TestWriteDataset:
         ds = replace(acceptance_dataset,
                      **{table: [*records[:-1], replace(records[-1], class_id=class_id)]})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=rf"of class {class_id}, outside \[0, "):
+        line = len(records)
+        with pytest.raises(ValueError, match=rf"{table}\.jsonl:{line}: class_id {class_id} "
+                                             rf"outside \[0, {ACCEPTANCE_CFG.classes}\)"):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
@@ -1160,13 +1185,14 @@ class TestWriteDataset:
         small = BinaryMask(4, 4, (0, 16))
         if table == "supports":
             ds = replace(ds, supports=[replace(ds.supports[0], mask=small), *ds.supports[1:]])
-            image_id = ds.supports[0].image_id
+            message = r"supports\.jsonl:1: mask dims do not match image dims"
         else:
             image_id, props = next(iter(ds.proposals.items()))
             ds = replace(ds, proposals={**ds.proposals,
                                         image_id: [replace(props[0], mask=small), *props[1:]]})
+            message = f"a 4x4 mask in image '{image_id}' of "
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"a 4x4 mask in image '{image_id}' of "):
+        with pytest.raises(ValueError, match=message):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
@@ -1177,7 +1203,8 @@ class TestWriteDataset:
         maps = {i: fm for i, fm in acceptance_dataset.feature_maps.items() if i != image_id}
         ds = replace(acceptance_dataset, feature_maps=maps)
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"support image '{image_id}' has no feature map"):
+        message = rf"supports\.jsonl:1: support image '{image_id}' has no feature map"
+        with pytest.raises(ValueError, match=message):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
@@ -1191,10 +1218,85 @@ class TestWriteDataset:
         ds = replace(ds, proposals={**ds.proposals,
                                     image_id: [*props[:-1], replace(props[-1], feature=None)]})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"a proposal of image '{image_id}' has no feature"):
+        line = _first_line(ds, image_id) + len(props) - 1
+        with pytest.raises(ValueError, match=rf"proposals\.jsonl:{line}: no feature, and its "
+                                             "image has no feature map"):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
+
+    def test_proposal_mask_of_its_images_pixel_count_but_other_dims_rejected(
+            self, acceptance_dataset, tmp_path):
+        # A .runs blob holds runs but no dims, so the loader would read these
+        # runs at the image's dims and load another mask: only the writer sees it.
+        ds = acceptance_dataset
+        image_id, props = next(iter(ds.proposals.items()))
+        info = next(im for im in ds.images if im.image_id == image_id)
+        w, h = 2 * info.width, info.height // 2
+        wide = BinaryMask(w, h, props[0].mask.runs)
+        ds = replace(ds, proposals={**ds.proposals,
+                                    image_id: [replace(props[0], mask=wide), *props[1:]]})
+        out = tmp_path / "out"
+        message = f"a {w}x{h} mask in image '{image_id}' of {info.width}x{info.height}"
+        with pytest.raises(ValueError, match=message):
+            write_dataset(ds, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hole", ["score-above-one", "nan-score", "all-zero-feature",
+                                      "score-below-floor", "over-the-cap"])
+    def test_proposal_the_loader_would_refuse_or_drop_rejected(self, acceptance_dataset,
+                                                               tmp_path, hole):
+        # The first three were once written as files the loader refuses, and
+        # the last two as files that load with fewer proposals.
+        ds = acceptance_dataset
+        image_id, props = list(ds.proposals.items())[1]
+        k = 2
+        edits = {"score-above-one": {"upn_score": 1.5}, "nan-score": {"upn_score": math.nan},
+                 "all-zero-feature": {"feature": np.zeros_like(props[k].feature)},
+                 "score-below-floor": {"upn_score": SCORE_FLOOR / 2}}
+        if hole == "over-the-cap":  # 501 proposals; the one of the lowest score is dropped
+            high, low = (replace(props[0], upn_score=s) for s in (0.5, 0.4))
+            props = [high] * k + [low] + [high] * (500 - k)
+        else:
+            props = [*props[:k], replace(props[k], **edits[hole]), *props[k + 1:]]
+        ds = replace(ds, proposals={**ds.proposals, image_id: props})
+        out = tmp_path / "out"
+        where = f"{out / 'proposals.jsonl'}:{_first_line(ds, image_id) + k}: "
+        message = {
+            "score-above-one": where + "score 1.5 outside [0, 1]",
+            "nan-score": where + "score nan outside [0, 1]",
+            "all-zero-feature": f"{out / 'features' / image_id}.pfeat: row {k}: all-zero feature",
+            "score-below-floor": where + f"a proposal of image '{image_id}' does not load back",
+            "over-the-cap": where + f"a proposal of image '{image_id}' does not load back",
+        }[hole]
+        with pytest.raises(ValueError, match=re.escape(message)) as refusal:
+            write_dataset(ds, out)
+        assert str(refusal.value).startswith(str(out))  # never the staging directory's name
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # nor any staging directory
+
+    def test_writing_into_an_existing_directory(self, acceptance_manifest, acceptance_dataset,
+                                                tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(acceptance_manifest.parent, out)  # with generator_config.json
+        before = _files(out)
+        gts = acceptance_dataset.ground_truth
+        bad = replace(acceptance_dataset, ground_truth=[*gts[:-1], replace(gts[-1], class_id=9)])
+        with pytest.raises(ValueError, match=r"ground_truth\.jsonl:\d+: class_id 9 outside"):
+            write_dataset(bad, out)
+        assert _files(out) == before
+        assert list(tmp_path.iterdir()) == [out]
+
+        image_id, props = next(iter(acceptance_dataset.proposals.items()))
+        other = replace(acceptance_dataset, ground_truth=gts[:-1], proposals={
+            **acceptance_dataset.proposals, image_id: [replace(props[0], upn_score=0.5)]})
+        assert write_dataset(other, out) == out / "manifest.json"
+        expected = _files(write_dataset(other, tmp_path / "fresh").parent)
+        after = _files(out)
+        assert {name: after[name] for name in expected} == expected
+        assert set(after) == set(before) and after != before
+        assert after["generator_config.json"] == before["generator_config.json"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "fresh", out]
 
     @pytest.mark.parametrize("image_id", ["../x", "a/b"])
     def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
@@ -1212,7 +1314,7 @@ class TestWriteDataset:
         ds = Dataset(num_classes=1, shots=1, images=[ImageInfo("a", 8, 8), ImageInfo("a", 8, 8)],
                      supports=[], proposals={}, ground_truth=[], feature_maps={})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="duplicate image id 'a'"):
+        with pytest.raises(ValueError, match=r"manifest\.json: duplicate image id 'a'"):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()
@@ -1223,10 +1325,76 @@ class TestWriteDataset:
         ds = Dataset(num_classes=1, shots=1, images=[ImageInfo(f"a{char}b", 8, 8)], supports=[],
                      proposals={}, ground_truth=[], feature_maps={})
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="tab or a line break"):
+        message = re.escape(f"manifest.json: image id {f'a{char}b'!r} holds a tab or a line break")
+        with pytest.raises(ValueError, match=message):
             write_dataset(ds, out)
         assert not (out / "manifest.json").exists()
         assert not out.exists()  # raised before any file or directory was made
+
+
+class TestWriterAcceptsWhatLoadsBack:
+    """``write_dataset`` succeeds exactly when its files load back with every
+    record, over datasets drawn at each of the loader's boundaries."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fault=st.sampled_from([None, "proposals", "supports", "ground_truth", "feature_maps",
+                                  "support class", "class -1", "class +1", "score", "count",
+                                  "support map", "feature"]),
+           at_floor=st.booleans(), full=st.booleans(), last_class=st.booleans(),
+           features=st.booleans(), query_map=st.booleans())
+    def test_write_succeeds_exactly_when_every_record_loads_back(
+            self, tmp_path_factory, fault, at_floor, full, last_class, features, query_map):
+        # Each draw sits on the loaded side of every boundary (a score at the
+        # floor or above it, 500 proposals or one, the first or last class,
+        # features with or without a map) except for at most one ``fault``
+        # just past one boundary, or an image that the images table lacks.
+        score = {True: SCORE_FLOOR, False: 1.0}[at_floor]
+        if fault == "score":
+            score = math.nextafter(SCORE_FLOOR, 0)
+        count = 501 if fault == "count" else 500 if full else 1
+        num_classes = 2
+        support_class = num_classes if fault == "support class" else num_classes - 1
+        gt_class = {"class -1": -1, "class +1": num_classes}.get(
+            fault, num_classes - 1 if last_class else 0)
+        if fault == "feature":
+            features = query_map = False
+        elif not (features or query_map):
+            query_map = True
+        box, mask = BoundingBox(0.0, 0.0, 8.0, 2.0), BinaryMask(8, 8, (0, 16, 48))
+        fm = FeatureMap(data=np.full((2, 2, 2), 0.5))
+        feature = np.array([1.0, 0.0]) if features else None
+        # the record at the drawn score first, the others above it, so that
+        # the cap drops it
+        props = [ProposalRecord(box, mask, score, feature)]
+        props += [ProposalRecord(box, mask, 0.5 + k / 2000, feature) for k in range(count - 1)]
+        maps = {"s0": fm, "q0": fm} if query_map else {"s0": fm}
+        if fault == "support map":
+            del maps["s0"]
+        ds = Dataset(
+            num_classes=num_classes, shots=1,
+            images=[ImageInfo("s0", 8, 8), ImageInfo("q0", 8, 8)],
+            supports=[SupportAnnotation("s0", box, support_class, mask)],
+            proposals={"q0": props}, ground_truth=[GroundTruthBox("q0", box, gt_class)],
+            feature_maps=maps)
+        if fault in ("proposals", "feature_maps"):  # an entry of an unlisted image
+            getattr(ds, fault)["ghost"] = next(iter(getattr(ds, fault).values()))
+        elif fault in ("supports", "ground_truth"):  # a record of an unlisted image
+            getattr(ds, fault).append(replace(getattr(ds, fault)[0], image_id="ghost"))
+        loads_whole = fault is None
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            out = Path(tmp) / "out"
+            try:
+                manifest = write_dataset(ds, out)
+            except ValueError:
+                assert not loads_whole
+                assert not out.exists()
+                return
+            assert loads_whole
+            loaded = load_dataset(manifest)
+            assert [len(loaded.proposals["q0"]), len(loaded.supports),
+                    len(loaded.ground_truth)] == [count, 1, 1]
+            again = write_dataset(loaded, Path(tmp) / "again")
+            assert _files(again.parent) == _files(out)
 
 
 class TestExport:

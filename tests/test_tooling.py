@@ -129,6 +129,16 @@ def _calls(*names, where=lambda call: True):
     return calls
 
 
+def test_the_writer_leaves_the_loaders_rules_to_the_loader():
+    # write_dataset publishes only what load_dataset reads back, so none of the
+    # loader's rules needs a copy in the writer; the TSV-row rule, once
+    # mirrored there, is called only where ids are read or detections written.
+    calls = _calls("load_dataset", "_splits_a_tsv_row")
+    assert ("interchange", "write_dataset") in calls["load_dataset"]
+    assert calls["_splits_a_tsv_row"] == {("interchange", "load_dataset"),
+                                          ("interchange", "export_run")}
+
+
 def test_no_stage_decodes_or_encodes_a_raster():
     # Masks stay run-length from load to report.  Only the scalar coverage
     # oracle decodes a mask, and only the generator, which draws its shapes as
