@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import BoundingBox, box_iou_pairs
 # unused here, but benchmark tracing counts calls through this module's binding
 from .geometry import box_iou  # noqa: F401
-from .postproc import ScoredDetection, topk_by_score
+from .postproc import ScoredDetection, rank, topk_by_score
 
 __all__ = [
     "IOU_THRESHOLDS",
@@ -175,8 +175,8 @@ def evaluate(
             flat.append((image_id, det))
 
     # one match over every class: classes share no ground truth, and filtering
-    # a stable sort keeps each class's own (score, position) order
-    ranked = sorted(flat, key=lambda pair: -pair[1].score)
+    # a stable ranking keeps each class's own (score, position) order
+    ranked = [flat[i] for i in rank([det.score for _, det in flat])]
     flags = _match(ranked, gts, IOU_THRESHOLDS)
     det_classes = np.array([det.class_id for _, det in ranked])
     gt_counts = Counter(g.class_id for g in gts)

@@ -42,7 +42,7 @@ from .errors import DataFormatError
 from .evaluation import EvalReport, GroundTruthBox
 from .features import ClassPrototype, FeatureMap, SupportAnnotation
 from .geometry import BinaryMask, BoundingBox, box_to_full_mask
-from .postproc import ScoredDetection
+from .postproc import ScoredDetection, rank
 
 __all__ = [
     "FORMAT_VERSION",
@@ -486,10 +486,8 @@ def _load_proposals(manifest: Path, file: Path, images: list[ImageInfo],
     proposals = {images[i].image_id: by_image[i] for i in dict.fromkeys(imgs)}
     for image_id, recs in proposals.items():
         if len(recs) > MAX_PROPOSALS_PER_IMAGE:
-            order = sorted(
-                range(len(recs)), key=lambda i: (-recs[i].upn_score, i)
-            )[:MAX_PROPOSALS_PER_IMAGE]
-            proposals[image_id] = [recs[i] for i in sorted(order)]
+            best = sorted(rank([r.upn_score for r in recs])[:MAX_PROPOSALS_PER_IMAGE])
+            proposals[image_id] = [recs[i] for i in best]
             log.info("image %s: kept the %d best of %d proposals, dropped %d",
                      image_id, MAX_PROPOSALS_PER_IMAGE, len(recs),
                      len(recs) - MAX_PROPOSALS_PER_IMAGE)
@@ -680,7 +678,7 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
 
     The inverse of ``load_dataset``, which judges what is published: the
     files are staged beside ``out_dir`` and loaded back, and reach ``out_dir``
-    only if they load with every proposal of ``dataset.proposals``.
+    only if every proposal of ``dataset.proposals`` loads, with its mask area.
     Otherwise ``ValueError`` gives the loader's reason, naming the file and
     line in ``out_dir`` of the record at fault, and ``out_dir`` is left as it
     was.  The writer checks only what its files would hide from the loader:
@@ -697,14 +695,15 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
             loaded = load_dataset(stage / "manifest.json")
         except DataFormatError as exc:
             raise ValueError(str(exc).replace(str(stage), str(out))) from None
-        written, back = ([(im.image_id, p.upn_score) for im in dataset.images  # file order
-                          for p in proposals.get(im.image_id, ())]
+        written, back = ([(im.image_id, p.upn_score, p.mask.area) for im in dataset.images
+                          for p in proposals.get(im.image_id, ())]  # file order
                          for proposals in (dataset.proposals, loaded.proposals))
-        if back != written:  # back keeps file order: the first record that differs was dropped
+        if back != written:  # back keeps file order: the first record that differs is at fault
             j = next(j for j, rec in enumerate(written) if j == len(back) or rec != back[j])
+            why = ("an empty mask loads as its box's" if not written[j][2] else
+                   f"a score below {SCORE_FLOOR}, or not among its {MAX_PROPOSALS_PER_IMAGE} best")
             raise ValueError(f"{out / 'proposals.jsonl'}:{j + 1}: a proposal of image "
-                             f"{written[j][0]!r} does not load back (a score below "
-                             f"{SCORE_FLOOR}, or not among its {MAX_PROPOSALS_PER_IMAGE} best)")
+                             f"{written[j][0]!r} does not load back ({why})")
         lost = [i for i, props in dataset.proposals.items() if props and i not in loaded.proposals]
         if lost:  # proposals that no line holds
             raise ValueError(f"image {lost[0]!r} has proposals but is not in dataset.images")

@@ -1,7 +1,7 @@
 """Classical detection post-processing baselines: NMS, Soft-NMS, WBF, soft merging.
 
-All methods suppress per class and return detections sorted by descending
-score with ties broken by input position.  ``nms``, ``soft_nms`` and ``wbf``
+All methods suppress per class and return detections in ``rank`` order:
+descending score, ties by input position.  ``nms``, ``soft_nms`` and ``wbf``
 take a detection list; ``soft_merge`` takes the class graphs of the proposals
 alone, and a proposal's position is its node id.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "wbf",
     "soft_merge",
     "topk_by_score",
+    "rank",
 ]
 
 
@@ -40,17 +41,21 @@ class ScoredDetection:
             raise ValueError(f"detection score must be finite, got {self.score}")
 
 
+def rank(scores: Sequence[float]) -> list[int]:
+    """Positions of ``scores`` by descending score; a reversed sort stays
+    stable, so of equal scores the earlier position comes first."""
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+
+
 def _by_score(dets: list[ScoredDetection]) -> list[ScoredDetection]:
-    """Descending score; the sort is stable, so ties keep list position."""
-    return sorted(dets, key=lambda d: -d.score)
+    return [dets[i] for i in rank([d.score for d in dets])]
 
 
 def _class_table(dets: list[ScoredDetection]) -> Iterator[tuple[list[int], np.ndarray]]:
     """Per class, in ascending class id: the class's indices into ``dets`` in
-    ``_by_score`` order, and their boxes as an (n, 4) float64 array."""
-    negated = [-d.score for d in dets]
+    ``rank`` order, and their boxes as an (n, 4) float64 array."""
     by_class: dict[int, list[int]] = {}
-    for i in sorted(range(len(dets)), key=negated.__getitem__):
+    for i in rank([d.score for d in dets]):
         by_class.setdefault(dets[i].class_id, []).append(i)
     for _, idx in sorted(by_class.items()):
         yield idx, np.array([dets[i].box.as_tuple() for i in idx], dtype=np.float64)
@@ -88,6 +93,8 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
         raise ValueError(f"sigma must be > 0, got {sigma}")
     final: dict[int, float] = {}
     for idx, boxes in _class_table(dets):
+        # by input position (the "stable" kind: the default pages in numpy's SIMD sort)
+        boxes, idx = boxes[np.argsort(idx, kind="stable")], sorted(idx)
         # only overlapping pairs decay: at IoU 0 the factor is exp(-0.0) == 1.0
         iou = _iou_matrix(boxes)
         rows, cols = np.nonzero(iou)
@@ -95,10 +102,7 @@ def soft_nms(dets: list[ScoredDetection], sigma: float = 0.5) -> list[ScoredDete
         pairs = list(zip(cols.tolist(), iou[rows, cols].tolist()))
         current = [dets[i].score for i in idx]  # by position in idx; -inf once selected
         for _ in idx:
-            best = max(current)
-            top = current.index(best)
-            if current.count(best) > 1:
-                top = min((r for r, s in enumerate(current) if s == best), key=idx.__getitem__)
+            top = current.index(max(current))
             final[idx[top]] = current[top]
             current[top] = -math.inf
             for r, v in pairs[bounds[top]:bounds[top + 1]]:
@@ -151,7 +155,7 @@ def soft_merge(graphs: Mapping[int, ClassGraph]) -> list[ScoredDetection]:
     merged: dict[int, ScoredDetection] = {}
     for graph in graphs.values():
         members = graph.members
-        order = sorted(range(len(members)), key=lambda k: -members[k].similarity)
+        order = rank([p.similarity for p in members])
         cov = graph.coverage[np.ix_(order, order)]
         penalties = np.tril(cov, -1).max(axis=1, initial=0.0).tolist()
         for k, penalty in zip(order, penalties):

@@ -13,6 +13,7 @@ from protodet.geometry import BinaryMask, BoundingBox, box_iou, mask_coverage
 from protodet.postproc import (
     ScoredDetection,
     nms,
+    rank,
     soft_merge,
     soft_nms,
     topk_by_score,
@@ -340,6 +341,15 @@ class TestSoftMerge:
         got, want = soft_merge(graphs), soft_merge_of_detections(raw, graphs)
         assert got == want
         assert [type(d.score) for d in got] == [type(d.score) for d in want]
+
+
+class TestRank:
+    @given(st.lists(st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.9])
+                    | st.floats(-2.0, 2.0), max_size=30))
+    @example([0.0, -0.0, 0.0])  # equal values, so ties by position
+    @example([-0.0, 0.5, 0.0, -0.25, 0.5])
+    def test_descending_score_then_position(self, scores):
+        assert rank(scores) == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 class TestTopK:

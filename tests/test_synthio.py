@@ -310,6 +310,17 @@ class TestLoadValidation:
         assert [r.getMessage() for r in caplog.records] == [
             "image q0: kept the 500 best of 600 proposals, dropped 100"]
 
+    def test_cap_keeps_the_earlier_of_equal_scores(self, tmp_path):
+        # 450 distinct scores above 0.5 and, interleaved with them, 150 rows at
+        # 0.5, of which the cap keeps the first 50 in file order
+        rows = [_proposal_row(0.5 if k % 4 == 1 else 0.6 + k / 10_000, feature=(1.0, k))
+                for k in range(600)]
+        assert sum(r["score"] == 0.5 for r in rows) == 150
+        ds = load_dataset(_write_manifest(tmp_path, proposals=rows))
+        kept = [int(r.feature[1]) for r in ds.proposals["q0"]]
+        tied = [k for k in range(600) if k % 4 == 1]
+        assert kept == sorted(set(range(600)) - set(tied[50:]))
+
     def test_bad_rle_names_file_and_line(self, tmp_path):
         path = _write_manifest(
             tmp_path, proposals=[_proposal_row(0.5), _proposal_row(0.6, runs=[3, 3])]
@@ -1275,6 +1286,27 @@ class TestWriteDataset:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []  # nor any staging directory
 
+    def test_empty_proposal_mask_rejected(self, tmp_path):
+        # The loader would load this proposal with its box's 16-pixel mask in
+        # place of the empty one, so the dataset would not load back as written.
+        box, fm = BoundingBox(0.0, 0.0, 4.0, 4.0), FeatureMap(data=np.full((2, 2, 2), 0.5))
+        full, empty = BinaryMask(8, 8, (0, 64)), BinaryMask(8, 8, (64,))
+        props = [ProposalRecord(box, full, 0.5, np.array([1.0, 0.0])),
+                 ProposalRecord(box, empty, 0.5, np.array([1.0, 0.0]))]
+        ds = Dataset(num_classes=1, shots=1, images=[ImageInfo("q0", 8, 8)], supports=[],
+                     proposals={"q0": props}, ground_truth=[], feature_maps={"q0": fm})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("untouched")
+        before = _files(out)
+        message = (f"{out / 'proposals.jsonl'}:2: a proposal of image 'q0' does not load back "
+                   "(an empty mask loads as its box's)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset(ds, out)
+        assert _files(out) == before
+        assert list(tmp_path.iterdir()) == [out]  # no staging directory left behind
+        write_dataset(replace(ds, proposals={"q0": props[:1]}), tmp_path / "whole")
+
     def test_writing_into_an_existing_directory(self, acceptance_manifest, acceptance_dataset,
                                                 tmp_path):
         out = tmp_path / "out"
@@ -1339,7 +1371,7 @@ class TestWriterAcceptsWhatLoadsBack:
     @settings(max_examples=80, deadline=None)
     @given(fault=st.sampled_from([None, "proposals", "supports", "ground_truth", "feature_maps",
                                   "support class", "class -1", "class +1", "score", "count",
-                                  "support map", "feature"]),
+                                  "support map", "feature", "empty mask"]),
            at_floor=st.booleans(), full=st.booleans(), last_class=st.booleans(),
            features=st.booleans(), query_map=st.booleans())
     def test_write_succeeds_exactly_when_every_record_loads_back(
@@ -1365,7 +1397,8 @@ class TestWriterAcceptsWhatLoadsBack:
         feature = np.array([1.0, 0.0]) if features else None
         # the record at the drawn score first, the others above it, so that
         # the cap drops it
-        props = [ProposalRecord(box, mask, score, feature)]
+        first = BinaryMask(8, 8, (64,)) if fault == "empty mask" else mask
+        props = [ProposalRecord(box, first, score, feature)]
         props += [ProposalRecord(box, mask, 0.5 + k / 2000, feature) for k in range(count - 1)]
         maps = {"s0": fm, "q0": fm} if query_map else {"s0": fm}
         if fault == "support map":

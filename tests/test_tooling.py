@@ -161,6 +161,16 @@ def test_overlap_is_computed_once_per_image_class():
     assert calls["box_iou_pairs"] == {("postproc", "_iou_matrix"), ("evaluation", "_match")}
 
 
+def test_every_by_score_order_comes_from_rank():
+    # Descending score, ties in position order, is one rule in one place:
+    # postproc.rank.  The only other keyed orders are by class id.
+    keyed = _calls("sorted", "min", "max",
+                   where=lambda call: any(kw.arg == "key" for kw in call.keywords))
+    assert set().union(*keyed.values()) == {("postproc", "rank"),
+                                           ("features", "match_proposal"),
+                                           ("interchange", "save_prototypes")}
+
+
 def test_pipeline_runs_the_list_baselines_at_their_defaults():
     # A baseline's threshold has one home, its postproc default: the pipeline
     # passes nms, soft_nms and wbf the detection list alone.
