@@ -23,7 +23,7 @@ from .diffusion import DiffusionParams
 from .errors import DataFormatError, GenerationError, PipelineError
 from .evaluation import evaluate
 from .generator import GeneratorConfig, generate_dataset
-from .interchange import Dataset, export_run, load_dataset
+from .interchange import Dataset, _read, export_run, load_dataset
 from .pipeline import (
     METHODS,
     PipelineConfig,
@@ -150,10 +150,7 @@ def _config_argv(path: str, command_parser: argparse.ArgumentParser) -> list[str
     its long option names in full, but not ``help`` or ``config``.  ``key=v1 v2``
     (or ``v1,v2``) gives ``--key v1 v2``; a switch is set by ``true``/``yes`` and
     left off by ``false``/``no``; these four leave any other flag without a value."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
-        raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
+    text = _read(path, "config", text=True)
     options = {opt[2:]: action for opt, action in command_parser._option_string_actions.items()
                if opt.startswith("--") and opt not in ("--help", "--config")}
     argv: list[str] = []

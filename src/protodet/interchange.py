@@ -113,6 +113,19 @@ class Dataset:
         return [im.image_id for im in self.images if im.image_id in self.proposals]
 
 
+def _read(path: Path | str, what: str, text: bool = False) -> bytes | str:
+    """The bytes of ``path``, or its UTF-8 text with universal newlines.  Every
+    file protodet reads is read here: a file that is missing, unreadable or not
+    UTF-8 is a DataFormatError that names it as a ``what`` file."""
+    try:
+        with open(path, "r" if text else "rb", encoding="utf-8" if text else None) as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"missing {what} file {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 # --------------------------------------------------------------------------
 # binary blobs: feature maps, proposal features, mask runs, prototypes
 # --------------------------------------------------------------------------
@@ -124,12 +137,12 @@ def write_feature_map(path: Path | str, fm: FeatureMap) -> None:
 
 
 def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
-               body: Callable) -> tuple[np.ndarray, list[int]]:
+               body: Callable, what: str | None = None) -> tuple[np.ndarray, list[int]]:
     """The blob's body as one read-only array, and the header's fields after
     magic and version.  ``body`` maps those fields to the array's dtype and
     shape, which must account for every byte of the file before any array is
-    made."""
-    raw = Path(path).read_bytes()
+    made.  The file is a ``what`` file, by default a ``kind`` file."""
+    raw = _read(path, what or kind)
     if len(raw) < header.size:
         raise DataFormatError(f"{path}: truncated {kind} header")
     found, version, *fields = header.unpack_from(raw)
@@ -147,10 +160,10 @@ def _read_blob(path: Path | str, header: struct.Struct, magic: bytes, kind: str,
     return np.frombuffer(raw, dtype, count=count, offset=header.size).reshape(shape), fields
 
 
-def read_feature_map(path: Path | str) -> FeatureMap:
+def read_feature_map(path: Path | str, what: str | None = None) -> FeatureMap:
     """The blob's ``<f4`` values; ``FeatureMap`` widens them to float64."""
     data, _ = _read_blob(path, _FMAP_HEADER, FMAP_MAGIC, "feature-map",
-                         lambda channels, h, w: ("<f4", (channels, h, w)))
+                         lambda channels, h, w: ("<f4", (channels, h, w)), what)
     return FeatureMap(data)
 
 
@@ -168,19 +181,19 @@ def _check_features(matrix: np.ndarray, prefix: Callable[[int], str]) -> None:
         raise DataFormatError(f"{prefix(k)}{what} of L2 norm {norms[k]} (cosine undefined)")
 
 
-def _read_proposal_features(path: Path) -> np.ndarray:
+def _read_proposal_features(path: Path, what: str) -> np.ndarray:
     """The ``(rows, dim)`` float64 matrix of a ``.pfeat`` blob, every row checked."""
     matrix, _ = _read_blob(path, _PFEAT_HEADER, PFEAT_MAGIC, "proposal-feature",
-                           lambda rows, dim: ("<f8", (rows, dim)))
+                           lambda rows, dim: ("<f8", (rows, dim)), what)
     _check_features(matrix, lambda k: f"{path}: row {k}: ")
     return matrix
 
 
-def _read_mask_runs(path: Path, info: ImageInfo) -> list[BinaryMask]:
+def _read_mask_runs(path: Path, info: ImageInfo, what: str) -> list[BinaryMask]:
     """The masks of a ``.runs`` blob, each a view into the blob's one array, all
     checked in one pass."""
     table, (masks, _) = _read_blob(path, _RUNS_HEADER, RUNS_MAGIC, "mask-run",
-                                   lambda masks, runs: ("<i8", (masks + runs,)))
+                                   lambda masks, runs: ("<i8", (masks + runs,)), what)
     with _invalid_as_format_error(str(path), "mask-run blob"):
         return BinaryMask.split(info.width, info.height, table[masks:], table[:masks])
 
@@ -211,9 +224,6 @@ def save_prototypes(path: Path | str, prototypes: Sequence[ClassPrototype]) -> N
 
 
 def load_prototypes(path: Path | str) -> list[ClassPrototype]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"prototype file not found: {path}")
     records, _ = _read_blob(path, _PROTO_HEADER, PROTO_MAGIC, "prototype",
                             lambda count, dim, _: (_proto_records(dim), (count,)))
     protos: list[ClassPrototype] = []
@@ -233,11 +243,6 @@ def load_prototypes(path: Path | str) -> list[ClassPrototype]:
 # --------------------------------------------------------------------------
 # JSON helpers
 # --------------------------------------------------------------------------
-
-def _mask_from_json(doc: dict) -> BinaryMask:
-    return BinaryMask(width=_json_int(doc["w"], "mask w"), height=_json_int(doc["h"], "mask h"),
-                      runs=doc["counts"])
-
 
 _NUMBER_TYPES = {int, float}
 
@@ -277,25 +282,24 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _iter_jsonl(path: Path):
-    """(line number, record) for each non-blank line.  ``json.loads`` decodes
-    only a line that ``raw_decode`` refuses or does not read to its end, so
-    that the error keeps the decoder's own wording."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def _iter_jsonl(path: Path, what: str):
+    """(line number, record) for each non-blank line of a ``what`` file.
+    ``json.loads`` decodes only a line that ``raw_decode`` refuses or does not
+    read to its end, so that the error keeps the decoder's own wording."""
+    for lineno, line in enumerate(_read(path, what, text=True).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
             try:
-                rec, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            yield lineno, rec
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        yield lineno, rec
 
 
 # --------------------------------------------------------------------------
@@ -325,32 +329,28 @@ def _invalid_as_format_error(where: str, what: str):
         raise DataFormatError(f"{where}: invalid {what} ({exc})") from exc
 
 
-def _load_records(manifest: Path, file: Path, kind: str, parse: Callable) -> tuple[list, list]:
+def _load_records(file: Path, kind: str, parse: Callable) -> tuple[list, list]:
     """Run ``parse(rec)`` on every record of the manifest's ``kind`` file
     ("supports"; one record is a "support record"); each non-None result is
     kept, and its line number beside it.  An error that ``parse`` raises is
     named by the record's ``file:line``."""
-    if not file.is_file():
-        raise DataFormatError(f"{manifest}: missing {kind} file {file}")
     lines, items = [], []
-    # the outer guard reports bytes that are not UTF-8; a record's error passes
-    # it unchanged, since it starts with the file name
-    with _invalid_as_format_error(str(file), f"{kind} file"):
-        for lineno, rec in _iter_jsonl(file):
-            try:
-                item = parse(rec)
-            except _PARSE_ERRORS:  # the record guard, entered only on an error
-                with _invalid_as_format_error(f"{file}:{lineno}",
-                                              f"{kind.removesuffix('s')} record"):
-                    raise
-            if item is not None:
-                lines.append(lineno)
-                items.append(item)
+    for lineno, rec in _iter_jsonl(file, kind):
+        try:
+            item = parse(rec)
+        except _PARSE_ERRORS:  # the record guard, entered only on an error
+            with _invalid_as_format_error(f"{file}:{lineno}", f"{kind.removesuffix('s')} record"):
+                raise
+        if item is not None:
+            lines.append(lineno)
+            items.append(item)
     return lines, items
 
 
 def _mask_of(rec: dict, info: ImageInfo) -> BinaryMask:
-    mask = _mask_from_json(_require(rec, "mask"))
+    doc = _require(rec, "mask")
+    mask = BinaryMask(width=_json_int(doc["w"], "mask w"), height=_json_int(doc["h"], "mask h"),
+                      runs=doc["counts"])
     if (mask.width, mask.height) != (info.width, info.height):
         raise DataFormatError("mask dims do not match image dims")
     return mask
@@ -366,7 +366,7 @@ def _blob_row(rec: dict, key: str) -> int:
     return row
 
 
-def _load_proposals(manifest: Path, file: Path, images: list[ImageInfo],
+def _load_proposals(file: Path, images: list[ImageInfo],
                     mask_runs: Mapping[str, list[BinaryMask]],
                     proposal_features: Mapping[str, np.ndarray],
                     feature_maps: Mapping[str, FeatureMap],
@@ -413,7 +413,7 @@ def _load_proposals(manifest: Path, file: Path, images: list[ImageInfo],
         coords.extend(box)
         return img, score, mask, feature
 
-    lines, kept = _load_records(manifest, file, "proposals", parse)
+    lines, kept = _load_records(file, "proposals", parse)
     if dropped:
         log.info("dropped %d proposals below the %.2f score floor", dropped, SCORE_FLOOR)
     if not kept:
@@ -498,11 +498,9 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
     """Parse and validate a dataset; proposals below the score floor are
     dropped and each image keeps at most the 500 best-scored proposals."""
     path = Path(manifest_path)
-    if not path.is_file():
-        raise DataFormatError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        doc = json.loads(_read(path, "manifest", text=True))
+    except ValueError as exc:  # bad JSON
         raise DataFormatError(f"{path}: cannot parse manifest ({exc})") from exc
 
     with _invalid_as_format_error(str(path), "manifest"):
@@ -532,20 +530,18 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
                                       f"{info.width}x{info.height} pixels, more than 2**53")
             by_id[info.image_id] = info
 
-        def blobs(key: str, read: Callable[[Path, ImageInfo], object]) -> dict:
-            """``read(blob, image)`` by image id for each entry of the ``key`` table."""
+        def blobs(key: str, read: Callable[[Path, ImageInfo, str], object]) -> dict:
+            """``read(blob, image, key)`` by image id for each entry of the ``key`` table."""
             tables = {}
             for image_id, rel in doc.get(key, {}).items():
                 if image_id not in by_id:
                     raise DataFormatError(f"{key} entry for unknown image {image_id!r}")
-                try:  # the read, not a stat before it, finds a missing file
-                    tables[image_id] = read(base / rel, by_id[image_id])
-                except OSError as exc:
-                    raise DataFormatError(f"missing {key} file {base / rel}") from exc
+                tables[image_id] = read(base / rel, by_id[image_id], key)
             return tables
 
-        feature_maps = blobs("feature_maps", lambda b, _: read_feature_map(b))
-        proposal_features = blobs("proposal_features", lambda b, _: _read_proposal_features(b))
+        feature_maps = blobs("feature_maps", lambda b, _, key: read_feature_map(b, key))
+        proposal_features = blobs("proposal_features",
+                                  lambda b, _, key: _read_proposal_features(b, key))
         mask_runs = blobs("mask_runs", _read_mask_runs)
         supports_file, proposals_file, gt_file = (
             base / _require(doc, key) for key in ("supports", "proposals", "ground_truth")
@@ -578,16 +574,16 @@ def load_dataset(manifest_path: Path | str) -> Dataset:
         return GroundTruthBox(image_id=info.image_id, box=_box_from_json(_require(rec, "box")),
                               class_id=class_id)
 
-    _, supports = _load_records(path, supports_file, "supports", parse_support)
+    _, supports = _load_records(supports_file, "supports", parse_support)
     feature_dims = ({fm.channels for fm in feature_maps.values()}
                     | {m.shape[1] for m in proposal_features.values()})
-    proposals = _load_proposals(path, proposals_file, list(by_id.values()), mask_runs,
+    proposals = _load_proposals(proposals_file, list(by_id.values()), mask_runs,
                                 proposal_features, feature_maps, feature_dims)
     if len(feature_dims) > 1:
         raise DataFormatError(
             f"inconsistent feature dimensions across inputs: {sorted(feature_dims)}"
         )
-    _, ground_truth = _load_records(path, gt_file, "ground-truth", parse_ground_truth)
+    _, ground_truth = _load_records(gt_file, "ground-truth", parse_ground_truth)
 
     return Dataset(
         num_classes=num_classes,
@@ -691,10 +687,14 @@ def write_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
         stage = Path(tmp, "dataset")  # made as out_dir would be; copytree copies its mode
         _write_files(dataset, stage)
+        # the load-back reads no data of the caller's, so it logs nothing
+        disabled, log.disabled = log.disabled, True
         try:
             loaded = load_dataset(stage / "manifest.json")
         except DataFormatError as exc:
             raise ValueError(str(exc).replace(str(stage), str(out))) from None
+        finally:
+            log.disabled = disabled
         written, back = ([(im.image_id, p.upn_score, p.mask.area) for im in dataset.images
                           for p in proposals.get(im.image_id, ())]  # file order
                          for proposals in (dataset.proposals, loaded.proposals))
@@ -759,10 +759,7 @@ def export_run(
 
 def load_detections(path: Path | str) -> dict[str, list[ScoredDetection]]:
     """Read back a detections.tsv written by export_run."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"detections file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read(path, "detections", text=True).splitlines()
     if not lines or lines[0] != _DET_HEADER:
         raise DataFormatError(f"{path}: missing or wrong header line")
     out: dict[str, list[ScoredDetection]] = {}

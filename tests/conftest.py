@@ -1,3 +1,6 @@
+import builtins
+import io
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,23 @@ def acceptance_manifest(tmp_path_factory):
 @pytest.fixture(scope="session")
 def acceptance_dataset(acceptance_manifest):
     return load_dataset(acceptance_manifest)
+
+
+@pytest.fixture
+def unreadable(monkeypatch):
+    """``deny(path)``: from then on, opening ``path`` raises PermissionError,
+    as a file without read permission does for any user but root."""
+    def deny(path):
+        real = io.open
+
+        def guarded(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", guarded)  # pathlib opens through io.open
+        monkeypatch.setattr(builtins, "open", guarded)
+    return deny
 
 
 def random_mask(rng, size=24):

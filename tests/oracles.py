@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from protodet.errors import DataFormatError
-from protodet.geometry import BoundingBox, box_iou, box_to_full_mask, coverage_matrix
+from protodet.geometry import BinaryMask, BoundingBox, box_iou, box_to_full_mask, coverage_matrix
 from protodet.interchange import (
     MAX_PROPOSALS_PER_IMAGE,
     SCORE_FLOOR,
@@ -24,7 +24,6 @@ from protodet.interchange import (
     _invalid_as_format_error,
     _json_int,
     _json_numbers,
-    _mask_from_json,
     _read_mask_runs,
     _read_proposal_features,
     read_feature_map,
@@ -256,12 +255,12 @@ def proposals_by_record(manifest_path):
     base = path.parent
     images = {e["id"]: e for e in doc["images"]}
     feature_maps = {i: read_feature_map(base / rel) for i, rel in doc["feature_maps"].items()}
-    features = {i: _read_proposal_features(base / rel)
+    features = {i: _read_proposal_features(base / rel, "proposal_features")
                 for i, rel in doc.get("proposal_features", {}).items()}
     mask_runs = {}
     for i, rel in doc.get("mask_runs", {}).items():
         info = ImageInfo(i, images[i]["width"], images[i]["height"])
-        mask_runs[i] = _read_mask_runs(base / rel, info)
+        mask_runs[i] = _read_mask_runs(base / rel, info, "mask_runs")
     feature_dims = ({fm.channels for fm in feature_maps.values()}
                     | {m.shape[1] for m in features.values()})
     rows_used = set()
@@ -306,7 +305,9 @@ def proposals_by_record(manifest_path):
         if "mask_row" in rec:
             mask = blob_row(rec, where, image_id, "mask_row", mask_runs, ".runs")
         else:
-            mask = _mask_from_json(require(rec, "mask", where))
+            doc = require(rec, "mask", where)
+            mask = BinaryMask(width=_json_int(doc["w"], "mask w"),
+                              height=_json_int(doc["h"], "mask h"), runs=doc["counts"])
             if (mask.width, mask.height) != (width, height):
                 raise DataFormatError(f"{where}: mask dims do not match image dims")
         if mask.area == 0:

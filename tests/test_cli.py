@@ -142,6 +142,17 @@ class TestExitCodes:
         assert f"data error: {protos}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_prototype_file_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                                     unreadable):
+        protos = tmp_path / "p.protos"
+        save_prototypes(protos, run_support_stage(load_dataset(cli_corpus)))
+        unreadable(protos)
+        out = tmp_path / "o"
+        assert main(["run", str(cli_corpus), "--prototypes", str(protos),
+                     "--out", str(out)]) == 3
+        assert f"data error: cannot read prototype file {protos}: " in capsys.readouterr().err
+        assert not out.exists()
+
     # int() and float() used to coerce each of these values and load the record
     # (an integer too large for a float ended in an OverflowError traceback)
     @pytest.mark.parametrize("name, keys, value, message", [

@@ -386,6 +386,14 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match="ground_truth"):
             load_dataset(path)
 
+    def test_unreadable_record_file_is_data_error(self, tmp_path, capsys, unreadable):
+        path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5)])
+        props = tmp_path / "proposals.jsonl"
+        unreadable(props)
+        message = f"cannot read proposals file {props}: "
+        _assert_data_error(path, tmp_path, re.escape(message) + ".*Permission denied")
+        assert f"data error: {message}" in capsys.readouterr().err
+
     def test_unknown_image_id_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, proposals=[_proposal_row(0.5, image_id="nope")])
         with pytest.raises(DataFormatError, match="nope"):
@@ -530,8 +538,9 @@ class TestProposalFeatureBlob:
     @pytest.mark.parametrize("table, pattern", [
         ({"nope": "q0.pfeat"}, r"manifest\.json: proposal_features entry for unknown image 'nope'"),
         ({"q0": "gone.pfeat"}, r"manifest\.json: missing proposal_features file .*gone\.pfeat"),
+        ({"q0": "."}, r"manifest\.json: cannot read proposal_features file .*Is a directory"),
         (["q0.pfeat"], r"manifest\.json: invalid manifest"),
-    ], ids=["unknown-image", "missing-file", "not-a-table"])
+    ], ids=["unknown-image", "missing-file", "directory", "not-a-table"])
     def test_bad_manifest_table_rejected(self, tmp_path, table, pattern):
         _write_pfeat(tmp_path / "q0.pfeat", [[1.0, 0.0]])
         path = _write_manifest(tmp_path, manifest={"proposal_features": table},
@@ -659,8 +668,9 @@ class TestMaskRunBlob:
     @pytest.mark.parametrize("table, pattern", [
         ({"nope": "q0.runs"}, r"manifest\.json: mask_runs entry for unknown image 'nope'"),
         ({"q0": "gone.runs"}, r"manifest\.json: missing mask_runs file .*gone\.runs"),
+        ({"q0": "."}, r"manifest\.json: cannot read mask_runs file .*Is a directory"),
         (["q0.runs"], r"manifest\.json: invalid manifest"),
-    ], ids=["unknown-image", "missing-file", "not-a-table"])
+    ], ids=["unknown-image", "missing-file", "directory", "not-a-table"])
     def test_bad_manifest_table_rejected(self, tmp_path, table, pattern):
         _write_runs(tmp_path / "q0.runs")
         path = _write_manifest(tmp_path, manifest={"mask_runs": table},
@@ -1307,6 +1317,27 @@ class TestWriteDataset:
         assert list(tmp_path.iterdir()) == [out]  # no staging directory left behind
         write_dataset(replace(ds, proposals={"q0": props[:1]}), tmp_path / "whole")
 
+    def test_refused_writes_log_nothing_the_loader_would(self, tmp_path, caplog):
+        # The load-back of a staged copy is no load of the caller's data: a
+        # substitution or a cap it meets ends in the ValueError, not the log.
+        box, fm = BoundingBox(0.0, 0.0, 4.0, 4.0), FeatureMap(data=np.full((2, 2, 2), 0.5))
+        full = ProposalRecord(box, BinaryMask(8, 8, (0, 64)), 0.5, np.array([1.0, 0.0]))
+        ds = Dataset(num_classes=1, shots=1, images=[ImageInfo("q0", 8, 8)], supports=[],
+                     proposals={}, ground_truth=[], feature_maps={"q0": fm})
+        refused = {
+            "an empty mask loads as its box's": [replace(full, mask=BinaryMask(8, 8, (64,)))],
+            "not among its 500 best": [full] * 500 + [replace(full, upn_score=0.4)],
+            "score 1.5 outside": [replace(full, upn_score=1.5)],  # raised by the load-back
+        }
+        with caplog.at_level("INFO"):
+            for message, props in refused.items():
+                with pytest.raises(ValueError, match=message):
+                    write_dataset(replace(ds, proposals={"q0": props}), tmp_path / "out")
+            assert caplog.records == []
+            load_dataset(_write_manifest(tmp_path, proposals=[_proposal_row(0.5, runs=[64])]))
+        assert [r.getMessage() for r in caplog.records] == [
+            "substituted 1 empty proposal masks with their box masks"]
+
     def test_writing_into_an_existing_directory(self, acceptance_manifest, acceptance_dataset,
                                                 tmp_path):
         out = tmp_path / "out"
@@ -1479,4 +1510,10 @@ class TestExport:
         bad = tmp_path / "dets.tsv"
         bad.write_text("nope\n")
         with pytest.raises(DataFormatError):
+            load_detections(bad)
+
+    def test_bytes_that_are_not_utf8_rejected_on_load(self, tmp_path):
+        bad = tmp_path / "dets.tsv"
+        bad.write_bytes(b"image_id\tclass_id\tscore\tx1\ty1\tx2\ty2\n\xff\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"cannot read detections file {bad}")):
             load_detections(bad)

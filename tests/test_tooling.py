@@ -139,6 +139,24 @@ def test_the_writer_leaves_the_loaders_rules_to_the_loader():
                                           ("interchange", "export_run")}
 
 
+def _writes(call):
+    """Whether an ``open`` or ``os.open`` call opens for writing: a mode string
+    of "w", "a", "x" or "+", or flags with ``O_WRONLY`` or ``O_RDWR``."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return mode is not None and re.search(r"\bO_(WRONLY|RDWR)\b", ast.unparse(mode)) is not None
+
+
+def test_every_file_is_read_by_one_reader():
+    # interchange._read alone opens a file to read it, so that a file missing,
+    # unreadable or not UTF-8 is one DataFormatError (exit 3) wherever it is
+    # named; a check before the read would be a second rule, and a race.
+    reads = _calls("is_file", "exists", "read_text", "read_bytes", "open",
+                   where=lambda call: not _writes(call))
+    assert set().union(*reads.values()) == {("interchange", "_read")}
+
+
 def test_no_stage_decodes_or_encodes_a_raster():
     # Masks stay run-length from load to report.  Only the scalar coverage
     # oracle decodes a mask, and only the generator, which draws its shapes as
